@@ -48,6 +48,7 @@ var benchSuite = []struct {
 	{"SchedulerTimerChurn", perfbench.SchedulerTimerChurn},
 	{"SchedulerDeepQueue", perfbench.SchedulerDeepQueue},
 	{"SchedulerDeepQueue8K", perfbench.SchedulerDeepQueue8K},
+	{"SchedulerFarAnchor", perfbench.SchedulerFarAnchor},
 	{"DumbbellSteadyState", perfbench.DumbbellSteadyState},
 	{"ParkingLotSteadyState", perfbench.ParkingLotSteadyState},
 	{"ReversePathSteadyState", perfbench.ReversePathSteadyState},

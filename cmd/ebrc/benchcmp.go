@@ -25,11 +25,10 @@ const byteSlack = 512
 // floor. The allocation gates are narrow bands rather than zero
 // tolerance because the run-arena pooling makes a whole-simulation
 // benchmark's allocs/op weakly machine-dependent: per-op cost is
-// per-run residual plus amortized pool build-up divided by the
-// iteration count testing.Benchmark picks, and a GC can drain the
-// sync.Pool mid-run. A zero-allocs baseline stays zero-tolerance —
-// `0*(1+atol)` is 0 — so the hot-path zero-allocation guarantee is
-// still machine-independent and hard. Benchmarks are matched by name;
+// per-run residual plus amortized arena build-up divided by the
+// iteration count testing.Benchmark picks. A zero-allocs baseline stays
+// zero-tolerance — `0*(1+atol)` is 0 — so the hot-path zero-allocation
+// guarantee is still machine-independent and hard. Benchmarks are matched by name;
 // entries present in only one report are listed but never gate, so
 // adding a benchmark does not break the comparison against older
 // baselines. This is the gate the CI bench job runs — the perf

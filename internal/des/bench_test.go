@@ -16,3 +16,4 @@ func BenchmarkSchedulerTimerChurn(b *testing.B) { perfbench.SchedulerTimerChurn(
 func BenchmarkSchedulerDeepQueue(b *testing.B)  { perfbench.SchedulerDeepQueue(b) }
 
 func BenchmarkSchedulerDeepQueue8K(b *testing.B) { perfbench.SchedulerDeepQueue8K(b) }
+func BenchmarkSchedulerFarAnchor(b *testing.B)   { perfbench.SchedulerFarAnchor(b) }

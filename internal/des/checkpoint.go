@@ -81,6 +81,7 @@ func (s *Scheduler) RestoreClock(now float64, seq, fired, cascaded uint64) {
 	s.cur = s.cur[:0]
 	s.curIdx = 0
 	s.curTick = tickOf(now)
+	s.jumped = false
 }
 
 // RestoreAt re-arms an event with an explicit saved identity: firing

@@ -21,11 +21,28 @@
 // spans one tick per bucket, and each higher level spans 256x the
 // previous one, so four levels cover ~18 simulated hours. Events beyond
 // the horizon wait in an overflow level that cascades back into the
-// wheels on rollover. Insertion and deletion are O(1); firing pays a
-// small amortized cascade cost as buckets migrate toward level 0 —
-// unlike a binary or 4-ary heap, no operation degrades with the size of
-// the pending set, which is what lets many-hop, many-flow simulations
-// scale without the event queue becoming the bottleneck.
+// wheels on rollover. Inserting into the wheel and cancelling are O(1);
+// firing pays a small amortized cascade cost as buckets migrate toward
+// level 0, so many-hop, many-flow simulations scale without the event
+// queue becoming the bottleneck. One insert is not O(1): an event at or
+// behind the cursor is merged into the sorted working set of the
+// cursor's tick, at a cost that grows with the entries already there,
+// so the cursor must not run far ahead of the clock.
+//
+// The first event scheduled into an empty queue moves the cursor
+// straight to its tick and skips the wheels, so the schedule-one/
+// fire-one pattern pays no cascade. That jump can be long: a fault plan
+// arms its first flap tens of seconds ahead, before any traffic. So the
+// jump is undone as soon as an event at another tick is scheduled: the
+// cursor returns to the clock's tick and the jumped-to event goes into
+// the wheel, once.
+//
+// Above level 0 a bucket fills once per pass of the cursor (a level-2
+// bucket spans one simulated second), so a bucket that kept its array
+// would hold its high-water capacity for a whole turn of the wheel. A
+// drained bucket's array goes onto a per-level spare stack instead, and
+// the next empty bucket of that level to fill takes it: a level holds
+// about as many arrays as it has buckets occupied at once.
 //
 // Determinism is preserved exactly: a bucket is sorted by
 // (time, origin, seq) when the cursor reaches it, and ticks partition
@@ -161,10 +178,12 @@ func tickOf(t float64) uint64 {
 }
 
 // level is one wheel: a ring of buckets with an occupancy bitmap so the
-// cursor can jump straight to the next non-empty bucket.
+// cursor can jump straight to the next non-empty bucket. Above level 0,
+// spare holds the arrays of drained buckets for the next bucket to fill.
 type level struct {
 	bucket [levelSlots][]entry
 	bitmap [levelWords]uint64
+	spare  [][]entry
 }
 
 // next returns the first occupied bucket index >= from, if any.
@@ -201,7 +220,10 @@ type Scheduler struct {
 	// curTick is the wheel cursor. All bucketed entries have tick >
 	// curTick; it trails no pending event and may run ahead of Now when
 	// RunUntil stops between events.
-	curTick  uint64
+	curTick uint64
+	// jumped is set while the cursor sits on the tick of an event that
+	// was scheduled into an otherwise empty queue (see insert).
+	jumped   bool
 	levels   [numLevels]level
 	overflow []entry // events beyond the wheel horizon
 
@@ -240,6 +262,7 @@ func (s *Scheduler) Reset() {
 	s.cur = s.cur[:0]
 	s.curIdx = 0
 	s.curTick = 0
+	s.jumped = false
 	s.overflow = s.overflow[:0]
 	for l := range s.levels {
 		lv := &s.levels[l]
@@ -346,6 +369,9 @@ func cmpEntry(a, b entry) int {
 // overflow level, keyed by its tick relative to the cursor.
 func (s *Scheduler) insert(e entry) {
 	t := tickOf(e.at)
+	if s.jumped && t != s.curTick {
+		s.rewind()
+	}
 	if t <= s.curTick {
 		// At or behind the cursor (the cursor may run ahead of Now):
 		// merge into the sorted working set.
@@ -357,6 +383,7 @@ func (s *Scheduler) insert(e entry) {
 		// skip the wheels — the schedule-one/fire-one pattern pays no
 		// cascade this way.
 		s.curTick = t
+		s.jumped = true
 		s.curInsert(e)
 		return
 	}
@@ -369,8 +396,37 @@ func (s *Scheduler) insert(e entry) {
 	shift := uint(lvl) * levelBits
 	j := int(t>>shift) & levelMask
 	lv := &s.levels[lvl]
-	lv.bucket[j] = append(lv.bucket[j], e)
+	b := lv.bucket[j]
+	if cap(b) == 0 && len(lv.spare) > 0 {
+		n := len(lv.spare) - 1
+		b = lv.spare[n]
+		lv.spare[n] = nil
+		lv.spare = lv.spare[:n]
+	}
+	lv.bucket[j] = append(b, e)
 	lv.bitmap[j>>6] |= 1 << (uint(j) & 63)
+}
+
+// rewind undoes a singleton jump before an event at another tick is
+// inserted; left in place, a far jump would put every later insert
+// behind the cursor until the clock caught up. The cursor returns to the
+// clock's tick and the working set, all of it at the jumped-to tick, is
+// filed into the wheel: each entry now lies beyond the cursor, and none
+// is the only one pending (the entry being inserted is counted), so
+// insert takes neither the working-set path nor the jump for it.
+func (s *Scheduler) rewind() {
+	s.jumped = false
+	now := tickOf(s.now)
+	if now == s.curTick {
+		return
+	}
+	held := s.cur[s.curIdx:]
+	s.cur = s.cur[:0]
+	s.curIdx = 0
+	s.curTick = now
+	for _, e := range held {
+		s.insert(e)
+	}
 }
 
 // curInsert merges an entry into the sorted working set.
@@ -406,13 +462,20 @@ func (s *Scheduler) curInsert(e entry) {
 }
 
 // takeBucket detaches bucket j of level lvl, clearing its occupancy
-// bit, and returns its entries. The backing array stays with the bucket
-// for reuse.
+// bit, and returns its entries. A level-0 bucket keeps its array. Above
+// level 0 the array goes onto the level's spare stack at once: the
+// caller re-files the entries at lower levels only, so no insert takes
+// the array back before the caller has read them.
 func (s *Scheduler) takeBucket(lvl, j int) []entry {
 	lv := &s.levels[lvl]
 	b := lv.bucket[j]
-	lv.bucket[j] = b[:0]
 	lv.bitmap[j>>6] &^= 1 << (uint(j) & 63)
+	if lvl == 0 {
+		lv.bucket[j] = b[:0]
+	} else {
+		lv.bucket[j] = nil
+		lv.spare = append(lv.spare, b[:0])
+	}
 	return b
 }
 
@@ -585,6 +648,7 @@ func (s *Scheduler) fire(e entry) {
 	s.free = append(s.free, e.slot())
 	s.live--
 	s.now = e.at
+	s.jumped = false
 	s.fired++
 	fn()
 }

@@ -469,15 +469,25 @@ func refBefore(a, b refEvent) bool {
 	return a.seq < b.seq
 }
 
-// popLive pops the earliest live reference event, if any.
-func (h *refHeap) popLive(dead map[int]bool) (refEvent, bool) {
+// peekLive discards cancelled events from the top and returns the
+// earliest live reference event, if any, without removing it.
+func (h *refHeap) peekLive(dead map[int]bool) (refEvent, bool) {
 	for len(h.es) > 0 {
-		e := h.pop()
-		if !dead[e.id] {
+		if e := h.es[0]; !dead[e.id] {
 			return e, true
 		}
+		h.pop()
 	}
 	return refEvent{}, false
+}
+
+// popLive pops the earliest live reference event, if any.
+func (h *refHeap) popLive(dead map[int]bool) (refEvent, bool) {
+	e, ok := h.peekLive(dead)
+	if ok {
+		h.pop()
+	}
+	return e, ok
 }
 
 // boundaryDelay draws delays biased toward the wheel's sore spots: the
@@ -508,10 +518,14 @@ func boundaryDelay(r *rng.RNG) float64 {
 // reschedule/step churn — with delays concentrated on tick edges,
 // cascade-level spans, the overflow horizon and same-timestamp ties —
 // through the wheel and a reference binary heap in lockstep, comparing
-// the full firing order.
+// the full firing order. The later trials open with one far-future event
+// on the empty scheduler, so the cursor jumps ahead of the clock, and
+// also advance with RunUntil/RunBefore to random deadlines, mostly
+// between events: the jump and its undo are checked against the heap.
 func TestWheelVsReferenceHeapChurn(t *testing.T) {
 	r := rng.New(777)
-	for trial := 0; trial < 150; trial++ {
+	for trial := 0; trial < 300; trial++ {
+		far := trial >= 150
 		var s Scheduler
 		ref := &refHeap{}
 		dead := map[int]bool{}
@@ -535,9 +549,48 @@ func TestWheelVsReferenceHeapChurn(t *testing.T) {
 				wantIDs = append(wantIDs, e.id)
 			}
 		}
+		// advance runs both queues to a deadline drawn up to half again
+		// past the next live event, so most deadlines fall between
+		// events; RunBefore excludes an event exactly at the deadline.
+		advance := func() {
+			deadline := s.Now() + r.Float64()*3
+			if e, ok := ref.peekLive(dead); ok {
+				deadline = s.Now() + r.Float64()*1.5*(e.at-s.Now())
+				if r.Bernoulli(0.1) {
+					deadline = e.at
+				}
+			}
+			before := r.Bernoulli(0.5)
+			if before {
+				s.RunBefore(deadline)
+			} else {
+				s.RunUntil(deadline)
+			}
+			for {
+				e, ok := ref.peekLive(dead)
+				if !ok || e.at > deadline || before && e.at == deadline {
+					break
+				}
+				ref.pop()
+				wantIDs = append(wantIDs, e.id)
+			}
+			if len(gotIDs) != len(wantIDs) {
+				t.Fatalf("trial %d: advance to %v fired %d events, reference %d",
+					trial, deadline, len(gotIDs), len(wantIDs))
+			}
+		}
+		if far {
+			if r.Bernoulli(0.8) {
+				schedule(20 + r.Float64()*40)
+			} else {
+				schedule(boundaryDelay(r))
+			}
+		}
 		ops := int(r.Uint64()%300) + 20
 		for op := 0; op < ops; op++ {
 			switch {
+			case far && r.Bernoulli(0.2):
+				advance()
 			case r.Bernoulli(0.45):
 				schedule(boundaryDelay(r))
 			case r.Bernoulli(0.3): // cancel or reschedule a live timer
@@ -569,6 +622,94 @@ func TestWheelVsReferenceHeapChurn(t *testing.T) {
 					trial, i, gotIDs, wantIDs)
 			}
 		}
+	}
+}
+
+// TestFarJumpRewinds pins the undo of the singleton jump. The first
+// event of an empty scheduler moves the cursor straight to its tick, 40 s
+// ahead; the next event at another tick must bring the cursor back to
+// the clock, so that near events go into the wheel rather than behind
+// the cursor into the sorted working set.
+func TestFarJumpRewinds(t *testing.T) {
+	var s Scheduler
+	r := rng.New(41)
+	var got []float64
+	rec := func() { got = append(got, s.Now()) }
+	s.At(40, rec)
+	check := func(when string) {
+		t.Helper()
+		for _, e := range s.cur[s.curIdx:] {
+			if tickOf(e.at) != s.curTick {
+				t.Fatalf("%s: working set holds an entry at tick %d, cursor at %d",
+					when, tickOf(e.at), s.curTick)
+			}
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		s.At(r.Float64(), rec)
+		if s.curTick != tickOf(s.Now()) {
+			t.Fatalf("after insert %d: cursor at tick %d, clock at tick %d",
+				i+2, s.curTick, tickOf(s.Now()))
+		}
+		check("inserting")
+	}
+	for s.Step() {
+		check("firing")
+	}
+	if len(got) != 1001 || got[1000] != 40 {
+		t.Fatalf("fired %d events, last at %v; want 1001, last at 40", len(got), got[len(got)-1])
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] < got[i-1] {
+			t.Fatalf("fired out of order at %d: %v after %v", i, got[i], got[i-1])
+		}
+	}
+}
+
+// retainedCap is the entry capacity the scheduler holds on to: the
+// working set, every bucket's array, the spare arrays and the overflow
+// level.
+func retainedCap(s *Scheduler) int {
+	n := cap(s.cur) + cap(s.overflow)
+	for l := range s.levels {
+		lv := &s.levels[l]
+		for j := range lv.bucket {
+			n += cap(lv.bucket[j])
+		}
+		for _, b := range lv.spare {
+			n += cap(b)
+		}
+	}
+	return n
+}
+
+// TestSparedBucketsBoundMemory pins the recycling of bucket arrays above
+// level 0 under the retransmit-timer pattern: 500 timers, one cancelled
+// and re-armed 1 s ahead every millisecond, for 300 simulated seconds.
+// Each simulated second fills another level-2 bucket; were every bucket
+// to keep its array, the retained capacity would grow with simulated
+// time until the wheel turned, to hundreds of times the entries ever
+// buffered at once.
+func TestSparedBucketsBoundMemory(t *testing.T) {
+	var s Scheduler
+	fn := func() {}
+	timers := make([]Timer, 500)
+	for i := range timers {
+		timers[i] = s.After(1, fn)
+	}
+	peak, k := 0, 0
+	var drive func()
+	drive = func() {
+		timers[k].Cancel()
+		timers[k] = s.After(1, fn)
+		k = (k + 1) % len(timers)
+		peak = max(peak, s.live+s.dead)
+		s.After(0.001, drive)
+	}
+	s.After(0.001, drive)
+	s.RunUntil(300)
+	if got := retainedCap(&s); got > 8*peak {
+		t.Fatalf("scheduler retains capacity for %d entries, peak buffered %d", got, peak)
 	}
 }
 

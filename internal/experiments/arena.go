@@ -13,9 +13,8 @@ import (
 // flow-state pool). RunSim, RunTopoSim and RunRevSim draw an arena,
 // Reset it, build the run's topology in place, and return it — so a
 // replication pays for its protocol state only, not for the simulator
-// substrate. Under the runner's worker pool the arenas are recycled
-// per worker (sync.Pool is per-P), which is exactly the "rebuild in
-// place across replications" pattern the scale-out sweeps need.
+// substrate. Idle arenas wait on a free list: a sweep keeps as many
+// arenas as it has runs in flight, and every later run starts warm.
 //
 // Reuse is invisible to results: the scheduler and network Resets
 // restore the exact zero-value semantics (clock 0, empty graph, fresh
@@ -28,7 +27,37 @@ type simArena struct {
 	net   *topology.Network
 }
 
-var arenaPool = sync.Pool{New: func() any {
+// freeList is a mutex-guarded stack of idle values. Unlike a sync.Pool
+// it keeps them across garbage collections and hands back the value put
+// last whichever goroutine asks, so a worker that migrates to another P
+// between runs still finds its warm arena instead of rebuilding one.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []T
+	new  func() T
+}
+
+func (f *freeList[T]) get() T {
+	f.mu.Lock()
+	n := len(f.idle)
+	if n == 0 {
+		f.mu.Unlock()
+		return f.new()
+	}
+	x := f.idle[n-1]
+	clear(f.idle[n-1:])
+	f.idle = f.idle[:n-1]
+	f.mu.Unlock()
+	return x
+}
+
+func (f *freeList[T]) put(x T) {
+	f.mu.Lock()
+	f.idle = append(f.idle, x)
+	f.mu.Unlock()
+}
+
+var arenaPool = freeList[*simArena]{new: func() *simArena {
 	a := &simArena{}
 	a.net = topology.New(&a.sched)
 	return a
@@ -36,7 +65,7 @@ var arenaPool = sync.Pool{New: func() any {
 
 // getArena returns a reset arena ready to host one run.
 func getArena() *simArena {
-	a := arenaPool.Get().(*simArena)
+	a := arenaPool.get()
 	a.sched.Reset()
 	a.net.Reset()
 	return a
@@ -44,4 +73,4 @@ func getArena() *simArena {
 
 // putArena recycles the arena once the run's results have been copied
 // out. Nothing returned by a Run* function may alias arena memory.
-func putArena(a *simArena) { arenaPool.Put(a) }
+func putArena(a *simArena) { arenaPool.put(a) }

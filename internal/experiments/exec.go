@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"repro/internal/arrivals"
 	"repro/internal/des"
 	"repro/internal/netsim"
@@ -107,7 +105,7 @@ var shardForceParallel bool
 // Close must be called when the run's results have been copied out.
 func newExec(shards int) simExec {
 	if shards > 1 {
-		c := clusterPool.Get().(*shard.Cluster)
+		c := clusterPool.get()
 		c.Reset()
 		c.ForceParallel = shardForceParallel
 		e := &shardExec{Cluster: c, k: shards}
@@ -212,10 +210,10 @@ func (e *shardExec) Close() {
 	if e.Poisoned() {
 		return
 	}
-	clusterPool.Put(e.Cluster)
+	clusterPool.put(e.Cluster)
 }
 
 // clusterPool recycles clusters like arenaPool recycles serial arenas:
 // the shards' schedulers, freelists and bundle buffers survive Reset,
 // so a sharded replication rebuilds in place.
-var clusterPool = sync.Pool{New: func() any { return shard.New() }}
+var clusterPool = freeList[*shard.Cluster]{new: shard.New}

@@ -82,6 +82,34 @@ func SchedulerDeepQueue8K(b *testing.B) {
 	}
 }
 
+// SchedulerFarAnchor is SchedulerDeepQueue behind a far-future anchor:
+// one event armed 40 s ahead on an empty scheduler, as a fault plan
+// arms its first flap before any traffic starts, then the 1K-pending
+// schedule/fire loop with its times scaled by 1/32, so the whole
+// pending set stays behind the anchor. Every 1<<14 events the scheduler
+// is reset and anchored afresh, long before the clock (about 3 s into a
+// round) could reach the anchor. A scheduler whose cursor stayed on the
+// anchor would take every insert into its sorted working set, at a cost
+// that grows with the pending count; the wheel's must stay flat.
+func SchedulerFarAnchor(b *testing.B) {
+	const round = 1 << 14
+	var s des.Scheduler
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%round == 0 {
+			s.Reset()
+			s.At(40, fn)
+			for j := 0; j < 1024; j++ {
+				s.At((float64(j)+0.5)/32, fn)
+			}
+		}
+		s.After(0.25/32, fn)
+		s.Step()
+	}
+}
+
 // DumbbellSteadyState measures whole-simulation throughput on a
 // mid-size run of the lab testbed profile: 8 TFRC + 8 TCP flows through
 // the 10 Mb/s DropTail-100 bottleneck for 30 simulated seconds — large

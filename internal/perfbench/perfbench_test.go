@@ -34,8 +34,8 @@ func TestChurnSteadyStateAllocsFlat(t *testing.T) {
 	if r1.AllocsPerOp() == 0 {
 		t.Fatal("benchmark recorded zero allocs/run — harness broken")
 	}
-	// The band absorbs run-arena amortization wiggle (a GC can drain the
-	// sync.Pool mid-run) and the slightly larger slot/flow tables of the
+	// The band absorbs run-arena amortization wiggle (the arena is built
+	// once and reused) and the slightly larger slot/flow tables of the
 	// doubled arrival budget; per-arrival construction (~10 allocs each
 	// across hundreds of extra transfers) blows far past it.
 	limit := float64(r1.AllocsPerOp())*1.25 + 256
