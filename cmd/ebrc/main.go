@@ -174,6 +174,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// Values no run can use are rejected before anything starts, rather
+	// than silently ignored (a negative count, a factor outside (0..1])
+	// or turned into an empty artifact (-trace with no ring).
+	for _, f := range []struct {
+		name string
+		bad  bool
+	}{
+		{"shards", *shards < 0}, {"epochs", *epochs < 0}, {"workers", *workers < 0},
+		{"retries", *retries < 0}, {"events", *events < 0}, {"deadline", *deadline < 0},
+		{"checkpoint-every", *ckptEvery < 0},
+	} {
+		if f.bad {
+			fmt.Fprintf(stderr, "ebrc: -%s must not be negative\n", f.name)
+			return 2
+		}
+	}
+	if *simFactor < 0 || *simFactor > 1 {
+		fmt.Fprintf(stderr, "ebrc: -simfactor %g outside (0..1]\n", *simFactor)
+		return 2
+	}
+	if *traceFile != "" && *traceCap <= 0 {
+		fmt.Fprintf(stderr, "ebrc: -trace needs a positive -tracecap, got %d\n", *traceCap)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

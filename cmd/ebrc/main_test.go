@@ -208,6 +208,43 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// Flag values no run can use exit 2 with a one-line message before any
+// scenario runs: nothing reaches stdout and no trace file is written.
+func TestFlagValidation(t *testing.T) {
+	traceOut := filepath.Join(t.TempDir(), "events.json")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"shards", []string{"-shards", "-2"}},
+		{"epochs", []string{"-epochs", "-1"}},
+		{"workers", []string{"-parallel", "-workers", "-3"}},
+		{"retries", []string{"-retries", "-1"}},
+		{"events", []string{"-events", "-5"}},
+		{"deadline", []string{"-deadline", "-1s"}},
+		{"checkpoint-every", []string{"-checkpoint-every", "-10", "-checkpoint-dir", t.TempDir()}},
+		{"simfactor", []string{"-simfactor", "1.5"}},
+		{"tracecap", []string{"-trace", traceOut, "-tracecap", "0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(append(tc.args, "fig1"), &out, &errb); code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb.String())
+			}
+			if out.Len() != 0 {
+				t.Fatalf("a scenario ran:\n%s", out.String())
+			}
+			msg := errb.String()
+			if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-"+tc.name) {
+				t.Fatalf("want one line naming -%s, got %q", tc.name, msg)
+			}
+		})
+	}
+	if _, err := os.Stat(traceOut); !os.IsNotExist(err) {
+		t.Fatalf("rejected -trace run left a trace file (stat: %v)", err)
+	}
+}
+
 // The observability flags: -metrics and -epochs append their blocks
 // after the tables and the whole stream — tables plus capture — stays
 // byte-identical between the serial engine and a sharded run; -trace

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/des"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -30,33 +30,31 @@ func main() {
 	tsnd.Start()
 	sched.At(0.5, csnd.Start)
 
-	rec := trace.NewRecorder()
-	tfrcRate := rec.Series("tfrc_pkts_per_s")
-	tcpWnd := rec.Series("tcp_cwnd_pkts")
-	queueLen := rec.Series("queue_pkts")
-
-	const horizon = 120.0
+	const warmup, horizon = 20.0, 120.0
+	fmt.Println("time\ttfrc_pkts_per_s\ttcp_cwnd_pkts\tqueue_pkts")
+	// area integrates the TFRC rate over [warmup, horizon], each sample
+	// held until the next one, for the mean reported at the end.
+	var area, lastT, lastRate float64
+	hold := func(until float64) {
+		if lo, hi := math.Max(lastT, warmup), math.Min(until, horizon); hi > lo {
+			area += lastRate * (hi - lo)
+		}
+	}
 	var sample func()
 	sample = func() {
 		now := sched.Now()
-		tfrcRate.Add(now, tsnd.Rate()/1000) // 1000-byte packets
-		tcpWnd.Add(now, csnd.Cwnd())
-		queueLen.Add(now, float64(link.Queue().Len()))
+		rate := tsnd.Rate() / 1000 // 1000-byte packets
+		fmt.Printf("%.6g\t%.6g\t%.6g\t%d\n", now, rate, csnd.Cwnd(), link.Queue().Len())
+		hold(now)
+		lastT, lastRate = now, rate
 		if now < horizon {
 			sched.After(0.1, sample)
 		}
 	}
 	sched.After(0.1, sample)
 	sched.RunUntil(horizon)
+	hold(horizon)
 
-	if err := rec.WriteTSV(os.Stdout, 0, horizon, 1200); err != nil {
-		fmt.Fprintf(os.Stderr, "rate-dynamics: %v\n", err)
-		os.Exit(1)
-	}
-	mean, err := tfrcRate.TimeAverage(20, horizon)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rate-dynamics: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "TFRC mean rate %.1f pkt/s; trace written to stdout\n", mean)
+	fmt.Fprintf(os.Stderr, "TFRC mean rate %.1f pkt/s over [%g, %g] s; trace written to stdout\n",
+		area/(horizon-warmup), warmup, horizon)
 }

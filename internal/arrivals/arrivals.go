@@ -252,8 +252,8 @@ func FlowSeed(classSeed uint64, i int) uint64 {
 	return x
 }
 
-// Host is the executor seam the engine runs against. The serial and
-// sharded executors of the experiments package both satisfy it.
+// Host is the surface the engine runs against; shard.Cluster satisfies
+// it at any shard count.
 type Host interface {
 	// RouteEnv resolves the scheduler/network pairs the two endpoints of
 	// a flow over the route must be built on.
@@ -261,9 +261,9 @@ type Host interface {
 	// AttachLive registers a flow at simulation time with explicit
 	// routes; the flow id must be inside the host's reserved flow table.
 	AttachLive(flow int, sender, receiver netsim.Endpoint, fwdHops, revHops []topology.LinkID, fwdExtra, revDelay float64)
-	// Lifecycle returns the reclamation surface, or nil when the
-	// executor cannot detach flows mid-run (the sharded engine: a detach
-	// would be a cross-shard write, so churn flows simply stay attached).
+	// Lifecycle returns the reclamation surface, or nil when the host
+	// cannot detach flows mid-run (several shards: a detach would be a
+	// cross-shard write, so churn flows simply stay attached).
 	Lifecycle() Lifecycle
 }
 

@@ -10,7 +10,9 @@ import (
 
 // CodecVersion is the container format version. Readers refuse files
 // written under a different version rather than guessing at layouts.
-const CodecVersion = 1
+// Version 2: every run saves its network's per-domain sections and the
+// cluster's handoff section, at any shard count.
+const CodecVersion = 2
 
 // magic identifies a checkpoint file. Eight bytes, fixed.
 const magic = "EBRCCKP1"

@@ -3,34 +3,33 @@ package experiments
 import (
 	"sync"
 
-	"repro/internal/des"
-	"repro/internal/topology"
+	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
-// simArena bundles the per-run simulation state that is expensive to
-// rebuild from scratch: the scheduler (wheel buckets, slot table,
-// freelist) and the network shell (packet pool, delivery pool,
-// flow-state pool). RunSim, RunTopoSim and RunRevSim draw an arena,
-// Reset it, build the run's topology in place, and return it — so a
-// replication pays for its protocol state only, not for the simulator
-// substrate. Idle arenas wait on a free list: a sweep keeps as many
-// arenas as it has runs in flight, and every later run starts warm.
+// Every packet-level run — RunSim, RunTopoSim and RunRevSim, serial or
+// sharded — executes on a shard.Cluster drawn from one pool: the
+// cluster's network is the run's topology.Network, Partition(1) makes
+// it the serial engine and Partition(K) splits it into K scheduling
+// domains. A run draws a cluster, builds its graph in place, and returns
+// it — so a replication pays for its protocol state only, not for the
+// simulator substrate: the schedulers (wheel buckets, slot tables,
+// freelists), the domains' packet, delivery and flow-state pools and the
+// shards' bundle buffers all carry their capacity across runs. Idle
+// clusters wait on a free list: a sweep keeps as many as it has runs in
+// flight, and every later run starts warm.
 //
-// Reuse is invisible to results: the scheduler and network Resets
-// restore the exact zero-value semantics (clock 0, empty graph, fresh
-// counters), every packet is zeroed on Get, and event order depends
-// only on (time, seq) — so a run on a tenth-hand arena is byte-for-byte
-// the run it would be on a fresh one. The determinism regression tests
-// pin this.
-type simArena struct {
-	sched des.Scheduler
-	net   *topology.Network
-}
+// Reuse is invisible to results: the cluster Reset restores the exact
+// zero-value semantics (clock 0, empty graph, fresh counters), every
+// packet is zeroed on Get, and event order depends only on (time,
+// origin, seq) — so a run on a tenth-hand cluster is byte-for-byte the
+// run it would be on a fresh one. The determinism regression tests pin
+// this.
 
 // freeList is a mutex-guarded stack of idle values. Unlike a sync.Pool
 // it keeps them across garbage collections and hands back the value put
 // last whichever goroutine asks, so a worker that migrates to another P
-// between runs still finds its warm arena instead of rebuilding one.
+// between runs still finds its warm cluster instead of rebuilding one.
 type freeList[T any] struct {
 	mu   sync.Mutex
 	idle []T
@@ -57,20 +56,40 @@ func (f *freeList[T]) put(x T) {
 	f.mu.Unlock()
 }
 
-var arenaPool = freeList[*simArena]{new: func() *simArena {
-	a := &simArena{}
-	a.net = topology.New(&a.sched)
-	return a
-}}
+var clusterPool = freeList[*shard.Cluster]{new: shard.New}
 
-// getArena returns a reset arena ready to host one run.
-func getArena() *simArena {
-	a := arenaPool.get()
-	a.sched.Reset()
-	a.net.Reset()
-	return a
+// shardForceParallel routes sharded runs through the goroutine-per-
+// shard barrier driver even on a single-CPU host. Tests set it (under
+// -race) to prove the parallel driver produces the same bytes the
+// sequential window loop does.
+var shardForceParallel bool
+
+// getCluster returns a reset cluster ready to host one run of the given
+// shard count. With Observe.Live on, a sharded run's per-shard
+// snapshots are published on the live-introspection surface for as long
+// as it runs (they are atomics-backed, so the expvar goroutine may
+// sample them mid-run without perturbing the simulation); liveKey is
+// that registration, "" when there is none.
+func getCluster(shards int) (c *shard.Cluster, liveKey string) {
+	c = clusterPool.get()
+	c.Reset()
+	c.ForceParallel = shardForceParallel
+	if Observe.Live && shards > 1 {
+		liveKey = obs.PublishLive("cluster", func() any { return c.Snapshots() })
+	}
+	return c, liveKey
 }
 
-// putArena recycles the arena once the run's results have been copied
-// out. Nothing returned by a Run* function may alias arena memory.
-func putArena(a *simArena) { arenaPool.put(a) }
+// putCluster recycles the cluster once the run's results have been
+// copied out — nothing returned by a Run* function may alias it —
+// unless a stall detector tripped on it: a poisoned cluster may still
+// be referenced by an abandoned shard driver, so it is leaked rather
+// than pooled (Reset would panic on it anyway).
+func putCluster(c *shard.Cluster, liveKey string) {
+	if liveKey != "" {
+		obs.UnpublishLive(liveKey)
+	}
+	if !c.Poisoned() {
+		clusterPool.put(c)
+	}
+}

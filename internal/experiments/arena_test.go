@@ -3,27 +3,32 @@ package experiments
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/shard"
 )
 
-// An idle arena must outlive garbage collection and come back to
+// An idle cluster must outlive garbage collection and come back to
 // whichever goroutine asks next: a worker that moves to another P
-// between runs keeps its warm wheel, slot table and packet pools instead
-// of rebuilding them.
+// between runs keeps its warm wheels, slot tables and packet pools
+// instead of rebuilding them.
 func TestArenaReuseAcrossGCAndGoroutines(t *testing.T) {
-	put := make(chan *simArena)
+	put := make(chan *shard.Cluster)
 	go func() {
-		a := getArena()
-		putArena(a)
-		put <- a
+		c, key := getCluster(1)
+		putCluster(c, key)
+		put <- c
 	}()
 	want := <-put
 	runtime.GC()
 	runtime.GC()
-	got := make(chan *simArena)
-	go func() { got <- getArena() }()
-	a := <-got
-	defer putArena(a)
-	if a != want {
-		t.Fatal("getArena built a new arena instead of returning the one put last")
+	got := make(chan *shard.Cluster)
+	go func() {
+		c, _ := getCluster(1)
+		got <- c
+	}()
+	c := <-got
+	defer putCluster(c, "")
+	if c != want {
+		t.Fatal("getCluster built a new cluster instead of returning the one put last")
 	}
 }

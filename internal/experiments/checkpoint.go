@@ -6,9 +6,14 @@ import (
 	"io/fs"
 	"sort"
 
+	"repro/internal/arrivals"
 	"repro/internal/checkpoint"
 	"repro/internal/des"
+	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/shard"
+	"repro/internal/tcp"
+	"repro/internal/tfrc"
 )
 
 // CheckpointOptions is the process-wide checkpoint selection, set by
@@ -34,13 +39,12 @@ type CheckpointOptions struct {
 // Checkpoint is the process-wide checkpoint configuration.
 var Checkpoint CheckpointOptions
 
-// capFn resolves the scheduler that owns a timer to the point-in-time
-// capture of that scheduler's pending set. Captures are built lazily —
-// one O(pending) scan per scheduler per snapshot — and shared by every
-// component saving against the same scheduler.
-type capFn = func(*des.Scheduler) *des.TimerCapture
-
-func captureAll() capFn {
+// captureAll returns the resolver every snapshot section saves its
+// timers through: it maps the scheduler that owns a timer to the
+// point-in-time capture of that scheduler's pending set. Captures are
+// built lazily — one O(pending) scan per scheduler per snapshot — and
+// shared by every component saving against the same scheduler.
+func captureAll() func(*des.Scheduler) *des.TimerCapture {
 	caps := make(map[*des.Scheduler]*des.TimerCapture, 4)
 	return func(s *des.Scheduler) *des.TimerCapture {
 		c := caps[s]
@@ -51,65 +55,6 @@ func captureAll() capFn {
 		return c
 	}
 }
-
-// ckptExec is the executor checkpoint seam: the granular state sections
-// both engines expose, sequenced explicitly by the driver below so the
-// restore-order invariants (protocols before the flow overlay, ledgers
-// last) hold on either engine.
-type ckptExec interface {
-	simExec
-	// schedulers returns every scheduling domain in domain order.
-	schedulers() []*des.Scheduler
-	ckptLinks(w *checkpoint.Writer, capOf capFn)
-	unckptLinks(r *checkpoint.Reader)
-	ckptFlows(w *checkpoint.Writer)
-	unckptFlows(r *checkpoint.Reader)
-	// ckptTransit covers the engine's in-flight hand-offs: pure-delay
-	// deliveries on both engines, plus the scheduled-but-unfired
-	// cross-shard injections on the cluster.
-	ckptTransit(w *checkpoint.Writer, capOf capFn)
-	unckptTransit(r *checkpoint.Reader)
-	ckptLedger(w *checkpoint.Writer)
-	unckptLedger(r *checkpoint.Reader)
-}
-
-func (e *serialExec) schedulers() []*des.Scheduler { return []*des.Scheduler{&e.a.sched} }
-
-func (e *serialExec) ckptLinks(w *checkpoint.Writer, capOf capFn) {
-	e.Network.SaveLinks(w, capOf(&e.a.sched))
-}
-func (e *serialExec) unckptLinks(r *checkpoint.Reader) { e.Network.RestoreLinks(r) }
-func (e *serialExec) ckptFlows(w *checkpoint.Writer)   { e.Network.SaveFlows(w) }
-func (e *serialExec) unckptFlows(r *checkpoint.Reader) { e.Network.RestoreFlows(r) }
-func (e *serialExec) ckptTransit(w *checkpoint.Writer, capOf capFn) {
-	e.Network.SaveDeliveries(w, capOf(&e.a.sched))
-}
-func (e *serialExec) unckptTransit(r *checkpoint.Reader) { e.Network.RestoreDeliveries(r) }
-func (e *serialExec) ckptLedger(w *checkpoint.Writer)    { e.Network.SaveLedger(w) }
-func (e *serialExec) unckptLedger(r *checkpoint.Reader)  { e.Network.RestoreLedger(r) }
-
-func (e *shardExec) schedulers() []*des.Scheduler {
-	scheds := make([]*des.Scheduler, e.Cluster.Shards())
-	for i := range scheds {
-		scheds[i] = e.Cluster.Shard(i).Sched()
-	}
-	return scheds
-}
-
-func (e *shardExec) ckptLinks(w *checkpoint.Writer, capOf capFn) { e.Cluster.SaveLinks(w, capOf) }
-func (e *shardExec) unckptLinks(r *checkpoint.Reader)            { e.Cluster.RestoreLinks(r) }
-func (e *shardExec) ckptFlows(w *checkpoint.Writer)              { e.Cluster.SaveFlows(w) }
-func (e *shardExec) unckptFlows(r *checkpoint.Reader)            { e.Cluster.RestoreFlows(r) }
-func (e *shardExec) ckptTransit(w *checkpoint.Writer, capOf capFn) {
-	e.Cluster.SaveDeliveries(w, capOf)
-	e.Cluster.SaveInjections(w, capOf)
-}
-func (e *shardExec) unckptTransit(r *checkpoint.Reader) {
-	e.Cluster.RestoreDeliveries(r)
-	e.Cluster.RestoreInjections(r)
-}
-func (e *shardExec) ckptLedger(w *checkpoint.Writer)   { e.Cluster.SaveLedger(w) }
-func (e *shardExec) unckptLedger(r *checkpoint.Reader) { e.Cluster.RestoreLedger(r) }
 
 // configDigest folds every field of the run's configuration that shapes
 // its trajectory — scenario label, seed, topology, flow population,
@@ -205,52 +150,25 @@ type instant struct {
 // topoCkpt drives one checkpoint-aware (or resuming) multi-hop run: it
 // owns references to every stateful component the rebuild produced, in
 // a fixed order, and sequences their Save/Restore hooks around the
-// engine's RunUntil stepping.
+// cluster's Run stepping — the same sections at any shard count.
 type topoCkpt struct {
 	cfg      *TopoSimConfig
-	env      ckptExec
+	env      *shard.Cluster
 	ob       *obsRun
-	armed    armedFault
-	churn    churnEngine
+	armed    *fault.Armed
+	churn    *arrivals.Engine
 	watchers []*rateWatch
-	tfrcSnd  []tfrcSenderCkpt
-	tfrcRcv  []tfrcReceiverCkpt
-	tcpSnd   []tcpSenderCkpt
-	tcpRcv   []tcpReceiverCkpt
-	crossSnd []tcpSenderCkpt
-	crossRcv []tcpReceiverCkpt
-
-	// statResetters holds the builder's per-class resetStats closures,
-	// run once when warmup ends (never on a resumed run, whose snapshot
-	// postdates the reset).
-	statResetters []func()
+	tfrcSnd  []*tfrc.Sender
+	tfrcRcv  []*tfrc.Receiver
+	tcpSnd   []*tcp.Sender
+	tcpRcv   []*tcp.Receiver
+	crossSnd []*tcp.Sender
+	crossRcv []*tcp.Receiver
 
 	end    float64
 	digest uint64
 	saving bool
 	resume string // resume directory, "" when not resuming
-}
-
-// The protocol endpoints and engines are referenced through minimal
-// interfaces so this file states exactly which hooks the driver uses.
-type tfrcSenderCkpt interface {
-	Save(w *checkpoint.Writer, cap *des.TimerCapture)
-	Restore(r *checkpoint.Reader)
-	Scheduler() *des.Scheduler
-}
-type tfrcReceiverCkpt = tfrcSenderCkpt
-type tcpSenderCkpt = tfrcSenderCkpt
-type tcpReceiverCkpt interface {
-	Save(w *checkpoint.Writer)
-	Restore(r *checkpoint.Reader)
-}
-type armedFault interface {
-	Save(w *checkpoint.Writer, capOf capFn)
-	Restore(r *checkpoint.Reader)
-}
-type churnEngine interface {
-	Save(w *checkpoint.Writer, capOf capFn)
-	Restore(r *checkpoint.Reader)
 }
 
 // run executes the measured portion of the simulation: warmup, stats
@@ -265,7 +183,7 @@ func (d *topoCkpt) run() {
 		}
 	}
 	if from < 0 {
-		d.env.RunUntil(d.cfg.Warmup)
+		d.env.Run(d.cfg.Warmup)
 		d.resetAll()
 		d.ob.begin()
 		d.saveAt(d.cfg.Warmup)
@@ -275,7 +193,7 @@ func (d *topoCkpt) run() {
 		if in.t <= from {
 			continue
 		}
-		d.env.RunUntil(in.t)
+		d.env.Run(in.t)
 		if in.epoch >= 0 {
 			d.ob.boundary(in.epoch, in.start, in.t)
 		}
@@ -285,12 +203,13 @@ func (d *topoCkpt) run() {
 	}
 }
 
-// resetAll restarts every static sender's measurement window; churn
-// flows attach after warmup and measure from their own start.
+// resetAll restarts every static sender's measurement window (never on
+// a resumed run, whose snapshot postdates the reset); churn flows
+// attach after warmup and measure from their own start.
 func (d *topoCkpt) resetAll() {
-	for _, s := range d.statResetters {
-		s()
-	}
+	resetStats(d.tfrcSnd)
+	resetStats(d.tcpSnd)
+	resetStats(d.crossSnd)
 }
 
 // instants returns the merged, sorted stepping sequence of the measured
@@ -383,11 +302,12 @@ func (d *topoCkpt) tryResume() (float64, bool) {
 // save writes the full simulation state in the fixed section order the
 // restore path consumes: scheduler clocks, link contents, static
 // protocol endpoints, recovery watchers, the armed fault plan, the
-// churn engine, the per-flow overlay, in-flight hand-offs, the epoch
-// log, and — last — the freelist ledgers.
+// churn engine, the per-flow overlay, in-flight hand-offs (pure-delay
+// deliveries, then cross-shard handoffs), the epoch log, and — last —
+// the freelist ledgers.
 func (d *topoCkpt) save(w *checkpoint.Writer) {
 	capOf := captureAll()
-	scheds := d.env.schedulers()
+	scheds := d.schedulers()
 	w.Int(len(scheds))
 	for _, s := range scheds {
 		w.F64(s.Now())
@@ -396,7 +316,7 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 		w.U64(s.Cascaded())
 		w.Int(s.Pending())
 	}
-	d.env.ckptLinks(w, capOf)
+	d.env.SaveLinks(w, capOf)
 	for i, snd := range d.tfrcSnd {
 		snd.Save(w, capOf(snd.Scheduler()))
 		d.tfrcRcv[i].Save(w, capOf(d.tfrcRcv[i].Scheduler()))
@@ -418,13 +338,14 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 	if d.churn != nil {
 		d.churn.Save(w, capOf)
 	}
-	d.env.ckptFlows(w)
-	d.env.ckptTransit(w, capOf)
+	d.env.SaveFlows(w)
+	d.env.SaveDeliveries(w, capOf)
+	d.env.SaveHandoffs(w, capOf)
 	w.Bool(d.ob != nil)
 	if d.ob != nil {
 		d.ob.save(w)
 	}
-	d.env.ckptLedger(w)
+	d.env.SaveLedger(w)
 }
 
 // restore overlays a snapshot onto the freshly rebuilt simulation and
@@ -435,7 +356,7 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 // validates the attached population, and the ledgers restore last so
 // the leak invariant holds the moment restore returns.
 func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
-	scheds := d.env.schedulers()
+	scheds := d.schedulers()
 	if n := r.Count(); n != len(scheds) {
 		r.Fail("snapshot has %d schedulers, this executor has %d", n, len(scheds))
 		return 0
@@ -460,7 +381,7 @@ func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
 		s.RestoreClock(t, seq, fired, cascaded)
 		now = t
 	}
-	d.env.unckptLinks(r)
+	d.env.RestoreLinks(r)
 	for i, snd := range d.tfrcSnd {
 		if r.Err() != nil {
 			return 0
@@ -498,8 +419,9 @@ func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
 	if d.churn != nil {
 		d.churn.Restore(r)
 	}
-	d.env.unckptFlows(r)
-	d.env.unckptTransit(r)
+	d.env.RestoreFlows(r)
+	d.env.RestoreDeliveries(r)
+	d.env.RestoreHandoffs(r)
 	hadObs := r.Bool()
 	if hadObs != (d.ob != nil) {
 		r.Fail("snapshot and rebuilt run disagree on observability capture")
@@ -508,7 +430,7 @@ func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
 	if d.ob != nil {
 		d.ob.restore(r)
 	}
-	d.env.unckptLedger(r)
+	d.env.RestoreLedger(r)
 	if r.Err() != nil {
 		return 0
 	}
@@ -520,6 +442,15 @@ func (d *topoCkpt) restore(r *checkpoint.Reader) float64 {
 		}
 	}
 	return now
+}
+
+// schedulers returns every shard's scheduler in shard order.
+func (d *topoCkpt) schedulers() []*des.Scheduler {
+	scheds := make([]*des.Scheduler, d.env.Shards())
+	for i := range scheds {
+		scheds[i] = d.env.Shard(i).Sched()
+	}
+	return scheds
 }
 
 // --- rateWatch checkpoint hooks ---

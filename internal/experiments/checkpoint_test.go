@@ -9,10 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/runner"
-	"repro/internal/topology"
+	"repro/internal/shard"
 )
 
 // withCheckpoint runs fn with the process-wide checkpoint and observe
@@ -30,9 +29,8 @@ func withCheckpoint(t *testing.T, ck CheckpointOptions, obs ObserveOptions, fn f
 
 // The tentpole contract: a run that snapshots along the way emits the
 // same bytes as one that never does, and a run resumed from any of
-// those snapshots finishes on the identical trajectory — across the
-// serial arena, the sharded executor, and with metrics plus epoch
-// logging on. The TestMain leak check is armed, so every resumed run
+// those snapshots finishes on the identical trajectory — on one shard
+// and on several, and with metrics plus epoch logging on. The TestMain leak check is armed, so every resumed run
 // also proves the freelist ledger survives the restore boundary.
 func TestCheckpointResumeByteIdentity(t *testing.T) {
 	if testing.Short() {
@@ -188,25 +186,16 @@ func TestRetriedJobResumesToSameResult(t *testing.T) {
 	})
 }
 
-// fakeObsEngine exposes a hand-built link set to the observability
-// sampler.
-type fakeObsEngine struct{ links []*netsim.Link }
-
-func (f fakeObsEngine) Links() int                           { return len(f.links) }
-func (f fakeObsEngine) Link(id topology.LinkID) *netsim.Link { return f.links[id] }
-func (f fakeObsEngine) Fired() uint64                        { return 0 }
-func (f fakeObsEngine) Pending() int                         { return 0 }
-func (f fakeObsEngine) Outstanding() int64                   { return 0 }
-
 // The barrier-aligned Unbounded depth samples must be monotone: the
 // high-water series never decreases (it is a cumulative maximum) and
 // the headroom series never increases, with each pair summing to the
 // effective hard cap.
 func TestUnboundedSamplesMonotone(t *testing.T) {
-	var sched des.Scheduler
+	c := shard.New()
 	u := netsim.NewUnbounded()
-	l := netsim.NewLink(&sched, 1e6, 0.01, u)
-	o := &obsRun{eng: fakeObsEngine{links: []*netsim.Link{l}}, epochs: 4}
+	c.AddLink(c.AddNode("a"), c.AddNode("b"), 1e6, 0.01, u)
+	c.Partition(1)
+	o := &obsRun{eng: c, epochs: 4}
 	for _, hw := range []int{0, 3, 7, 7, 12} {
 		u.HighWater = hw
 		o.sampleUnbounded()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
 	"repro/internal/topology"
@@ -76,23 +77,11 @@ func (r SimResult) runObs() *RunObs     { return r.Obs }
 func (r TopoSimResult) runObs() *RunObs { return r.Obs }
 func (r RevSimResult) runObs() *RunObs  { return r.Obs }
 
-// obsEngine is the sampling surface shared by both engines and the
-// dumbbell: link enumeration plus the executor-invariant population
-// counters. serialExec, shardExec and topology.Dumbbell all satisfy it.
-type obsEngine interface {
-	Links() int
-	Link(id topology.LinkID) *netsim.Link
-	Fired() uint64
-	Pending() int
-	Outstanding() int64
-}
-
 // obsRun drives one run's capture. A nil *obsRun (observability off) is
 // a valid receiver for every method, so call sites stay branch-free.
 type obsRun struct {
-	eng     obsEngine
-	tracers func() []*obs.Tracer
-	epochs  int
+	eng    *shard.Cluster
+	epochs int
 
 	log  *obs.EpochLog
 	prev obs.Epoch
@@ -105,13 +94,15 @@ type obsRun struct {
 	headroom []float64
 }
 
-// newObsRun returns the collector for one run, or nil when Observe is
-// entirely off. tracers must return the per-domain tracers at
-// collection time. forceEpochs is the run's own epoch-log floor: churn
+// newObsRun returns the collector for one run on the cluster, or nil
+// when Observe is entirely off. It samples link counters and the
+// executor-invariant population counters (events fired, pending events,
+// outstanding packets), all summed over shards, and collects the
+// per-domain tracers. forceEpochs is the run's own epoch-log floor: churn
 // scenarios set it so their folds get per-epoch deltas even on a plain
 // CLI run (the forced log rides the result struct only — TSV epoch
 // blocks stay gated on the user's Observe selection).
-func newObsRun(eng obsEngine, tracers func() []*obs.Tracer, forceEpochs int) *obsRun {
+func newObsRun(eng *shard.Cluster, forceEpochs int) *obsRun {
 	epochs := Observe.Epochs
 	if forceEpochs > epochs {
 		epochs = forceEpochs
@@ -119,7 +110,7 @@ func newObsRun(eng obsEngine, tracers func() []*obs.Tracer, forceEpochs int) *ob
 	if !Observe.enabled() && epochs <= 1 {
 		return nil
 	}
-	o := &obsRun{eng: eng, tracers: tracers, epochs: epochs}
+	o := &obsRun{eng: eng, epochs: epochs}
 	if o.epochs > 1 {
 		o.log = &obs.EpochLog{}
 	}
@@ -200,7 +191,7 @@ func (o *obsRun) sampleUnbounded() {
 // unboundedDepth scans the engine's links for Unbounded queues: the
 // maximum high-water mark, the minimum remaining headroom against each
 // queue's effective hard cap, and whether any such queue exists.
-func unboundedDepth(eng obsEngine) (hw, head int, any bool) {
+func unboundedDepth(eng *shard.Cluster) (hw, head int, any bool) {
 	for id := 0; id < eng.Links(); id++ {
 		u, ok := eng.Link(topology.LinkID(id)).Queue().(*netsim.Unbounded)
 		if !ok {
@@ -222,7 +213,7 @@ func unboundedDepth(eng obsEngine) (hw, head int, any bool) {
 }
 
 // runMeasured advances the engine from the end of warmup (time from) to
-// the end of the run (time to) via run (the engine's RunUntil),
+// the end of the run (time to) via run (the cluster's Run),
 // sampling epoch boundaries when epoch logging is on. With
 // observability off (nil receiver) or no epochs it is exactly run(to) —
 // one call, identical trajectory. The boundary times are pure float
@@ -325,8 +316,8 @@ func (o *obsRun) collect(tf []tfrc.Stats, tc []tcp.Stats) *RunObs {
 		})
 		res.Metrics = reg
 	}
-	if Observe.TraceCap > 0 && o.tracers != nil {
-		ts := o.tracers()
+	if Observe.TraceCap > 0 {
+		ts := o.eng.Tracers()
 		res.Events = obs.MergeEvents(ts)
 		for _, t := range ts {
 			res.Dropped += t.Dropped()

@@ -65,8 +65,8 @@ type RevSimConfig struct {
 	// RevJitter randomizes the terminal reverse delays (fraction, see
 	// topology).
 	RevJitter float64
-	// Shards, when above 1, executes the run on the space-parallel
-	// sharded engine (internal/shard) with at most that many domains.
+	// Shards, when above 1, splits the run's network into at most that
+	// many scheduling domains executed space-parallel (internal/shard).
 	// The results are byte-identical to a serial run at any value.
 	Shards int
 }
@@ -126,12 +126,12 @@ func RunRevSim(cfg RevSimConfig) RevSimResult {
 	if cfg.BackTCP < 0 || cfg.RevCrossLoad < 0 {
 		panic("experiments: invalid reverse load")
 	}
-	// Build the bidirectional graph inside a pooled executor (see
-	// exec.go / arena.go): serial for Shards <= 1, space-parallel
-	// sharded otherwise. Either way wheels, packet pools and flow-state
-	// records are reused across replications.
-	env := newExec(cfg.Shards)
-	defer env.Close()
+	// Build the bidirectional graph inside a pooled cluster (see
+	// arena.go): one shard — the serial engine — for Shards <= 1,
+	// space-parallel otherwise. Either way wheels, packet pools and
+	// flow-state records are reused across replications.
+	env, liveKey := getCluster(cfg.Shards)
+	defer putCluster(env, liveKey)
 	seedRNG := rng.New(cfg.Seed)
 
 	src := env.AddNode("src")
@@ -154,10 +154,10 @@ func RunRevSim(cfg RevSimConfig) RevSimResult {
 	if cfg.RevJitter > 0 {
 		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
 	}
-	env.Freeze()
+	env.Partition(cfg.Shards)
 	// Tracer attach precedes endpoint construction (see RunTopoSim).
 	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, env.Tracers, 0)
+	ob := newObsRun(env, 0)
 
 	tfrcCfg := tfrc.DefaultConfig()
 	tfrcCfg.Window = cfg.L
@@ -168,20 +168,20 @@ func RunRevSim(cfg RevSimConfig) RevSimResult {
 	for i := 0; i < cfg.NTFRC; i++ {
 		c := tfrcCfg
 		c.Seed = seedRNG.Uint64()
-		sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-		snd, _ := tfrc.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, c,
+		ss, rs := env.FlowEnv(flowID)
+		snd, _ := tfrc.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, c,
 			cfg.AccessDelay, cfg.RevExtra)
 		tfrcSenders = append(tfrcSenders, snd)
-		staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 		flowID++
 	}
 	tcpSenders := make([]*tcp.Sender, 0, cfg.NTCP)
 	for i := 0; i < cfg.NTCP; i++ {
-		sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-		snd, _ := tcp.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, tcp.DefaultConfig(),
+		ss, rs := env.FlowEnv(flowID)
+		snd, _ := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
 			cfg.AccessDelay, cfg.RevExtra)
 		tcpSenders = append(tcpSenders, snd)
-		staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 		flowID++
 	}
 	// Opposing-direction flows: data over the reverse chain, ACKs over
@@ -190,11 +190,11 @@ func RunRevSim(cfg RevSimConfig) RevSimResult {
 	for i := 0; i < cfg.BackTCP; i++ {
 		env.SetRoute(flowID, rev...)
 		env.SetReverseRoute(flowID, fwd)
-		sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-		snd, _ := tcp.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, tcp.DefaultConfig(),
+		ss, rs := env.FlowEnv(flowID)
+		snd, _ := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
 			cfg.AccessDelay, cfg.RevExtra)
 		backSenders = append(backSenders, snd)
-		staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 		flowID++
 	}
 	if cfg.RevCrossLoad > 0 {
@@ -214,18 +214,18 @@ func RunRevSim(cfg RevSimConfig) RevSimResult {
 			meanOff = 1e-3
 		}
 		env.AttachSink(flowID, rev...)
-		ctSched, ctNet := env.SinkEnv(rev...)
-		ct := netsim.NewCrossTraffic(ctSched, ctNet, flowID, minCap, meanBurst, 1.5,
+		cs := env.SinkEnv(rev...)
+		ct := netsim.NewCrossTraffic(cs.Sched(), cs, flowID, minCap, meanBurst, 1.5,
 			meanOff, int(pktSize), seedRNG.Uint64())
-		ctSched.At(seedRNG.Float64(), ct.Start)
+		cs.Sched().At(seedRNG.Float64(), ct.Start)
 		flowID++
 	}
 
-	env.RunUntil(cfg.Warmup)
+	env.Run(cfg.Warmup)
 	resetStats(tfrcSenders)
 	resetStats(tcpSenders)
 	resetStats(backSenders)
-	ob.runMeasured(env.RunUntil, cfg.Warmup, cfg.Warmup+cfg.Duration)
+	ob.runMeasured(env.Run, cfg.Warmup, cfg.Warmup+cfg.Duration)
 
 	var res RevSimResult
 	res.TFRCPerFlow = tfrcStats(tfrcSenders)

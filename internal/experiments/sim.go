@@ -3,15 +3,14 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/cbr"
 	"repro/internal/des"
 	"repro/internal/estimator"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
-	"repro/internal/topology"
 )
 
 // QueueKind selects the bottleneck queue discipline.
@@ -97,17 +96,6 @@ type SimResult struct {
 	Obs *RunObs
 }
 
-// serialEng adapts the dumbbell runs' raw network + scheduler pair to
-// the obsEngine sampling surface the multi-hop executors satisfy
-// directly.
-type serialEng struct {
-	*topology.Network
-	sched *des.Scheduler
-}
-
-func (e serialEng) Fired() uint64 { return e.sched.Fired() }
-func (e serialEng) Pending() int  { return e.sched.Pending() }
-
 // staggeredStart schedules a sender's Start at a seed-drawn offset
 // inside the first half of the warmup (capped at 5 s), breaking phase
 // locking between flows that would otherwise start simultaneously.
@@ -149,12 +137,12 @@ func RunSim(cfg SimConfig) SimResult {
 	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
 		panic("experiments: need at least one flow")
 	}
-	// The run rebuilds its simulation state inside a pooled arena: the
-	// scheduler's wheels and the network's packet/flow pools carry their
-	// capacity across replications instead of being reallocated.
-	a := getArena()
-	defer putArena(a)
-	sched := &a.sched
+	// The run rebuilds its simulation state inside a pooled one-shard
+	// cluster (see arena.go): the scheduler's wheels and the network's
+	// packet/flow pools carry their capacity across replications instead
+	// of being reallocated.
+	env, liveKey := getCluster(1)
+	defer putCluster(env, liveKey)
 	seedRNG := rng.New(cfg.Seed)
 
 	var queue netsim.Queue
@@ -169,17 +157,22 @@ func RunSim(cfg SimConfig) SimResult {
 	default:
 		panic("experiments: unknown queue kind")
 	}
-	link := netsim.NewLink(sched, cfg.Capacity, cfg.BaseDelay, queue)
-	net := topology.BuildDumbbell(a.net, link)
+	// The dumbbell: every forward packet crosses the one bottleneck (the
+	// default route, which also sinks unattached cross traffic) and the
+	// reverse path is a pure per-flow delay.
+	ingress, egress := env.AddNode("ingress"), env.AddNode("egress")
+	env.SetDefaultRoute(env.AddLink(ingress, egress, cfg.Capacity, cfg.BaseDelay, queue))
 	if cfg.RevJitter > 0 {
-		net.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
+		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
 	}
+	env.Partition(1)
+	net := env.Shard(0)
+	sched := net.Sched()
 	// Tracer attach precedes endpoint construction: senders and
 	// receivers resolve their domain's tracer once, when built. With
 	// tracing off the tracer stays nil and every hook is a nil-sink.
-	net.Trace = obs.NewTracer(Observe.TraceCap, 0)
-	ob := newObsRun(serialEng{net.Network, sched},
-		func() []*obs.Tracer { return []*obs.Tracer{net.Trace} }, 0)
+	env.AttachTracers(Observe.TraceCap)
+	ob := newObsRun(env, 0)
 
 	tfrcCfg := tfrc.DefaultConfig()
 	tfrcCfg.Window = cfg.L
@@ -204,12 +197,12 @@ func RunSim(cfg SimConfig) SimResult {
 		staggeredStart(sched, seedRNG, cfg.Warmup, snd.Start)
 		flowID++
 	}
-	var probe *probeHandle
+	var probe *cbr.Probe
 	if cfg.ProbeRate > 0 {
 		rttGuess := 2*cfg.BaseDelay + cfg.RevDelay
-		p := newProbe(sched, net, flowID, cfg.ProbeRate, rttGuess, seedRNG.Uint64(), cfg.RevDelay)
-		probe = p
-		sched.At(seedRNG.Float64(), p.start)
+		probe = cbr.NewProbe(sched, net, flowID, 1000, cfg.ProbeRate, true, rttGuess,
+			seedRNG.Uint64(), 0, cfg.RevDelay)
+		sched.At(seedRNG.Float64(), probe.Start)
 		flowID++
 	}
 	if cfg.CrossLoad > 0 {
@@ -230,13 +223,13 @@ func RunSim(cfg SimConfig) SimResult {
 		sched.At(seedRNG.Float64(), ct.Start)
 	}
 
-	sched.RunUntil(cfg.Warmup)
+	env.Run(cfg.Warmup)
 	resetStats(tfrcSenders)
 	resetStats(tcpSenders)
 	if probe != nil {
-		probe.resetStats()
+		probe.ResetStats()
 	}
-	ob.runMeasured(sched.RunUntil, cfg.Warmup, cfg.Warmup+cfg.Duration)
+	ob.runMeasured(env.Run, cfg.Warmup, cfg.Warmup+cfg.Duration)
 
 	var res SimResult
 	res.TFRCPerFlow = tfrcStats(tfrcSenders)
@@ -244,12 +237,16 @@ func RunSim(cfg SimConfig) SimResult {
 	res.TFRC = aggregateTFRC(res.TFRCPerFlow, cfg.L)
 	res.TCP = aggregateTCP(res.TCPPerFlow)
 	if probe != nil {
-		res.Poisson = probe.stats()
+		st := probe.Stats()
+		res.Poisson = ClassStats{Flows: 1, Events: st.LossEvents, LossEventRate: st.LossEventRate}
+		if st.Duration > 0 {
+			res.Poisson.Throughput = float64(st.PacketsSent) / st.Duration
+		}
 	}
-	res.EventsFired = sched.Fired()
+	res.EventsFired = env.Fired()
 	res.Obs = ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
 	if LeakCheck {
-		if err := net.CheckLeaks(); err != nil {
+		if err := env.CheckLeaks(); err != nil {
 			panic(err)
 		}
 	}
@@ -328,88 +325,6 @@ func aggregateTCP(perFlow []tcp.Stats) ClassStats {
 	cs.Events = events
 	if pkts > 0 {
 		cs.LossEventRate = float64(events) / float64(pkts)
-	}
-	return cs
-}
-
-// probeHandle wraps the cbr probe without importing it (the probe here
-// is a minimal Poisson source; keeping it local avoids an import cycle
-// risk and keeps the class-stats shape uniform).
-type probeHandle struct {
-	sched    *des.Scheduler
-	net      netsim.Network
-	flow     int
-	rate     float64
-	random   *rng.RNG
-	rttGuess float64
-
-	nextSeq    int64
-	expected   int64
-	events     *netsim.LossEventCounter
-	pktsSent   int64
-	eventsBase int64
-	pktsBase   int64
-	measStart  float64
-	sendNextFn des.Event
-}
-
-func newProbe(sched *des.Scheduler, net netsim.Network, flow int, rate, rttGuess float64, seed uint64, revDelay float64) *probeHandle {
-	p := &probeHandle{
-		sched: sched, net: net, flow: flow, rate: rate,
-		random: rng.New(seed), rttGuess: rttGuess,
-	}
-	p.events = netsim.NewLossEventCounter(func() float64 { return p.rttGuess })
-	p.sendNextFn = p.sendNext
-	net.AttachFlow(flow, netsim.EndpointFunc(func(*netsim.Packet) {}),
-		netsim.EndpointFunc(p.receive), 0, revDelay)
-	return p
-}
-
-func (p *probeHandle) start() { p.sendNext() }
-
-func (p *probeHandle) sendNext() {
-	p.pktsSent++
-	pkt := p.net.GetPacket()
-	pkt.Flow = p.flow
-	pkt.Seq = p.nextSeq
-	pkt.Size = 1000
-	pkt.SentAt = p.sched.Now()
-	pkt.Kind = netsim.Data
-	p.net.SendForward(pkt)
-	p.nextSeq++
-	p.sched.After(p.random.Exp(p.rate), p.sendNextFn)
-}
-
-func (p *probeHandle) receive(pkt *netsim.Packet) {
-	if pkt.Kind != netsim.Data {
-		return
-	}
-	if pkt.Seq > p.expected {
-		for lost := p.expected; lost < pkt.Seq; lost++ {
-			p.events.OnLoss(p.sched.Now(), lost)
-		}
-	}
-	if pkt.Seq >= p.expected {
-		p.expected = pkt.Seq + 1
-	}
-}
-
-func (p *probeHandle) resetStats() {
-	p.measStart = p.sched.Now()
-	p.pktsBase = p.pktsSent
-	p.eventsBase = p.events.Events
-}
-
-func (p *probeHandle) stats() ClassStats {
-	cs := ClassStats{Flows: 1}
-	pkts := p.pktsSent - p.pktsBase
-	cs.Events = p.events.Events - p.eventsBase
-	dur := p.sched.Now() - p.measStart
-	if dur > 0 {
-		cs.Throughput = float64(pkts) / dur
-	}
-	if pkts > 0 {
-		cs.LossEventRate = float64(cs.Events) / float64(pkts)
 	}
 	return cs
 }

@@ -64,8 +64,8 @@ type TopoSimConfig struct {
 	Seed uint64
 	// RevJitter randomizes reverse-path delays (fraction, see topology).
 	RevJitter float64
-	// Shards, when above 1, executes the run on the space-parallel
-	// sharded engine (internal/shard) with at most that many domains.
+	// Shards, when above 1, splits the run's network into at most that
+	// many scheduling domains executed space-parallel (internal/shard).
 	// The results are byte-identical to a serial run — the scheduler
 	// event count included — at any value.
 	Shards int
@@ -223,17 +223,6 @@ type TopoSimResult struct {
 	Churn []arrivals.ClassResult
 }
 
-// queueDrops reads a queue discipline's drop counter, when it has one.
-func queueDrops(q netsim.Queue) int64 {
-	switch d := q.(type) {
-	case *netsim.DropTail:
-		return d.Drops
-	case *netsim.RED:
-		return d.Drops
-	}
-	return 0
-}
-
 // RunTopoSim executes the configured multi-hop simulation and returns
 // the per-class aggregates. It is fully deterministic in cfg.Seed.
 func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
@@ -244,12 +233,12 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
 		panic("experiments: need at least one long flow")
 	}
-	// Build the chain inside a pooled executor (see exec.go / arena.go):
-	// serial for Shards <= 1, space-parallel sharded otherwise. Either
-	// way wheels, packet pools and flow-state records are reused across
-	// replications.
-	env := newExec(cfg.Shards)
-	defer env.Close()
+	// Build the chain inside a pooled cluster (see arena.go): one shard
+	// — the serial engine — for Shards <= 1, space-parallel otherwise.
+	// Either way wheels, packet pools and flow-state records are reused
+	// across replications.
+	env, liveKey := getCluster(cfg.Shards)
+	defer putCluster(env, liveKey)
 	seedRNG := rng.New(cfg.Seed)
 
 	nodes := make([]topology.NodeID, cfg.Hops+1)
@@ -262,9 +251,9 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 			netsim.NewDropTail(cfg.Buffer))
 	}
 	env.SetDefaultRoute(route...)
-	// The mirrored reverse chain must be declared before Freeze (links
-	// cannot materialize after the sharded executor partitions). Its
-	// links get IDs Hops..2·Hops-1, last forward node back to the first.
+	// The mirrored reverse chain must be declared before Partition (a
+	// graph split into several shards takes no further links). Its links
+	// get IDs Hops..2·Hops-1, last forward node back to the first.
 	var revRoute []topology.LinkID
 	if cfg.MirrorRev {
 		revRoute = make([]topology.LinkID, cfg.Hops)
@@ -276,14 +265,14 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 	if cfg.RevJitter > 0 {
 		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
 	}
-	env.Freeze()
-	// Tracer attach sits between the freeze (shards exist, links are
+	env.Partition(cfg.Shards)
+	// Tracer attach sits between the partition (shards exist, links are
 	// owned) and both the fault arming and endpoint construction, which
 	// each resolve their domain's tracer once. Cap <= 0 (tracing off)
 	// leaves every tracer nil.
 	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, env.Tracers, cfg.ForceEpochs)
-	// Arm the fault plan right after the freeze: every timed transition
+	ob := newObsRun(env, cfg.ForceEpochs)
+	// Arm the fault plan right after the partition: every timed transition
 	// is scheduled at declaration time, in plan order, on the scheduler
 	// that owns its link — the same (time, arming-key, seq) order on the
 	// serial and sharded engines. A nil plan arms nothing and consumes
@@ -318,15 +307,15 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 		if cfg.MirrorRev {
 			env.SetReverseRoute(flowID, revRoute...)
 		}
-		sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-		snd, rcv := tfrc.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, c,
+		ss, rs := env.FlowEnv(flowID)
+		snd, rcv := tfrc.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, c,
 			cfg.AccessDelay*k, cfg.RevDelay*k)
 		tfrcSenders = append(tfrcSenders, snd)
 		tfrcReceivers = append(tfrcReceivers, rcv)
 		baseRTTs = append(baseRTTs, env.BaseRTT(flowID))
-		staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 		if cfg.Watch != nil {
-			watchers = append(watchers, newRateWatch(sndSched, snd.Rate, *cfg.Watch, end))
+			watchers = append(watchers, newRateWatch(ss.Sched(), snd.Rate, *cfg.Watch, end))
 		}
 		flowID++
 	}
@@ -337,12 +326,12 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 		if cfg.MirrorRev {
 			env.SetReverseRoute(flowID, revRoute...)
 		}
-		sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-		snd, rcv := tcp.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, tcp.DefaultConfig(),
+		ss, rs := env.FlowEnv(flowID)
+		snd, rcv := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
 			cfg.AccessDelay*k, cfg.RevDelay*k)
 		tcpSenders = append(tcpSenders, snd)
 		tcpReceivers = append(tcpReceivers, rcv)
-		staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 		flowID++
 	}
 	crossSenders := make([]*tcp.Sender, 0, cfg.Hops*cfg.CrossPerHop)
@@ -350,20 +339,20 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 	for h := 0; h < cfg.Hops; h++ {
 		for i := 0; i < cfg.CrossPerHop; i++ {
 			env.SetRoute(flowID, route[h])
-			sndSched, sndNet, rcvSched, rcvNet := env.FlowEnv(flowID)
-			snd, rcv := tcp.NewFlowOn(sndSched, sndNet, rcvSched, rcvNet, flowID, tcp.DefaultConfig(),
+			ss, rs := env.FlowEnv(flowID)
+			snd, rcv := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
 				0, cfg.CrossRevDelay)
 			crossSenders = append(crossSenders, snd)
 			crossReceivers = append(crossReceivers, rcv)
-			staggeredStart(sndSched, seedRNG, cfg.Warmup, snd.Start)
+			staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
 			flowID++
 		}
 	}
 
 	// Churn classes arm after every static flow (their id block starts at
-	// flowID) and before the first Run: the sharded executor's flow table
-	// must be sized and its cross-shard pure-delay reverse channels
-	// declared while the cluster is still unsealed.
+	// flowID) and before the first Run: the flow table must be sized and
+	// the cross-shard pure-delay reverse channels declared while the
+	// cluster is still unsealed.
 	var churn *arrivals.Engine
 	if len(cfg.Churn) > 0 {
 		baseRTT := 2*(float64(cfg.Hops)*cfg.HopDelay+cfg.AccessDelay) + cfg.RevDelay
@@ -404,7 +393,7 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 		churn.Arm()
 	}
 
-	// Checkpoint-off runs take the exact pre-checkpoint path: two RunUntil
+	// Checkpoint-off runs take the exact pre-checkpoint path: two Run
 	// calls (plus epoch boundaries), no capture, no extra branches. With
 	// snapshotting or resuming requested the driver below sequences the
 	// same warmup/reset/measure steps around the save and restore hooks.
@@ -413,10 +402,6 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 	if ckptOn || resuming {
 		if Observe.TraceCap > 0 {
 			panic("experiments: checkpoint/resume is incompatible with event tracing (-trace): the bounded trace rings are not part of a snapshot")
-		}
-		ce, ok := env.(ckptExec)
-		if !ok {
-			panic("experiments: executor does not support checkpointing")
 		}
 		shards := 1
 		if cfg.Shards > 1 {
@@ -427,37 +412,20 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 			obEpochs = ob.epochs
 		}
 		d := &topoCkpt{
-			cfg: &cfg, env: ce, ob: ob, armed: armed, watchers: watchers,
+			cfg: &cfg, env: env, ob: ob, armed: armed, churn: churn, watchers: watchers,
+			tfrcSnd: tfrcSenders, tfrcRcv: tfrcReceivers,
+			tcpSnd: tcpSenders, tcpRcv: tcpReceivers,
+			crossSnd: crossSenders, crossRcv: crossReceivers,
 			end: end, saving: ckptOn, resume: cfg.Resume,
 			digest: configDigest(&cfg, shards, obEpochs),
 		}
-		if churn != nil {
-			d.churn = churn
-		}
-		for i := range tfrcSenders {
-			d.tfrcSnd = append(d.tfrcSnd, tfrcSenders[i])
-			d.tfrcRcv = append(d.tfrcRcv, tfrcReceivers[i])
-		}
-		for i := range tcpSenders {
-			d.tcpSnd = append(d.tcpSnd, tcpSenders[i])
-			d.tcpRcv = append(d.tcpRcv, tcpReceivers[i])
-		}
-		for i := range crossSenders {
-			d.crossSnd = append(d.crossSnd, crossSenders[i])
-			d.crossRcv = append(d.crossRcv, crossReceivers[i])
-		}
-		d.statResetters = []func(){
-			func() { resetStats(tfrcSenders) },
-			func() { resetStats(tcpSenders) },
-			func() { resetStats(crossSenders) },
-		}
 		d.run()
 	} else {
-		env.RunUntil(cfg.Warmup)
+		env.Run(cfg.Warmup)
 		resetStats(tfrcSenders)
 		resetStats(tcpSenders)
 		resetStats(crossSenders)
-		ob.runMeasured(env.RunUntil, cfg.Warmup, end)
+		ob.runMeasured(env.Run, cfg.Warmup, end)
 	}
 
 	var res TopoSimResult
@@ -475,7 +443,8 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 			// Accepted, not InFlight: the propagation stage's accounting
 			// moves across the cut under sharding, so only the
 			// executor-invariant part of the pipeline may enter the ratio.
-			res.FaultOffered += l.FaultDrops + l.Accepted() + queueDrops(l.Queue())
+			drops, _, _ := netsim.QueueStats(l.Queue())
+			res.FaultOffered += l.FaultDrops + l.Accepted() + drops
 		}
 		if u, ok := l.Queue().(*netsim.Unbounded); ok && u.HighWater > res.UnboundedHighWater {
 			res.UnboundedHighWater = u.HighWater

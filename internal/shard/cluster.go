@@ -2,66 +2,41 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"repro/internal/arrivals"
 	"repro/internal/des"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/topology"
 )
 
-// linkSpec is a link declared before the partition exists. Links are
-// materialized at Partition time, once each one's owning shard — and
-// therefore its scheduler — is known.
-type linkSpec struct {
-	from, to    topology.NodeID
-	rate, delay float64
-	queue       netsim.Queue
-}
-
-// Cluster is a partitioned network graph: the same build surface as
-// topology.Network (the subset the experiments use), executed across K
-// shards. Declare the graph, call Partition, place endpoints with
-// FlowEnv + tfrc/tcp NewFlowOn, then drive it with Run.
+// Cluster is a topology.Network executed across K shards, one
+// scheduling domain each. Declare the graph through the embedded
+// network (AddNode, AddLink, routes, jitter), call Partition, place
+// endpoints with FlowEnv + tfrc/tcp NewFlowOn, then drive it with Run.
+// K=1 is the serial engine; several shards run the same graph
+// space-parallel with bit-identical results.
 //
 // The zero Cluster is not ready; use New (or Reset a used one).
 type Cluster struct {
-	nodes []string
-	specs []linkSpec
+	topology.Network
 
-	links    []*netsim.Link
-	linkFrom []topology.NodeID
-	linkTo   []topology.NodeID
-
-	// flows is indexed by flow id (nil = unattached), mirroring
-	// topology.Network's dense table. The slice layout is what makes
-	// run-time attach (AttachLive) race-free under the parallel driver:
-	// after ReserveFlows the slice header never changes, an arrival event
-	// stores a pointer into its own flow's slot, and any other shard only
-	// reads that slot after a window barrier has ordered the store before
-	// the packet that needs it.
-	flows []*flowRec
-	// flowCount counts build-time attached flows (AttachLive does not
-	// touch it — it would be a cross-shard race, and only the build-time
-	// SetReverseJitter guard needs the count).
-	flowCount int
-
-	routes       map[int][]topology.LinkID
-	defaultRoute []topology.LinkID
-
-	revRoutes       map[int][]topology.LinkID
-	defaultRevRoute []topology.LinkID
-
-	reverseJitter float64
-	jitterSeed    uint64
-
-	nodeShard []int
-	linkShard []int
-	shards    []*Shard
-	k         int
+	shards []*Shard
+	k      int
+	// part and scheds are Partition's scratch (node → shard, and the
+	// shards' schedulers in order), kept across Reset.
+	part   []int
+	scheds []*des.Scheduler
 
 	horizon float64
 	sealed  bool
+	// cutDelay is the smallest propagation delay over the cut links
+	// (+Inf when nothing is cut), fixed by Partition.
+	cutDelay float64
+	// reserved is the flow-table size ReserveFlows guaranteed: a live
+	// attach beyond it would grow the table under running shards.
+	reserved int
 
 	// declaredRev holds the pure-delay reverse latencies announced by
 	// DeclareReverseChannel for flows that will attach at run time —
@@ -92,77 +67,26 @@ type Cluster struct {
 	// barrier: an abandoned driver goroutine may still reference the
 	// shards, so the cluster must never be reused (or pooled).
 	poisoned bool
-
-	frPool []*flowRec
 }
 
 // New returns an empty cluster.
-func New() *Cluster {
-	return &Cluster{
-		routes: map[int][]topology.LinkID{},
-	}
-}
+func New() *Cluster { return &Cluster{} }
 
-// Reset empties the graph, partition and flow tables while keeping the
-// shards' schedulers, freelists and bundle buffers, so a pooled cluster
-// rebuilds its next simulation in place (see the run arena in
-// internal/experiments).
+// Reset empties the graph, partition and flow table while keeping the
+// domains' freelists and the shards' schedulers and bundle buffers, so
+// a pooled cluster rebuilds its next simulation in place (see the run
+// arena in internal/experiments).
 func (c *Cluster) Reset() {
-	c.nodes = c.nodes[:0]
-	c.specs = c.specs[:0]
-	c.links = c.links[:0]
-	c.linkFrom = c.linkFrom[:0]
-	c.linkTo = c.linkTo[:0]
-	for id, fr := range c.flows {
-		if fr == nil {
-			continue
-		}
-		fr.route = fr.route[:0]
-		fr.revRoute = fr.revRoute[:0]
-		fr.sender, fr.receiver = nil, nil
-		fr.delivered = 0
-		c.frPool = append(c.frPool, fr)
-		c.flows[id] = nil
-	}
-	c.flows = c.flows[:0]
-	c.flowCount = 0
-	c.declaredRev = c.declaredRev[:0]
-	for id := range c.routes {
-		delete(c.routes, id)
-	}
-	for id := range c.revRoutes {
-		delete(c.revRoutes, id)
-	}
-	c.defaultRoute = nil
-	c.defaultRevRoute = nil
-	c.reverseJitter = 0
-	c.jitterSeed = 0
-	c.nodeShard = c.nodeShard[:0]
-	c.linkShard = c.linkShard[:0]
-	c.k = 0
-	c.horizon = 0
-	c.sealed = false
-	c.ForceParallel = false
-	c.StallBudget = 0
-	c.stallHook = nil
 	if c.poisoned {
 		panic("shard: Reset on a poisoned cluster (its barrier tripped; an abandoned driver may still hold it)")
 	}
+	c.Network.Reset()
 	for _, s := range c.shards {
+		s.Domain = nil
 		s.sched.Reset()
-		s.issued, s.returned = 0, 0
-		s.pendingDeliveries, s.pendingInjections = 0, 0
-		for i := range s.liveDel {
-			s.liveDel[i] = nil
-		}
-		s.liveDel = s.liveDel[:0]
-		for i := range s.liveInj {
-			s.liveInj[i] = nil
-		}
+		clear(s.liveInj)
 		s.liveInj = s.liveInj[:0]
-		s.links = s.links[:0]
 		s.wbuf = 0
-		s.Trace = nil
 		s.handoffs = 0
 		s.progWindow.Store(0)
 		s.progClock.Store(0)
@@ -180,156 +104,15 @@ func (c *Cluster) Reset() {
 		}
 	}
 	c.shards = c.shards[:0]
-}
-
-// AddNode adds a named node and returns its id.
-func (c *Cluster) AddNode(name string) topology.NodeID {
-	c.nodes = append(c.nodes, name)
-	return topology.NodeID(len(c.nodes) - 1)
-}
-
-// AddLink declares a directed link. Its netsim.Link is materialized at
-// Partition time on the shard that owns the source node.
-func (c *Cluster) AddLink(from, to topology.NodeID, rate, delay float64, queue netsim.Queue) topology.LinkID {
-	if c.sealed || len(c.shards) > 0 {
-		panic("shard: AddLink after Partition")
-	}
-	if int(from) >= len(c.nodes) || int(to) >= len(c.nodes) || from < 0 || to < 0 {
-		panic("shard: link endpoint node out of range")
-	}
-	if queue == nil {
-		panic("shard: nil queue")
-	}
-	if rate <= 0 || delay < 0 {
-		panic("shard: invalid link rate/delay")
-	}
-	c.specs = append(c.specs, linkSpec{from: from, to: to, rate: rate, delay: delay, queue: queue})
-	c.linkFrom = append(c.linkFrom, from)
-	c.linkTo = append(c.linkTo, to)
-	return topology.LinkID(len(c.specs) - 1)
-}
-
-// Link returns the materialized link behind an id (valid after
-// Partition).
-func (c *Cluster) Link(id topology.LinkID) *netsim.Link { return c.links[id] }
-
-// Links returns the number of declared links.
-func (c *Cluster) Links() int { return len(c.specs) }
-
-// LinkSched returns the scheduler of the shard that owns the link — the
-// shard of its source node, where every Send on the link executes.
-// Fault plans (internal/fault) arm their timed events here, so a fault
-// manipulates its link from the same scheduler that serializes the
-// link's packets, on the serial and sharded engines alike. Valid after
-// Partition.
-func (c *Cluster) LinkSched(id topology.LinkID) *des.Scheduler {
-	c.mustPartitioned()
-	return &c.shards[c.linkShard[id]].sched
-}
-
-// checkRoute validates that hops form a contiguous directed path.
-func (c *Cluster) checkRoute(hops []topology.LinkID) {
-	if len(hops) == 0 {
-		panic("shard: empty route")
-	}
-	for i, h := range hops {
-		if int(h) >= len(c.specs) || h < 0 {
-			panic(fmt.Sprintf("shard: route hop %d: unknown link %d", i, h))
-		}
-		if i > 0 && c.linkFrom[h] != c.linkTo[hops[i-1]] {
-			panic(fmt.Sprintf("shard: route hop %d: link %d does not start where link %d ends",
-				i, h, hops[i-1]))
-		}
-	}
-}
-
-// SetRoute declares the static source route for a flow id.
-func (c *Cluster) SetRoute(flow int, hops ...topology.LinkID) {
-	c.checkRoute(hops)
-	c.routes[flow] = append([]topology.LinkID(nil), hops...)
-}
-
-// SetDefaultRoute declares the route used for flows with no per-flow
-// SetRoute entry.
-func (c *Cluster) SetDefaultRoute(hops ...topology.LinkID) {
-	c.checkRoute(hops)
-	c.defaultRoute = append([]topology.LinkID(nil), hops...)
-}
-
-// SetReverseRoute declares the routed reverse path for a flow id.
-func (c *Cluster) SetReverseRoute(flow int, hops ...topology.LinkID) {
-	c.checkRoute(hops)
-	if c.revRoutes == nil {
-		c.revRoutes = map[int][]topology.LinkID{}
-	}
-	c.revRoutes[flow] = append([]topology.LinkID(nil), hops...)
-}
-
-// SetDefaultReverseRoute declares the routed reverse path used for
-// flows with no per-flow SetReverseRoute entry.
-func (c *Cluster) SetDefaultReverseRoute(hops ...topology.LinkID) {
-	c.checkRoute(hops)
-	c.defaultRevRoute = append([]topology.LinkID(nil), hops...)
-}
-
-// checkReverse validates that a reverse route connects the forward
-// route's end node back to its start node.
-func (c *Cluster) checkReverse(fwd, rev []topology.LinkID) {
-	c.checkRoute(rev)
-	if c.linkFrom[rev[0]] != c.linkTo[fwd[len(fwd)-1]] {
-		panic(fmt.Sprintf("shard: reverse route starts at node %d, want the forward route's last node %d",
-			c.linkFrom[rev[0]], c.linkTo[fwd[len(fwd)-1]]))
-	}
-	if c.linkTo[rev[len(rev)-1]] != c.linkFrom[fwd[0]] {
-		panic(fmt.Sprintf("shard: reverse route ends at node %d, want the forward route's first node %d",
-			c.linkTo[rev[len(rev)-1]], c.linkFrom[fwd[0]]))
-	}
-}
-
-// SetReverseJitter enables reverse-path delay jitter, fraction
-// 0 <= j < 1. Flows attached afterwards draw from per-flow streams
-// seeded by topology.FlowJitterSeed — identical to the serial engine's.
-func (c *Cluster) SetReverseJitter(j float64, seed uint64) {
-	if j < 0 || j >= 1 {
-		panic("shard: reverse jitter outside [0,1)")
-	}
-	if c.flowCount > 0 {
-		panic("shard: SetReverseJitter after flows attached")
-	}
-	c.reverseJitter = j
-	c.jitterSeed = seed
-}
-
-// flowHops resolves a flow's forward route (per-flow or default).
-func (c *Cluster) flowHops(flow int) []topology.LinkID {
-	hops, ok := c.routes[flow]
-	if !ok {
-		hops = c.defaultRoute
-	}
-	if len(hops) == 0 {
-		panic(fmt.Sprintf("shard: no route for flow %d (SetRoute or SetDefaultRoute first)", flow))
-	}
-	return hops
-}
-
-// FlowEnv returns the scheduler/network pairs for a flow's two
-// endpoints: the sender lives on the shard of the route's first node,
-// the receiver on the shard of its last. Valid after Partition; pass
-// the pairs to tfrc.NewFlowOn / tcp.NewFlowOn.
-func (c *Cluster) FlowEnv(flow int) (snd, rcv *Shard) {
-	c.mustPartitioned()
-	hops := c.flowHops(flow)
-	snd = c.shards[c.nodeShard[c.linkFrom[hops[0]]]]
-	rcv = c.shards[c.nodeShard[c.linkTo[hops[len(hops)-1]]]]
-	return snd, rcv
-}
-
-// SinkEnv returns the shard a sink flow's source must run on: the shard
-// owning the route's first node. Valid after Partition.
-func (c *Cluster) SinkEnv(hops ...topology.LinkID) *Shard {
-	c.mustPartitioned()
-	c.checkRoute(hops)
-	return c.shards[c.nodeShard[c.linkFrom[hops[0]]]]
+	c.k = 0
+	c.horizon = 0
+	c.sealed = false
+	c.cutDelay = 0
+	c.reserved = 0
+	c.declaredRev = c.declaredRev[:0]
+	c.ForceParallel = false
+	c.StallBudget = 0
+	c.stallHook = nil
 }
 
 func (c *Cluster) mustPartitioned() {
@@ -338,130 +121,74 @@ func (c *Cluster) mustPartitioned() {
 	}
 }
 
-// attach registers a flow's endpoints and delays, mirroring
-// topology.Network.attach plus endpoint shard placement.
-func (c *Cluster) attach(flow int, sender, receiver netsim.Endpoint, fwdExtra, revDelay float64) {
+// FlowEnv returns the shards of a flow's two endpoints: the sender
+// lives on the shard of its route's first node, the receiver on the
+// shard of its last. Valid after Partition; pass each shard's scheduler
+// and the shard itself to tfrc.NewFlowOn / tcp.NewFlowOn.
+func (c *Cluster) FlowEnv(flow int) (snd, rcv *Shard) {
 	c.mustPartitioned()
-	if fwdExtra < 0 || revDelay < 0 {
-		panic("shard: negative delay")
-	}
-	if flow < 0 {
-		panic(fmt.Sprintf("shard: negative flow id %d", flow))
-	}
-	if c.flowAt(flow) != nil {
-		panic(fmt.Sprintf("shard: duplicate flow id %d", flow))
-	}
-	hops := c.flowHops(flow)
-	revHops, explicit := c.revRoutes[flow]
-	if explicit && sender == nil {
-		panic(fmt.Sprintf("shard: reverse route for sink flow %d (no sender to return packets to)", flow))
-	}
-	if !explicit && sender != nil {
-		revHops = c.defaultRevRoute
-	}
-	if len(revHops) > 0 {
-		c.checkReverse(hops, revHops)
-	}
-	fr := c.getFlowRec()
-	for _, h := range hops {
-		fr.route = append(fr.route, c.links[h])
-	}
-	for _, h := range revHops {
-		fr.revRoute = append(fr.revRoute, c.links[h])
-	}
-	fr.fwdExtra = fwdExtra
-	fr.revDelay = revDelay
-	fr.sender = sender
-	fr.receiver = receiver
-	fr.senderShard = c.nodeShard[c.linkFrom[hops[0]]]
-	fr.receiverShard = c.nodeShard[c.linkTo[hops[len(hops)-1]]]
-	if c.reverseJitter > 0 {
-		fr.jitter.Reseed(topology.FlowJitterSeed(c.jitterSeed, flow))
-	}
-	for len(c.flows) <= flow {
-		c.flows = append(c.flows, nil)
-	}
-	c.flows[flow] = fr
-	c.flowCount++
+	a, b := c.RouteDomains(c.FlowRoute(flow))
+	return c.shards[a], c.shards[b]
 }
 
-// flowAt returns the flow's record, nil when the id is out of range or
-// unattached.
-func (c *Cluster) flowAt(flow int) *flowRec {
-	if flow >= 0 && flow < len(c.flows) {
-		return c.flows[flow]
+// SinkEnv returns the shard a sink flow's source must run on: the shard
+// owning the route's first node. Valid after Partition.
+func (c *Cluster) SinkEnv(hops ...topology.LinkID) *Shard {
+	c.mustPartitioned()
+	a, _ := c.RouteDomains(hops)
+	return c.shards[a]
+}
+
+// RouteEnv implements arrivals.Host: the schedulers and networks of a
+// route's two ends, resolved without declaring a flow, so the churn
+// engine places each class's endpoints once, before any of the class's
+// flows exist. Valid after Partition.
+func (c *Cluster) RouteEnv(hops []topology.LinkID) (sndSched *des.Scheduler, sndNet netsim.Network, rcvSched *des.Scheduler, rcvNet netsim.Network) {
+	c.mustPartitioned()
+	a, b := c.RouteDomains(hops)
+	snd, rcv := c.shards[a], c.shards[b]
+	return snd.Sched(), snd, rcv.Sched(), rcv
+}
+
+// AttachLive implements arrivals.Host: it registers a flow during a
+// run, from an arrival event executing on the shard that owns the
+// route's first node, through the network's one attach path. With
+// several shards the flow id must lie inside the table ReserveFlows
+// sized: the attach then writes only the flow's own slot and its
+// shard's domain, and other shards observe the new flow only through
+// its packets, which cross shards no earlier than the next window
+// barrier — the barrier's happens-before edge orders the store before
+// every remote read.
+func (c *Cluster) AttachLive(flow int, sender, receiver netsim.Endpoint, fwdHops, revHops []topology.LinkID, fwdExtra, revDelay float64) {
+	if c.k > 1 && flow >= c.reserved {
+		panic(fmt.Sprintf("shard: live attach of flow %d outside the reserved table (ReserveFlows first)", flow))
+	}
+	c.AttachFlowOn(flow, sender, receiver, fwdHops, revHops, fwdExtra, revDelay)
+}
+
+// Lifecycle implements arrivals.Host. On one shard it is the network's
+// detach surface, so departed churn flows are reclaimed and their
+// endpoints recycled; with several shards it is nil — a detach would be
+// a cross-shard write — and departed flows stay resident.
+func (c *Cluster) Lifecycle() arrivals.Lifecycle {
+	if c.k == 1 {
+		return &c.Network
 	}
 	return nil
 }
 
 // ReserveFlows pre-sizes the flow table for ids [0, max). Mandatory
-// before a run that attaches flows at simulation time (AttachLive): the
-// slice header must never change while shard goroutines read it.
+// before a sharded run that attaches flows at simulation time
+// (AttachLive): the table must never move while shard goroutines read
+// it.
 func (c *Cluster) ReserveFlows(max int) {
 	if c.sealed {
 		panic("shard: ReserveFlows after the first Run")
 	}
-	for len(c.flows) < max {
-		c.flows = append(c.flows, nil)
+	c.Network.ReserveFlows(max)
+	if max > c.reserved {
+		c.reserved = max
 	}
-}
-
-// AttachLive registers a flow during a run, from an arrival event
-// executing on the shard that owns the route's first node. Unlike the
-// build-time attach it takes pre-resolved forward/reverse hops (the
-// route maps stay read-only while shards run), stores into a slot
-// reserved by ReserveFlows (the slice header stays immutable), and
-// builds a fresh record instead of popping the shared pool (two classes
-// homed on different shards may attach concurrently). Other shards
-// observe the new flow only through its packets, which cross shards no
-// earlier than the next window barrier — the barrier's happens-before
-// edge orders the store before every remote read.
-func (c *Cluster) AttachLive(flow int, sender, receiver netsim.Endpoint, fwdHops, revHops []topology.LinkID, fwdExtra, revDelay float64) {
-	if sender == nil || receiver == nil {
-		panic("shard: nil endpoint")
-	}
-	if fwdExtra < 0 || revDelay < 0 {
-		panic("shard: negative delay")
-	}
-	if flow < 0 || flow >= len(c.flows) {
-		panic(fmt.Sprintf("shard: AttachLive flow %d outside the reserved table (ReserveFlows first)", flow))
-	}
-	if c.flows[flow] != nil {
-		panic(fmt.Sprintf("shard: duplicate flow id %d", flow))
-	}
-	fr := &flowRec{
-		route:    make([]*netsim.Link, 0, len(fwdHops)),
-		revRoute: make([]*netsim.Link, 0, len(revHops)),
-	}
-	for _, h := range fwdHops {
-		fr.route = append(fr.route, c.links[h])
-	}
-	for _, h := range revHops {
-		fr.revRoute = append(fr.revRoute, c.links[h])
-	}
-	fr.fwdExtra = fwdExtra
-	fr.revDelay = revDelay
-	fr.sender = sender
-	fr.receiver = receiver
-	fr.senderShard = c.nodeShard[c.linkFrom[fwdHops[0]]]
-	fr.receiverShard = c.nodeShard[c.linkTo[fwdHops[len(fwdHops)-1]]]
-	if c.reverseJitter > 0 {
-		fr.jitter.Reseed(topology.FlowJitterSeed(c.jitterSeed, flow))
-	}
-	c.flows[flow] = fr
-}
-
-// RouteEnv returns the shards owning a route's two ends — the sender
-// lives with the first node, the receiver with the last — without
-// declaring a flow, so the churn engine resolves each class's endpoint
-// placement once, before any of the class's flows exist. Valid after
-// Partition.
-func (c *Cluster) RouteEnv(hops []topology.LinkID) (snd, rcv *Shard) {
-	c.mustPartitioned()
-	c.checkRoute(hops)
-	snd = c.shards[c.nodeShard[c.linkFrom[hops[0]]]]
-	rcv = c.shards[c.nodeShard[c.linkTo[hops[len(hops)-1]]]]
-	return snd, rcv
 }
 
 // DeclareReverseChannel announces that run-time attached flows will
@@ -478,135 +205,14 @@ func (c *Cluster) DeclareReverseChannel(hops []topology.LinkID, revDelay float64
 	if c.sealed {
 		panic("shard: DeclareReverseChannel after the first Run")
 	}
-	c.checkRoute(hops)
-	if c.nodeShard[c.linkFrom[hops[0]]] == c.nodeShard[c.linkTo[hops[len(hops)-1]]] {
-		return
+	if snd, rcv := c.RouteDomains(hops); snd != rcv {
+		c.declaredRev = append(c.declaredRev, revDelay)
 	}
-	c.declaredRev = append(c.declaredRev, revDelay)
-}
-
-func (c *Cluster) getFlowRec() *flowRec {
-	if m := len(c.frPool); m > 0 {
-		fr := c.frPool[m-1]
-		c.frPool = c.frPool[:m-1]
-		return fr
-	}
-	return &flowRec{}
-}
-
-// AttachFlow registers a flow's endpoints (cluster-level convenience;
-// normally endpoints attach through their sender shard's
-// netsim.Network surface).
-func (c *Cluster) AttachFlow(flow int, sender, receiver netsim.Endpoint, fwdExtra, revDelay float64) {
-	if sender == nil || receiver == nil {
-		panic("shard: nil endpoint")
-	}
-	c.attach(flow, sender, receiver, fwdExtra, revDelay)
-}
-
-// AttachSink registers a receiver-less flow over a route: its packets
-// are recycled at route end by whichever shard owns it.
-func (c *Cluster) AttachSink(flow int, hops ...topology.LinkID) {
-	c.checkRoute(hops)
-	c.routes[flow] = append([]topology.LinkID(nil), hops...)
-	c.attach(flow, nil, nil, 0, 0)
-}
-
-// returnToSender schedules the packet's final hand-off to the flow's
-// sender after the flow's remaining reverse delay — locally when the
-// sender shares the shard, as a cross-shard message otherwise. s is the
-// shard the call executes on (the receiver's for pure-delay paths, the
-// reverse route's terminal shard — always the sender's — for routed
-// ones).
-func (c *Cluster) returnToSender(s *Shard, fs *flowRec, p *netsim.Packet) {
-	delay := fs.revDelay
-	if c.reverseJitter > 0 {
-		delay *= 1 + c.reverseJitter*(2*fs.jitter.Float64()-1)
-	}
-	if fs.senderShard == s.id {
-		dv := s.getDelivery(fs.sender, p, true)
-		dv.tm = s.sched.After(delay, dv.run)
-		return
-	}
-	s.emit(fs.senderShard, kindToSender, p, s.sched.Now()+delay)
-}
-
-// arriveReverse mirrors topology.Network.arriveReverse on shard s.
-func (c *Cluster) arriveReverse(s *Shard, fs *flowRec, p *netsim.Packet) {
-	if next := int(p.Hop) + 1; next < len(fs.revRoute) {
-		p.Hop = int32(next)
-		fs.revRoute[next].Send(p)
-		return
-	}
-	c.returnToSender(s, fs, p)
-}
-
-// arrive mirrors topology.Network.arrive on shard s: it runs in the
-// shard of the node the packet just reached, so the next hop's link —
-// owned by that same node's shard — is always local.
-func (c *Cluster) arrive(s *Shard, p *netsim.Packet) {
-	fs := c.flowAt(int(p.Flow))
-	if fs == nil {
-		// Unattached flows are rejected at SendForward, so nothing can
-		// arrive unrouted.
-		panic(fmt.Sprintf("shard: arrival for unknown flow %d", p.Flow))
-	}
-	if p.Rev {
-		c.arriveReverse(s, fs, p)
-		return
-	}
-	if next := int(p.Hop) + 1; next < len(fs.route) {
-		p.Hop = int32(next)
-		fs.route[next].Send(p)
-		return
-	}
-	fs.delivered++
-	if fs.receiver == nil {
-		s.PutPacket(p)
-		return
-	}
-	if fs.fwdExtra == 0 {
-		fs.receiver.Receive(p)
-		s.PutPacket(p)
-		return
-	}
-	dv := s.getDelivery(fs.receiver, p, false)
-	dv.tm = s.sched.After(fs.fwdExtra, dv.run)
-}
-
-// BaseRTT returns the no-queueing round-trip time for the flow, as
-// topology.Network.BaseRTT does.
-func (c *Cluster) BaseRTT(flow int) float64 {
-	fs := c.flowAt(flow)
-	if fs == nil {
-		return 0
-	}
-	rtt := fs.fwdExtra + fs.revDelay
-	for _, l := range fs.route {
-		rtt += l.Delay
-	}
-	for _, l := range fs.revRoute {
-		rtt += l.Delay
-	}
-	return rtt
-}
-
-// Delivered returns the number of packets a flow's route carried to its
-// end.
-func (c *Cluster) Delivered(flow int) int64 {
-	if fs := c.flowAt(flow); fs != nil {
-		return fs.delivered
-	}
-	return 0
 }
 
 // Shards returns the effective shard count (after Partition; the
 // partitioner may produce fewer domains than requested).
 func (c *Cluster) Shards() int { return c.k }
-
-// Horizon returns the synchronization horizon in seconds (0 before the
-// first Run, or when the partition has a single shard).
-func (c *Cluster) Horizon() float64 { return c.horizon }
 
 // Fired returns the total events executed across all shards. On
 // identical trajectories it equals the serial engine's count: every
@@ -621,11 +227,13 @@ func (c *Cluster) Fired() uint64 {
 	return total
 }
 
-// Outstanding sums the shards' freelist ledgers.
-func (c *Cluster) Outstanding() int64 {
-	var total int64
+// Pending sums the shards' live scheduled-event populations. At a
+// barrier-aligned instant it is executor-invariant: every serial event
+// maps to exactly one event on exactly one shard (see Fired).
+func (c *Cluster) Pending() int {
+	total := 0
 	for _, s := range c.shards {
-		total += s.Outstanding()
+		total += s.sched.Pending()
 	}
 	return total
 }
@@ -654,51 +262,6 @@ func (c *Cluster) Snapshots() []Snapshot {
 	return out
 }
 
-// LinkTracer returns the event tracer of the shard owning the link (the
-// shard of its source node, where every Send on the link executes), nil
-// when tracing is off. It is the fault layer's seam (fault.TracedHost)
-// for emitting link transitions into the right domain's stream. Valid
-// after Partition.
-func (c *Cluster) LinkTracer(id topology.LinkID) *obs.Tracer {
-	c.mustPartitioned()
-	return c.shards[c.linkShard[id]].Trace
-}
-
-// AttachTracers installs a bounded event tracer of the given capacity
-// on every shard. Call it after Partition and before endpoints are
-// constructed — tfrc/tcp senders resolve their domain's tracer once, at
-// construction. Each shard's ring is only written from its own driver
-// goroutine, so emission stays unsynchronized; the per-shard streams
-// merge deterministically through obs.MergeEvents at collection time.
-// cap <= 0 leaves every tracer nil (tracing off).
-func (c *Cluster) AttachTracers(cap int) {
-	c.mustPartitioned()
-	for _, s := range c.shards {
-		s.Trace = obs.NewTracer(cap, s.id)
-	}
-}
-
-// Tracers returns the shards' tracers in shard order (nil entries when
-// tracing is off).
-func (c *Cluster) Tracers() []*obs.Tracer {
-	out := make([]*obs.Tracer, len(c.shards))
-	for i, s := range c.shards {
-		out[i] = s.Trace
-	}
-	return out
-}
-
-// Pending sums the shards' live scheduled-event populations. At a
-// barrier-aligned instant it is executor-invariant: every serial event
-// maps to exactly one event on exactly one shard (see Fired).
-func (c *Cluster) Pending() int {
-	total := 0
-	for _, s := range c.shards {
-		total += s.sched.Pending()
-	}
-	return total
-}
-
 // Poisoned reports whether a parallel run aborted on a tripped barrier.
 // A poisoned cluster must be discarded: an abandoned driver goroutine
 // may still be stuck inside one of its shards.
@@ -710,7 +273,7 @@ func (c *Cluster) Poisoned() bool { return c.poisoned }
 // per-shard invariant holds because a handoff returns the packet to the
 // source shard's pool at emission and the destination issues its own
 // copy at the barrier, so a packet in flight across a cut is charged to
-// exactly one ledger — the destination's, under pendingInjections.
+// exactly one ledger — the destination's, as a live injection.
 func (c *Cluster) CheckLeaks() error {
 	for _, s := range c.shards {
 		for parity := range s.out {
@@ -728,4 +291,34 @@ func (c *Cluster) CheckLeaks() error {
 		return fmt.Errorf("shard: global packet leak: %d outstanding but %d in the network", out, in)
 	}
 	return nil
+}
+
+// seal computes the synchronization horizon on the first Run, once the
+// flow population is known: the minimum latency over every cross-shard
+// channel — cut-link propagation delays and, for flows whose pure-delay
+// reverse path crosses shards, the minimum jittered reverse delay.
+func (c *Cluster) seal() {
+	if c.sealed {
+		return
+	}
+	c.mustPartitioned()
+	c.sealed = true
+	if c.k == 1 {
+		c.horizon = 0
+		return
+	}
+	h := math.Min(c.cutDelay, c.RemoteReturn())
+	for _, d := range c.declaredRev {
+		h = math.Min(h, d*(1-c.ReverseJitter))
+	}
+	if math.IsInf(h, 1) {
+		// Shards never exchange messages: each runs independently to the
+		// phase boundary. Model that as an unbounded window.
+		c.horizon = math.Inf(1)
+		return
+	}
+	if h <= 0 {
+		panic(fmt.Sprintf("shard: zero lookahead across a shard cut (horizon %v); reduce the shard count or give cross-shard channels positive delay", h))
+	}
+	c.horizon = h
 }

@@ -1,16 +1,17 @@
 package shard
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/netsim"
+	"repro/internal/topology"
 )
 
-// Partition splits the declared node graph into at most k shards and
-// materializes every link on its owning shard's scheduler. Call it
-// after AddNode/AddLink and the route/jitter declarations, before
-// attaching flows.
+// Partition splits the declared node graph into at most k shards — one
+// topology.Domain each — and materializes every link on its owning
+// shard's scheduler. Call it after AddNode/AddLink and the route/jitter
+// declarations, before attaching flows. k <= 1 makes the single-shard
+// (serial) cluster without running the partitioner.
 //
 // The partitioner works in two stages:
 //
@@ -35,13 +36,76 @@ func (c *Cluster) Partition(k int) {
 	if len(c.shards) > 0 {
 		panic("shard: Partition called twice")
 	}
-	if k < 1 {
-		k = 1
-	}
-	n := len(c.nodes)
+	n := c.Nodes()
 	if n == 0 {
 		panic("shard: Partition on an empty graph")
 	}
+	c.part = append(c.part[:0], make([]int, n)...)
+	c.k = 1
+	if k > 1 {
+		c.k = c.assign(k)
+	}
+
+	// Materialize shards, then place the network's domains on their
+	// schedulers: every link is built on the shard of its source node.
+	c.scheds = c.scheds[:0]
+	for i := 0; i < c.k; i++ {
+		var s *Shard
+		if i < cap(c.shards) {
+			c.shards = c.shards[:i+1]
+			s = c.shards[i]
+		} else {
+			c.shards = append(c.shards, nil)
+		}
+		if s == nil {
+			s = &Shard{}
+			s.remoteFn = s.emitToSender
+			c.shards[i] = s
+		}
+		s.id = i
+		for parity := range s.out {
+			for len(s.out[parity]) < c.k {
+				s.out[parity] = append(s.out[parity], nil)
+			}
+			s.out[parity] = s.out[parity][:c.k]
+		}
+		c.scheds = append(c.scheds, &s.sched)
+	}
+	c.Place(c.part, c.scheds)
+	for i, s := range c.shards {
+		s.Domain = c.Domain(i)
+		s.Remote = s.remoteFn
+	}
+
+	// A link whose destination is on another shard gets a Handoff that
+	// bundles the packet toward the destination shard with arrival time
+	// handoff-now + propagation delay.
+	c.cutDelay = math.Inf(1)
+	for id := 0; id < c.Links(); id++ {
+		from, to, delay := c.Edge(topology.LinkID(id))
+		if c.part[from] == c.part[to] {
+			continue
+		}
+		src, dst := c.shards[c.part[from]], c.part[to]
+		l := c.Link(topology.LinkID(id))
+		l.Deliver = cutDeliver
+		l.Handoff = func(p *netsim.Packet) {
+			src.emit(dst, kindArrive, p, src.sched.Now()+delay)
+		}
+		c.cutDelay = math.Min(c.cutDelay, delay)
+	}
+}
+
+// cutDeliver is a cut link's Deliver sink: Handoff owns its propagation
+// stage, so it never runs.
+func cutDeliver(*netsim.Packet) {
+	panic("shard: Deliver on a cut link (Handoff owns the propagation stage)")
+}
+
+// assign runs the two partitioning stages for k > 1 shards, filling
+// c.part, and returns the effective shard count.
+func (c *Cluster) assign(k int) int {
+	n := c.Nodes()
 
 	// Stage 1: union endpoints of zero-delay links.
 	parent := make([]int, n)
@@ -56,9 +120,15 @@ func (c *Cluster) Partition(k int) {
 		}
 		return x
 	}
-	for _, sp := range c.specs {
-		if sp.delay <= 0 {
-			a, b := find(int(sp.from)), find(int(sp.to))
+	weight := make([]float64, n)
+	for i := range weight {
+		weight[i] = 1
+	}
+	for id := 0; id < c.Links(); id++ {
+		from, to, delay := c.Edge(topology.LinkID(id))
+		weight[from]++
+		if delay <= 0 {
+			a, b := find(int(from)), find(int(to))
 			if a != b {
 				if a > b {
 					a, b = b, a
@@ -69,13 +139,6 @@ func (c *Cluster) Partition(k int) {
 	}
 
 	// Atoms in order of their smallest node id, with weights.
-	weight := make([]float64, n)
-	for i := range weight {
-		weight[i] = 1
-	}
-	for _, sp := range c.specs {
-		weight[sp.from]++
-	}
 	atomIndex := make(map[int]int)
 	var atomNodes [][]int
 	var atomWeight []float64
@@ -100,7 +163,6 @@ func (c *Cluster) Partition(k int) {
 	// Stage 2: pack atoms into <= k contiguous segments. A segment
 	// closes once it reaches the ideal share, but never so greedily that
 	// the remaining atoms could not fill the remaining segments.
-	c.nodeShard = append(c.nodeShard[:0], make([]int, n)...)
 	target := total / float64(k)
 	seg, segWeight := 0, 0.0
 	for ai := range atomNodes {
@@ -111,101 +173,9 @@ func (c *Cluster) Partition(k int) {
 			segWeight = 0
 		}
 		for _, v := range atomNodes[ai] {
-			c.nodeShard[v] = seg
+			c.part[v] = seg
 		}
 		segWeight += atomWeight[ai]
 	}
-	c.k = seg + 1
-
-	// Materialize shards and links. Each link lives on the shard of its
-	// source node; a link whose destination is elsewhere gets a Handoff
-	// that bundles the packet toward the destination shard with arrival
-	// time handoff-now + propagation delay.
-	for i := 0; i < c.k; i++ {
-		var s *Shard
-		if i < cap(c.shards) {
-			c.shards = c.shards[:i+1]
-			if c.shards[i] == nil {
-				c.shards[i] = &Shard{}
-			}
-			s = c.shards[i]
-		} else {
-			s = &Shard{}
-			c.shards = append(c.shards, s)
-		}
-		s.c = c
-		s.id = i
-		for parity := range s.out {
-			for len(s.out[parity]) < c.k {
-				s.out[parity] = append(s.out[parity], nil)
-			}
-			s.out[parity] = s.out[parity][:c.k]
-		}
-	}
-	c.linkShard = c.linkShard[:0]
-	c.links = c.links[:0]
-	for _, sp := range c.specs {
-		owner := c.nodeShard[sp.from]
-		c.linkShard = append(c.linkShard, owner)
-		src := c.shards[owner]
-		l := netsim.NewLink(&src.sched, sp.rate, sp.delay, sp.queue)
-		l.Release = src.PutPacket
-		if dst := c.nodeShard[sp.to]; dst != owner {
-			delay := sp.delay
-			dstID := dst
-			l.Deliver = func(p *netsim.Packet) {
-				panic("shard: Deliver on a cut link (Handoff owns the propagation stage)")
-			}
-			l.Handoff = func(p *netsim.Packet) {
-				src.emit(dstID, kindArrive, p, src.sched.Now()+delay)
-			}
-		} else {
-			l.Deliver = func(p *netsim.Packet) { c.arrive(src, p) }
-		}
-		src.links = append(src.links, l)
-		c.links = append(c.links, l)
-	}
-}
-
-// seal computes the synchronization horizon on the first Run, once the
-// flow population is known: the minimum latency over every cross-shard
-// channel — cut-link propagation delays and, for flows whose pure-delay
-// reverse path crosses shards, the minimum jittered reverse delay.
-func (c *Cluster) seal() {
-	if c.sealed {
-		return
-	}
-	c.mustPartitioned()
-	c.sealed = true
-	if c.k == 1 {
-		c.horizon = 0
-		return
-	}
-	h := math.Inf(1)
-	for li := range c.specs {
-		if c.nodeShard[c.specs[li].from] != c.nodeShard[c.specs[li].to] {
-			h = math.Min(h, c.specs[li].delay)
-		}
-	}
-	for _, fs := range c.flows {
-		if fs == nil {
-			continue
-		}
-		if len(fs.revRoute) == 0 && fs.sender != nil && fs.senderShard != fs.receiverShard {
-			h = math.Min(h, fs.revDelay*(1-c.reverseJitter))
-		}
-	}
-	for _, d := range c.declaredRev {
-		h = math.Min(h, d*(1-c.reverseJitter))
-	}
-	if math.IsInf(h, 1) {
-		// Shards never exchange messages: each runs independently to the
-		// phase boundary. Model that as an unbounded window.
-		c.horizon = math.Inf(1)
-		return
-	}
-	if h <= 0 {
-		panic(fmt.Sprintf("shard: zero lookahead across a shard cut (horizon %v); reduce the shard count or give cross-shard channels positive delay", h))
-	}
-	c.horizon = h
+	return seg + 1
 }

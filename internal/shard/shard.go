@@ -1,7 +1,14 @@
-// Package shard executes one topology-style simulation space-parallel:
-// the node graph is partitioned into K domains, each domain owns a
-// private des.Scheduler (timing wheel) and packet freelist, and the
-// domains advance in lockstep through conservative lookahead windows.
+// Package shard executes one topology.Network space-parallel: the node
+// graph is partitioned into K scheduling domains (topology.Domain), each
+// domain owns a private des.Scheduler (timing wheel) and packet freelist,
+// and the domains advance in lockstep through conservative lookahead
+// windows. The graph, the routes and the flow table are the network's
+// and shared; this package adds only what sharding needs: the
+// partitioner, the cut-link handoff and its injection at the
+// destination, the horizon, the two window drivers, stall detection,
+// progress snapshots, and the snapshot sections for cross-shard traffic.
+// With K=1 a Cluster is the serial engine: one domain, driven by plain
+// RunUntil with no window loop.
 //
 // # Partitioning rule
 //
@@ -12,10 +19,10 @@
 // handed off (netsim.Link.Handoff) into an outbound bundle stamped with
 // its arrival time, handoff-now + propagation delay. Because forwarding
 // always continues in the shard of the node where a packet physically
-// is, every other Send in the system stays shard-local (see Cluster's
-// arrive). The partitioner (Partition) never cuts a zero-delay channel:
-// zero-delay links and zero-latency pure-delay reverse paths co-locate
-// their endpoints.
+// is, every other Send in the system stays shard-local (see
+// topology.Domain.Arrive). The partitioner (Partition) never cuts a
+// zero-delay channel: zero-delay links and zero-latency pure-delay
+// reverse paths co-locate their endpoints.
 //
 // # Lookahead horizon
 //
@@ -45,7 +52,6 @@
 package shard
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -53,28 +59,8 @@ import (
 	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/rng"
+	"repro/internal/topology"
 )
-
-// flowRec mirrors topology's per-flow routing entry, extended with the
-// flow's endpoint shard placement.
-type flowRec struct {
-	route     []*netsim.Link
-	revRoute  []*netsim.Link
-	fwdExtra  float64
-	revDelay  float64
-	sender    netsim.Endpoint
-	receiver  netsim.Endpoint
-	delivered int64
-	jitter    rng.RNG
-
-	// senderShard is where the sender endpoint lives (the shard of the
-	// forward route's first node); returnToSender targets it.
-	// receiverShard is the shard of the forward route's last node, where
-	// the receiver endpoint and any routed-reverse injection live.
-	senderShard   int
-	receiverShard int
-}
 
 // message is one cross-shard event in a bundle: the packet travels by
 // value so the source shard can recycle its copy at emission. origin is
@@ -100,42 +86,12 @@ const (
 	kindToSender
 )
 
-// delivery is a pending intra-shard hand-off to an endpoint after a
-// pure delay, recycled through the shard's pool (the run callback is
-// allocated once per object, not per packet). tm, idx and toSender are
-// checkpoint bookkeeping: the live-delivery registry lets a snapshot
-// enumerate the pending hand-offs and resolve each one's endpoint from
-// its flow on restore.
-type delivery struct {
-	s        *Shard
-	to       netsim.Endpoint
-	p        *netsim.Packet
-	run      des.Event
-	tm       des.Timer
-	idx      int32
-	toSender bool
-}
-
-func (dv *delivery) deliver() {
-	to, p := dv.to, dv.p
-	dv.to, dv.p = nil, nil
-	s := dv.s
-	last := len(s.liveDel) - 1
-	moved := s.liveDel[last]
-	s.liveDel[dv.idx] = moved
-	moved.idx = dv.idx
-	s.liveDel[last] = nil
-	s.liveDel = s.liveDel[:last]
-	s.dpool = append(s.dpool, dv)
-	s.pendingDeliveries--
-	to.Receive(p)
-	s.PutPacket(p)
-}
-
-// injection is a pending cross-shard message arrival, recycled like
-// delivery. It holds the destination-shard copy of the packet between
-// the barrier that scheduled it and the event that consumes it. tm and
-// idx are checkpoint bookkeeping, like delivery's.
+// injection is a pending cross-shard message arrival, recycled through
+// the shard's pool (the run callback is allocated once per object, not
+// per packet). It holds the destination-shard copy of the packet
+// between the barrier that scheduled it and the event that consumes it.
+// tm and idx are checkpoint bookkeeping: the live-injection registry
+// lets a snapshot enumerate the pending arrivals.
 type injection struct {
 	s    *Shard
 	p    *netsim.Packet
@@ -155,47 +111,33 @@ func (in *injection) fire() {
 	s.liveInj[last] = nil
 	s.liveInj = s.liveInj[:last]
 	s.ipool = append(s.ipool, in)
-	s.pendingInjections--
 	if kind == kindArrive {
-		s.c.arrive(s, p)
+		s.Arrive(p)
 		return
 	}
-	fs := s.c.flowAt(int(p.Flow))
-	fs.sender.Receive(p)
-	s.PutPacket(p)
+	s.ToSender(p)
 }
 
-// Shard is one domain of the partition: a private scheduler, packet
-// freelist and issue/return ledger. It implements netsim.Network, so
-// protocol endpoints constructed against it (tfrc.NewFlowOn,
-// tcp.NewFlowOn) draw packets from and send through their own shard.
+// Shard is one domain of the partition: the network's topology.Domain
+// for it (scheduler, packet freelist and issue/return ledger, pending
+// deliveries, tracer) plus its cross-shard traffic. It implements
+// netsim.Network through the domain, so protocol endpoints constructed
+// against it (tfrc.NewFlowOn, tcp.NewFlowOn) draw packets from and send
+// through their own shard.
 type Shard struct {
-	c     *Cluster
+	*topology.Domain
+
 	id    int
 	sched des.Scheduler
-
-	// Trace, when set, is this shard's event tracer (netsim.Traced).
-	// Each shard owns a private tracer so emission needs no
-	// synchronization; nil keeps every hook a nil-sink. Cleared by
-	// Cluster.Reset.
-	Trace *obs.Tracer
 
 	// handoffs counts cross-shard messages this shard has emitted.
 	handoffs int64
 
-	pool  []*netsim.Packet
-	dpool []*delivery
 	ipool []*injection
-
-	// liveDel / liveInj index the pending deliveries and injections for
-	// the checkpoint layer (unordered; removal swap-fills).
-	liveDel []*delivery
+	// liveInj indexes the scheduled-but-unfired injections for the
+	// checkpoint layer and the leak ledger (unordered; removal
+	// swap-fills).
 	liveInj []*injection
-
-	issued            int64
-	returned          int64
-	pendingDeliveries int
-	pendingInjections int
 
 	// out[parity][dst] is the bundle of messages emitted toward shard
 	// dst during the current window. Two parities double-buffer the
@@ -204,13 +146,13 @@ type Shard struct {
 	// provides the happens-before edges in both directions.
 	out [2][][]message
 
-	// links owned by this shard (source node inside it), for InFlight
-	// accounting.
-	links []*netsim.Link
-
 	// wbuf is the parity the shard is currently emitting into. It is
 	// only touched by the goroutine driving this shard.
 	wbuf int
+
+	// remoteFn is emitToSender bound once, installed as the domain's
+	// Remote hook at every placement.
+	remoteFn func(dst int, p *netsim.Packet, at float64)
 
 	// Barrier-published progress for the stall detector: the driving
 	// goroutine stores these just before each barrier arrival, and only
@@ -281,11 +223,6 @@ func (s *Shard) Snapshot() Snapshot {
 	}
 }
 
-// Tracer implements netsim.Traced: protocol endpoints constructed on
-// this shard (tfrc.NewFlowOn, tcp.NewFlowOn) resolve their event
-// tracer here, once, at construction.
-func (s *Shard) Tracer() *obs.Tracer { return s.Trace }
-
 // publishProgress records the shard's barrier-aligned state for the
 // stall detector. Called by the driving goroutine only.
 func (s *Shard) publishProgress(window int) {
@@ -293,108 +230,17 @@ func (s *Shard) publishProgress(window int) {
 	s.progClock.Store(math.Float64bits(s.sched.Now()))
 	s.progPend.Store(int64(s.sched.Pending()))
 	s.progLedger.Store(s.Outstanding())
-	s.progInject.Store(int64(s.pendingInjections))
+	s.progInject.Store(int64(len(s.liveInj)))
 	s.progFired.Store(s.sched.Fired())
 	s.progCascade.Store(s.sched.Cascaded())
 	s.progHandoff.Store(s.handoffs)
 }
 
-var _ netsim.Network = (*Shard)(nil)
-
-// Sched exposes the shard's private scheduler (for endpoint timers and
-// start events).
-func (s *Shard) Sched() *des.Scheduler { return &s.sched }
-
-// GetPacket implements netsim.Network against the shard's freelist.
-func (s *Shard) GetPacket() *netsim.Packet {
-	s.issued++
-	if m := len(s.pool); m > 0 {
-		p := s.pool[m-1]
-		s.pool = s.pool[:m-1]
-		*p = netsim.Packet{}
-		return p
-	}
-	return &netsim.Packet{}
-}
-
-// PutPacket implements netsim.Network against the shard's freelist.
-func (s *Shard) PutPacket(p *netsim.Packet) {
-	if p == nil {
-		return
-	}
-	s.returned++
-	s.pool = append(s.pool, p)
-}
-
-// SendForward implements netsim.Network: the packet enters the first
-// link of its flow's route, which the caller's shard owns (senders are
-// placed on the shard of their route's first node).
-func (s *Shard) SendForward(p *netsim.Packet) {
-	fs := s.c.flowAt(int(p.Flow))
-	if fs == nil {
-		panic(fmt.Sprintf("shard: forward packet for unrouted flow %d (no default-link fallback under sharding)", p.Flow))
-	}
-	p.Hop = 0
-	fs.route[0].Send(p)
-}
-
-// SendReverse implements netsim.Network: routed reverse paths start at
-// the receiver's own shard (the reverse route's first link leaves the
-// forward route's last node); pure-delay reverse paths hand off to the
-// sender's shard when it differs.
-func (s *Shard) SendReverse(p *netsim.Packet) {
-	fs := s.c.flowAt(int(p.Flow))
-	if fs == nil || fs.sender == nil {
-		panic(fmt.Sprintf("shard: reverse packet for unknown flow %d", p.Flow))
-	}
-	if len(fs.revRoute) > 0 {
-		p.Rev = true
-		p.Hop = 0
-		fs.revRoute[0].Send(p)
-		return
-	}
-	s.c.returnToSender(s, fs, p)
-}
-
-// AttachFlow implements netsim.Network by delegating to the cluster:
-// flow tables are cluster-wide, freelists per shard.
-func (s *Shard) AttachFlow(flow int, sender, receiver netsim.Endpoint, fwdExtra, revDelay float64) {
-	s.c.attach(flow, sender, receiver, fwdExtra, revDelay)
-}
-
-// Outstanding returns issued-minus-returned packets of this shard's
-// freelist.
-func (s *Shard) Outstanding() int64 { return s.issued - s.returned }
-
-// InNetwork counts packets demonstrably inside this shard: queued,
-// serializing or propagating on an owned link, waiting in a pending
-// delivery, or held by a scheduled cross-shard injection.
-func (s *Shard) InNetwork() int {
-	total := s.pendingDeliveries + s.pendingInjections
-	for _, l := range s.links {
-		total += l.InFlight()
-	}
-	return total
-}
-
-// getDelivery mirrors topology's delivery pooling.
-func (s *Shard) getDelivery(to netsim.Endpoint, p *netsim.Packet, toSender bool) *delivery {
-	var dv *delivery
-	if m := len(s.dpool); m > 0 {
-		dv = s.dpool[m-1]
-		s.dpool = s.dpool[:m-1]
-	} else {
-		dv = &delivery{s: s}
-		dv.run = dv.deliver
-	}
-	dv.to = to
-	dv.p = p
-	dv.toSender = toSender
-	dv.idx = int32(len(s.liveDel))
-	s.liveDel = append(s.liveDel, dv)
-	s.pendingDeliveries++
-	return dv
-}
+// InNetwork counts packets demonstrably inside this shard: those its
+// domain holds (queued, serializing or propagating on an owned link, or
+// waiting in a pending delivery) plus those held by a scheduled
+// cross-shard injection.
+func (s *Shard) InNetwork() int { return s.Domain.InNetwork() + len(s.liveInj) }
 
 // emit appends a message to the bundle toward dst and recycles the
 // source-side packet: from here on the destination shard's copy is the
@@ -407,10 +253,27 @@ func (s *Shard) emit(dst int, kind uint8, p *netsim.Packet, at float64) {
 	s.PutPacket(p)
 }
 
+// emitToSender is the domain's Remote hook: a pure-delay reverse packet
+// bound for a sender in shard dst.
+func (s *Shard) emitToSender(dst int, p *netsim.Packet, at float64) {
+	s.emit(dst, kindToSender, p, at)
+}
+
 // inject schedules one drained message at its arrival time. The
 // packet's destination-shard copy is issued here and accounted in
-// pendingInjections until the arrival event fires.
+// liveInj until the arrival event fires.
 func (s *Shard) inject(m *message) {
+	in := s.getInjection()
+	p := s.GetPacket()
+	*p = m.pkt
+	in.p = p
+	in.kind = m.kind
+	in.tm = s.sched.AtOrigin(m.at, m.origin, in.run)
+}
+
+// getInjection recycles an injection record (or allocates one) and
+// registers it as live.
+func (s *Shard) getInjection() *injection {
 	var in *injection
 	if n := len(s.ipool); n > 0 {
 		in = s.ipool[n-1]
@@ -419,12 +282,7 @@ func (s *Shard) inject(m *message) {
 		in = &injection{s: s}
 		in.run = in.fire
 	}
-	p := s.GetPacket()
-	*p = m.pkt
-	in.p = p
-	in.kind = m.kind
 	in.idx = int32(len(s.liveInj))
 	s.liveInj = append(s.liveInj, in)
-	s.pendingInjections++
-	in.tm = s.sched.AtOrigin(m.at, m.origin, in.run)
+	return in
 }

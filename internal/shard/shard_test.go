@@ -1,6 +1,9 @@
 package shard_test
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -12,7 +15,8 @@ import (
 )
 
 // builder is the build surface topology.Network and shard.Cluster
-// share, so one scenario definition drives both engines.
+// share, so one scenario definition drives a plain network and a
+// cluster alike.
 type builder interface {
 	AddNode(name string) topology.NodeID
 	AddLink(from, to topology.NodeID, rate, delay float64, queue netsim.Queue) topology.LinkID
@@ -172,8 +176,11 @@ func requireEqual(t *testing.T, label string, serial, sharded runResult) {
 // execution reproduces the serial engine bit for bit — throughput,
 // loss-event rates, per-flow deliveries and the total event count — at
 // every shard count, with drops happening on the tight middle hop
-// (which becomes a cut link at k >= 2).
+// (which becomes a cut link at k >= 2). Run picks the goroutine driver
+// whenever GOMAXPROCS > 1, so the pass runs with GOMAXPROCS=1 to
+// exercise the sequential window loop on any host.
 func TestSerialEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := runSerial(t)
 	for _, k := range []int{1, 2, 3, 4} {
 		res, c := runSharded(t, k, false)
@@ -348,5 +355,56 @@ func TestPhaseBoundaries(t *testing.T) {
 	c.Run(chainDur)
 	if got := snd2.Stats().Throughput; got != want {
 		t.Fatalf("phase-split throughput: sharded %v, serial %v", got, want)
+	}
+}
+
+// TestLiveAttachValidatesRoutes: a run-time attach goes through the
+// network's one attach path, so a bad route is rejected with the serial
+// engine's message on a cluster of any shard count.
+func TestLiveAttachValidatesRoutes(t *testing.T) {
+	// n0 -l0-> n1 -l1-> n2, and back n2 -l2-> n1 -l3-> n0.
+	build := func(b interface {
+		AddNode(name string) topology.NodeID
+		AddLink(from, to topology.NodeID, rate, delay float64, queue netsim.Queue) topology.LinkID
+	}) {
+		n := []topology.NodeID{b.AddNode("n0"), b.AddNode("n1"), b.AddNode("n2")}
+		for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 1}, {1, 0}} {
+			b.AddLink(n[e[0]], n[e[1]], chainRate, chainDelay, netsim.NewDropTail(8))
+		}
+	}
+	panicOf := func(fn func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		fn()
+		return ""
+	}
+	e := netsim.EndpointFunc(func(*netsim.Packet) {})
+	for _, tc := range []struct {
+		name     string
+		fwd, rev []topology.LinkID
+	}{
+		{"reverse route ends short of the sender", []topology.LinkID{0, 1}, []topology.LinkID{2}},
+		{"non-contiguous forward route", []topology.LinkID{1, 0}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sched des.Scheduler
+			net := topology.New(&sched)
+			build(net)
+			want := panicOf(func() { net.AttachFlowOn(3, e, e, tc.fwd, tc.rev, 0, 0.01) })
+			if !strings.HasPrefix(want, "topology: ") {
+				t.Fatalf("serial engine accepted the attach (recovered %q)", want)
+			}
+			for _, k := range []int{1, 2} {
+				c := shard.New()
+				build(c)
+				c.Partition(k)
+				if c.Shards() != k {
+					t.Fatalf("k=%d: graph split into %d shards", k, c.Shards())
+				}
+				c.ReserveFlows(8)
+				if got := panicOf(func() { c.AttachLive(3, e, e, tc.fwd, tc.rev, 0, 0.01) }); got != want {
+					t.Errorf("k=%d: live attach recovered %q, want %q", k, got, want)
+				}
+			}
+		})
 	}
 }

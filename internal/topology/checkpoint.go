@@ -11,28 +11,31 @@ import (
 // their restore points differ: links restore right after the rebuild,
 // flow overlays only after every flow — including churn arrivals — has
 // been re-attached, deliveries after the endpoints they target exist,
-// and the freelist ledger last of all so the leak invariant holds the
-// moment the restore completes.
+// and the freelist ledgers last of all so the leak invariant holds the
+// moment the restore completes. capOf maps a scheduler to the capture
+// of its timer population; every section resolves each timer against
+// the capture of the domain that owns it.
 
 // SaveLinks writes every link's state in link-id order.
-func (n *Network) SaveLinks(w *checkpoint.Writer, cap *des.TimerCapture) {
+func (n *Network) SaveLinks(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.TimerCapture) {
 	w.Int(len(n.links))
-	for _, l := range n.links {
-		l.Save(w, cap)
+	for id, l := range n.links {
+		l.Save(w, capOf(n.owner(LinkID(id)).sched))
 	}
 }
 
-// RestoreLinks overlays saved state onto the rebuilt links.
+// RestoreLinks overlays saved state onto the rebuilt links. Each link's
+// packets are drawn from its owning domain's freelist.
 func (n *Network) RestoreLinks(r *checkpoint.Reader) {
 	if c := r.Count(); c != len(n.links) {
 		r.Fail("snapshot has %d links, rebuilt graph has %d", c, len(n.links))
 		return
 	}
-	for _, l := range n.links {
+	for id, l := range n.links {
 		if r.Err() != nil {
 			return
 		}
-		l.Restore(r, n.GetPacket)
+		l.Restore(r, n.owner(LinkID(id)).GetPacket)
 	}
 }
 
@@ -40,7 +43,7 @@ func (n *Network) RestoreLinks(r *checkpoint.Reader) {
 // when reverse jitter is on, the flow's private jitter stream — for
 // every attached flow in id order.
 func (n *Network) SaveFlows(w *checkpoint.Writer) {
-	w.Int(n.flowCount)
+	w.Int(n.attached())
 	for id, fs := range n.flows {
 		if fs == nil {
 			continue
@@ -60,8 +63,8 @@ func (n *Network) SaveFlows(w *checkpoint.Writer) {
 // flows by the arrivals restore) with the same id.
 func (n *Network) RestoreFlows(r *checkpoint.Reader) {
 	c := r.Count()
-	if c != n.flowCount {
-		r.Fail("snapshot has %d attached flows, rebuilt network has %d", c, n.flowCount)
+	if have := n.attached(); c != have {
+		r.Fail("snapshot has %d attached flows, rebuilt network has %d", c, have)
 		return
 	}
 	for i := 0; i < c; i++ {
@@ -87,56 +90,65 @@ func (n *Network) RestoreFlows(r *checkpoint.Reader) {
 	}
 }
 
-// SaveDeliveries writes the pending pure-delay hand-offs: the packet,
-// which endpoint of its flow it targets, and the hand-off timer.
-func (n *Network) SaveDeliveries(w *checkpoint.Writer, cap *des.TimerCapture) {
-	w.Int(len(n.liveDel))
-	for _, dv := range n.liveDel {
-		w.Bool(dv.toSender)
-		netsim.SavePacket(w, dv.p)
-		w.Timer(cap.StateOf(dv.tm))
+// SaveDeliveries writes every domain's pending pure-delay hand-offs in
+// domain order: the packet, which endpoint of its flow it targets, and
+// the hand-off timer.
+func (n *Network) SaveDeliveries(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.TimerCapture) {
+	for _, d := range n.doms {
+		cap := capOf(d.sched)
+		w.Int(len(d.liveDel))
+		for _, dv := range d.liveDel {
+			w.Bool(dv.toSender)
+			netsim.SavePacket(w, dv.p)
+			w.Timer(cap.StateOf(dv.tm))
+		}
 	}
 }
 
-// RestoreDeliveries re-creates the pending hand-offs against the
-// re-attached flows, re-arming each with its original timer identity.
+// RestoreDeliveries re-creates each domain's pending hand-offs against
+// the re-attached flows, re-arming each with its original timer
+// identity.
 func (n *Network) RestoreDeliveries(r *checkpoint.Reader) {
-	c := r.Count()
-	for i := 0; i < c; i++ {
-		if r.Err() != nil {
-			return
+	for _, d := range n.doms {
+		c := r.Count()
+		for i := 0; i < c; i++ {
+			if r.Err() != nil {
+				return
+			}
+			toSender := r.Bool()
+			p := d.GetPacket()
+			netsim.RestorePacket(r, p)
+			st := r.Timer()
+			if !st.OK {
+				r.Fail("domain %d: pending delivery saved without a live timer", d.id)
+				return
+			}
+			fs := n.flowAt(p.Flow)
+			if fs == nil {
+				r.Fail("domain %d: pending delivery for unattached flow %d", d.id, p.Flow)
+				return
+			}
+			to := fs.receiver
+			if toSender {
+				to = fs.sender
+			}
+			if to == nil {
+				r.Fail("domain %d: pending delivery for flow %d targets a nil endpoint", d.id, p.Flow)
+				return
+			}
+			dv := d.getDelivery(to, p, toSender)
+			dv.tm = d.sched.RestoreTimer(st, dv.run)
 		}
-		toSender := r.Bool()
-		p := n.GetPacket()
-		netsim.RestorePacket(r, p)
-		st := r.Timer()
-		if !st.OK {
-			r.Fail("pending delivery saved without a live timer")
-			return
-		}
-		fs := n.flowAt(p.Flow)
-		if fs == nil {
-			r.Fail("pending delivery for unattached flow %d", p.Flow)
-			return
-		}
-		to := fs.receiver
-		if toSender {
-			to = fs.sender
-		}
-		if to == nil {
-			r.Fail("pending delivery for flow %d targets a nil endpoint", p.Flow)
-			return
-		}
-		dv := n.getDelivery(to, p, toSender)
-		dv.tm = n.Sched.RestoreTimer(st, dv.run)
 	}
 }
 
-// SaveLedger writes the freelist issue/return counters and the watched
-// per-flow in-network accounts.
+// SaveLedger writes every domain's freelist issue/return counters and
+// the watched per-flow in-network accounts.
 func (n *Network) SaveLedger(w *checkpoint.Writer) {
-	w.I64(n.issued)
-	w.I64(n.returned)
+	for _, d := range n.doms {
+		w.I64(d.issued)
+		w.I64(d.returned)
+	}
 	w.Int(len(n.lcCount))
 	for _, v := range n.lcCount {
 		w.I64(int64(v))
@@ -146,11 +158,13 @@ func (n *Network) SaveLedger(w *checkpoint.Writer) {
 // RestoreLedger overlays the counters saved by SaveLedger. It runs last
 // in the restore sequence: every restore step before it drew its
 // packets through GetPacket (inflating issued), and this overlay
-// settles the ledger back to the snapshot's truth so CheckLeaks holds
+// settles the ledgers back to the snapshot's truth so CheckLeaks holds
 // immediately.
 func (n *Network) RestoreLedger(r *checkpoint.Reader) {
-	n.issued = r.I64()
-	n.returned = r.I64()
+	for _, d := range n.doms {
+		d.issued = r.I64()
+		d.returned = r.I64()
+	}
 	c := r.Count()
 	if c != len(n.lcCount) {
 		r.Fail("snapshot watches %d flows, rebuilt network watches %d", c, len(n.lcCount))

@@ -1,10 +1,10 @@
 // Package topology assembles the netsim primitives (links, queues,
 // endpoints) into packet-level network graphs: nodes connected by
 // directed links, per-flow static source routes across any number of
-// congested hops, a shared packet freelist, and per-flow round-trip
-// accounting. The paper's dumbbell is the two-node special case
-// (NewDumbbell); parking-lot chains, multi-bottleneck paths and
-// heterogeneous-RTT meshes are built from the same pieces.
+// congested hops, packet freelists, and per-flow round-trip accounting.
+// The paper's dumbbell is the two-node special case (NewDumbbell);
+// parking-lot chains, multi-bottleneck paths and heterogeneous-RTT
+// meshes are built from the same pieces.
 //
 // Forwarding model: a flow's forward route is an ordered chain of link
 // IDs. SendForward injects the packet at the first hop; each link egress
@@ -25,14 +25,28 @@
 // per forward hop, same rate and delay) so the mirrored-reverse default
 // is one declaration.
 //
-// The network owns the packet freelist and tracks issue/return counts,
-// so tests can assert the leak invariant: every packet the freelist
-// issued is either back in the pool or demonstrably inside the network
-// (queued, serializing, propagating, or pending delivery).
+// Scheduling domains: a network runs on one or more domains (Domain),
+// each with its own scheduler, packet freelist, pending deliveries and
+// tracer. Every node belongs to one domain and a link to the domain of
+// its source node, so a packet is always handled by the domain of the
+// node it has reached, and a flow's sender and receiver live in the
+// domains of its route's first and last nodes. A network built with New
+// is one domain. The space-parallel executor (internal/shard) declares a
+// graph, splits it into several domains with Place and runs each on its
+// own scheduler; the graph and the flow table stay shared, and the only
+// traffic between domains is what it carries itself: packets crossing a
+// cut link (netsim.Link.Handoff) and pure-delay reverse packets whose
+// sender lives elsewhere (Domain.Remote).
+//
+// Each domain owns its freelist and tracks issue/return counts, so tests
+// can assert the leak invariant: every packet a freelist issued is
+// either back in a pool or demonstrably inside the network (queued,
+// serializing, propagating, or pending delivery).
 package topology
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 	"repro/internal/netsim"
@@ -45,6 +59,15 @@ type NodeID int
 
 // LinkID identifies a directed link in the graph.
 type LinkID int
+
+// linkSpec is a declared link: its end nodes and the parameters its
+// netsim.Link is built with, once the owning domain — and therefore the
+// link's scheduler — is known.
+type linkSpec struct {
+	from, to    NodeID
+	rate, delay float64
+	queue       netsim.Queue
+}
 
 // flowState is the per-flow routing entry: the forward route, the
 // optional routed reverse path, the terminal delays, and the endpoints.
@@ -66,21 +89,24 @@ type flowState struct {
 	// rather than one network-wide RNG consumed in global event order —
 	// make each flow's jitter sequence independent of event interleaving
 	// across flows, which is what lets a space-parallel execution of the
-	// same graph (internal/shard) reproduce the serial run bit for bit.
+	// same graph reproduce the single-domain run bit for bit.
 	jitter rng.RNG
+	// snd and rcv are the domains of the forward route's first and last
+	// nodes: where the sender and the receiver live.
+	snd, rcv int
 }
 
 // delivery is one pending hand-off of a packet to an endpoint after a
 // pure delay (per-flow forward extra or reverse path). Deliveries are
-// recycled through the network's pool; the bound run callback is
+// recycled through their domain's pool; the bound run callback is
 // allocated once per delivery object, not per packet. Live deliveries
-// are indexed in the network's registry (idx is the registry position,
+// are indexed in the domain's registry (idx is the registry position,
 // maintained by swap-remove) so a checkpoint can enumerate them;
 // toSender records which of the flow's endpoints the hand-off targets,
 // and tm is the pending hand-off timer, both needed to re-create the
 // delivery on restore.
 type delivery struct {
-	n        *Network
+	d        *Domain
 	to       netsim.Endpoint
 	p        *netsim.Packet
 	run      des.Event
@@ -90,58 +116,110 @@ type delivery struct {
 }
 
 func (dv *delivery) deliver() {
-	n := dv.n
-	last := len(n.liveDel) - 1
-	n.liveDel[dv.idx] = n.liveDel[last]
-	n.liveDel[dv.idx].idx = dv.idx
-	n.liveDel[last] = nil
-	n.liveDel = n.liveDel[:last]
+	d := dv.d
+	last := len(d.liveDel) - 1
+	d.liveDel[dv.idx] = d.liveDel[last]
+	d.liveDel[dv.idx].idx = dv.idx
+	d.liveDel[last] = nil
+	d.liveDel = d.liveDel[:last]
 	to, p := dv.to, dv.p
 	dv.to, dv.p = nil, nil
-	n.dpool = append(n.dpool, dv)
-	n.pendingDeliveries--
+	d.dpool = append(d.dpool, dv)
 	to.Receive(p)
-	n.PutPacket(p)
+	d.PutPacket(p)
 }
+
+// Domain is one scheduling domain of a network: a scheduler, the packet
+// freelist and issue/return ledger of the packets it handles, its
+// pending deliveries, its flow-state pool and its event tracer. It
+// implements netsim.Network, so protocol endpoints constructed on it
+// draw packets from and send through their own domain. Nothing a domain
+// does while its scheduler runs writes another domain's state, which is
+// what lets the sharded executor run domains on concurrent goroutines.
+type Domain struct {
+	n     *Network
+	id    int
+	sched *des.Scheduler
+
+	// Trace, when set, is the domain's event tracer. Protocol endpoints
+	// and the fault layer discover it through netsim.Traced; nil (the
+	// default) keeps every tracing hook a nil-sink. Cleared by Reset.
+	Trace *obs.Tracer
+
+	// Remote hands a pure-delay reverse packet to its flow's sender in
+	// domain to, where it must be delivered at simulated time at, and
+	// takes over p (the sharded executor copies it into a cross-domain
+	// message and recycles it here). The sharded executor sets it on
+	// every domain it places; a single-domain network never calls it.
+	Remote func(to int, p *netsim.Packet, at float64)
+
+	// links are the links this domain owns (source node inside it), for
+	// InNetwork accounting.
+	links []*netsim.Link
+
+	pool   []*netsim.Packet
+	dpool  []*delivery
+	fsPool []*flowState
+	// liveDel indexes the in-flight deliveries (swap-removed as they
+	// fire) so a checkpoint can enumerate them without walking the
+	// scheduler.
+	liveDel []*delivery
+
+	issued   int64
+	returned int64
+	// flowCount counts the attached flows whose sender lives here.
+	flowCount int
+
+	arriveFn func(*netsim.Packet)
+	putFn    func(*netsim.Packet)
+}
+
+var (
+	_ netsim.Network = (*Domain)(nil)
+	_ netsim.Network = (*Network)(nil)
+)
 
 // Network is a packet-level network graph implementing netsim.Network.
 // Build it with New, AddNode and AddLink (or AdoptLink for an
 // externally constructed link), declare per-flow routes with SetRoute
 // or a default route with SetDefaultRoute, then attach protocol
 // endpoints with AttachFlow.
+//
+// The zero Network is an empty graph with no domain yet: AddLink only
+// declares links, and Place builds them once it splits the graph into
+// domains. The sharded executor embeds one that way.
 type Network struct {
-	Sched *des.Scheduler
+	nodes   []string
+	nodeDom []int
+	specs   []linkSpec
+	// links holds the built links, nil until the network is placed.
+	links []*netsim.Link
 
-	// Trace, when set, is the event tracer of this network's scheduling
-	// domain. Protocol endpoints and the fault layer discover it through
-	// netsim.Traced; nil (the default) keeps every tracing hook a
-	// nil-sink. Cleared by Reset.
-	Trace *obs.Tracer
-
-	nodes    []string
-	links    []*netsim.Link
-	linkFrom []NodeID
-	linkTo   []NodeID
+	// doms are the placed domains (empty before Place). Reset keeps the
+	// Domain objects in the backing array, so a pooled network reuses
+	// their freelists on its next placement.
+	doms []*Domain
+	// fixed marks a network built with New: it keeps its one domain
+	// across Reset, where a zero-value network is un-placed.
+	fixed bool
 
 	// flows is indexed by flow id (nil = unattached). A dense slice
 	// instead of a map for two reasons: lookups sit on the per-packet hot
 	// path, and the churn engine (internal/arrivals) attaches and
 	// detaches flows at simulation time — after ReserveFlows, an attach
-	// stores a pointer into a preallocated slot instead of growing a map.
-	flows     []*flowState
-	flowCount int
+	// stores a pointer into a preallocated slot instead of growing the
+	// table, so concurrently running domains never see it move.
+	flows []*flowState
 
+	// routes and revRoutes are allocated lazily on the first SetRoute /
+	// SetReverseRoute (nil map reads are legal), so the zero Network is
+	// ready to use and purely-forward networks pay nothing for the
+	// reverse subsystem.
 	routes       map[int][]LinkID
 	defaultRoute []LinkID
-	// defaultLink receives forward packets of flows with no attached
-	// route (a dumbbell's cross traffic terminating at the bottleneck).
-	defaultLink *netsim.Link
-
 	// revRoutes and defaultRevRoute are the routed reverse counterparts
 	// of routes and defaultRoute. A flow with neither keeps the
-	// pure-delay reverse path. revRoutes is allocated lazily on the
-	// first SetReverseRoute so purely-forward networks pay nothing for
-	// the reverse subsystem (nil map reads are legal).
+	// pure-delay reverse path.
 	revRoutes       map[int][]LinkID
 	defaultRevRoute []LinkID
 
@@ -155,107 +233,188 @@ type Network struct {
 	ReverseJitter float64
 	jitterSeed    uint64
 
-	pool   []*netsim.Packet
-	dpool  []*delivery
-	fsPool []*flowState
-	// liveDel indexes the in-flight deliveries (swap-removed as they
-	// fire) so a checkpoint can enumerate them without walking the
-	// scheduler.
-	liveDel []*delivery
-
-	issued            int64
-	returned          int64
-	pendingDeliveries int
-
 	// Per-flow in-network packet accounting for the churn engine's
 	// reclamation decisions (WatchFlows): lcCount[flow-lcLo] is the
 	// number of freelist packets the flow currently has inside the
 	// simulator, and lcQuiet fires whenever a discharge empties a watched
 	// flow's account. All three stay zero-cost nil/empty when unused.
+	// Only a single-domain network watches flows.
 	lcLo    int
 	lcCount []int32
 	lcQuiet func(flow int)
-
-	arriveFn func(*netsim.Packet)
 }
 
-var _ netsim.Network = (*Network)(nil)
-
-// New returns an empty network graph on the scheduler.
+// New returns an empty network graph with one domain on the scheduler.
 func New(sched *des.Scheduler) *Network {
 	if sched == nil {
 		panic("topology: nil scheduler")
 	}
-	n := &Network{
-		Sched:  sched,
-		routes: map[int][]LinkID{},
-	}
-	n.arriveFn = n.arrive
+	n := &Network{fixed: true}
+	n.Place(nil, []*des.Scheduler{sched})
 	return n
 }
 
+// Place splits the declared graph into one domain per scheduler: node v
+// joins domain nodeDomain[v] (a nil nodeDomain puts every node in
+// domain 0), and every declared link is built on the scheduler of its
+// source node's domain. Links added afterwards are built at once, which
+// a network split into several domains rejects. Call it after the last
+// AddLink and before any flow attaches; a network built with New is
+// placed at construction.
+func (n *Network) Place(nodeDomain []int, scheds []*des.Scheduler) {
+	if len(n.doms) > 0 {
+		panic("topology: Place on a placed network")
+	}
+	if len(scheds) == 0 {
+		panic("topology: Place needs at least one scheduler")
+	}
+	if nodeDomain != nil && len(nodeDomain) != len(n.nodes) {
+		panic("topology: Place needs one domain per node")
+	}
+	for i, s := range scheds {
+		if s == nil {
+			panic("topology: nil scheduler")
+		}
+		if i < cap(n.doms) {
+			n.doms = n.doms[:i+1]
+		} else {
+			n.doms = append(n.doms, nil)
+		}
+		d := n.doms[i]
+		if d == nil {
+			d = &Domain{n: n}
+			d.arriveFn = d.Arrive
+			d.putFn = d.PutPacket
+			n.doms[i] = d
+		}
+		d.id = i
+		d.sched = s
+	}
+	for v, k := range nodeDomain {
+		if k < 0 || k >= len(scheds) {
+			panic(fmt.Sprintf("topology: node %d placed in unknown domain %d", v, k))
+		}
+		n.nodeDom[v] = k
+	}
+	for id := range n.specs {
+		n.build(LinkID(id))
+	}
+}
+
+// build materializes a declared link on its owning domain.
+func (n *Network) build(id LinkID) {
+	sp := &n.specs[id]
+	d := n.owner(id)
+	n.links[id] = netsim.NewLink(d.sched, sp.rate, sp.delay, sp.queue)
+	d.own(n.links[id])
+}
+
+// own wires a link's delivery and drop sinks into the domain.
+func (d *Domain) own(l *netsim.Link) {
+	l.Deliver = d.arriveFn
+	l.Release = d.putFn
+	d.links = append(d.links, l)
+}
+
+// owner returns the domain of a link's source node.
+func (n *Network) owner(id LinkID) *Domain { return n.doms[n.nodeDom[n.specs[id].from]] }
+
+// Domain returns placed domain i.
+func (n *Network) Domain(i int) *Domain { return n.doms[i] }
+
 // Reset empties the graph — nodes, links, routes, flows, jitter and
-// freelist accounting — while keeping the packet pool, the delivery
-// pool and the flow-state freelist, so a pooled network rebuilds its
+// freelist accounting — while keeping every domain's packet pool,
+// delivery pool and flow-state pool, so a pooled network rebuilds its
 // next topology in place instead of reallocating (see the run arena in
-// internal/experiments). Packets still referenced by a previous run's
-// pending events are abandoned to the garbage collector; reset the
-// scheduler alongside the network.
+// internal/experiments). A network built with New keeps its one domain;
+// a zero-value network is un-placed, ready for its next Place. Packets
+// still referenced by a previous run's pending events are abandoned to
+// the garbage collector; reset the schedulers alongside the network.
 func (n *Network) Reset() {
-	n.nodes = n.nodes[:0]
-	n.links = n.links[:0]
-	n.linkFrom = n.linkFrom[:0]
-	n.linkTo = n.linkTo[:0]
 	for id, fs := range n.flows {
 		if fs == nil {
 			continue
 		}
-		fs.route = fs.route[:0]
-		fs.revRoute = fs.revRoute[:0]
-		fs.sender, fs.receiver = nil, nil
-		fs.delivered = 0
-		n.fsPool = append(n.fsPool, fs)
+		n.doms[fs.snd].recycle(fs)
 		n.flows[id] = nil
 	}
 	n.flows = n.flows[:0]
-	n.flowCount = 0
+	n.nodes = n.nodes[:0]
+	n.nodeDom = n.nodeDom[:0]
+	clear(n.specs)
+	n.specs = n.specs[:0]
+	clear(n.links)
+	n.links = n.links[:0]
 	n.lcLo = 0
 	n.lcCount = n.lcCount[:0]
 	n.lcQuiet = nil
-	for id := range n.routes {
-		delete(n.routes, id)
-	}
-	for id := range n.revRoutes {
-		delete(n.revRoutes, id)
-	}
+	clear(n.routes)
+	clear(n.revRoutes)
 	n.defaultRoute = nil
-	n.defaultLink = nil
 	n.defaultRevRoute = nil
 	n.ReverseJitter = 0
 	n.jitterSeed = 0
-	n.issued, n.returned = 0, 0
-	n.pendingDeliveries = 0
-	for i := range n.liveDel {
-		n.liveDel[i] = nil
+	for _, d := range n.doms {
+		clear(d.links)
+		d.links = d.links[:0]
+		clear(d.liveDel)
+		d.liveDel = d.liveDel[:0]
+		d.issued, d.returned = 0, 0
+		d.flowCount = 0
+		d.Trace = nil
+		d.Remote = nil
 	}
-	n.liveDel = n.liveDel[:0]
-	n.Trace = nil
+	if !n.fixed {
+		n.doms = n.doms[:0]
+	}
 }
+
+// Tracer implements netsim.Traced for the network's first domain — the
+// whole network when it was built with New.
+func (n *Network) Tracer() *obs.Tracer { return n.doms[0].Trace }
 
 // Tracer implements netsim.Traced: it returns the domain's event
 // tracer, nil when tracing is off.
-func (n *Network) Tracer() *obs.Tracer { return n.Trace }
+func (d *Domain) Tracer() *obs.Tracer { return d.Trace }
 
-// LinkTracer returns the tracer of the domain owning the link — on the
-// serial engine, the network's one tracer. It is the seam the fault
-// layer uses to emit link transitions into the right domain's stream
-// (fault.TracedHost).
-func (n *Network) LinkTracer(LinkID) *obs.Tracer { return n.Trace }
+// Sched returns the domain's scheduler (for endpoint timers and start
+// events).
+func (d *Domain) Sched() *des.Scheduler { return d.sched }
+
+// AttachTracers installs a bounded event tracer of the given capacity on
+// every domain. Call it after Place and before endpoints are
+// constructed — tfrc/tcp senders resolve their domain's tracer once, at
+// construction. Each domain's ring is only written while its own
+// scheduler runs, so emission stays unsynchronized; the per-domain
+// streams merge deterministically through obs.MergeEvents at collection
+// time. cap <= 0 leaves every tracer nil (tracing off).
+func (n *Network) AttachTracers(cap int) {
+	for _, d := range n.doms {
+		d.Trace = obs.NewTracer(cap, d.id)
+	}
+}
+
+// Tracers returns the domains' tracers in domain order (nil entries
+// when tracing is off).
+func (n *Network) Tracers() []*obs.Tracer {
+	out := make([]*obs.Tracer, len(n.doms))
+	for i, d := range n.doms {
+		out[i] = d.Trace
+	}
+	return out
+}
+
+// LinkTracer returns the tracer of the domain owning the link. It is
+// the seam the fault layer uses to emit link transitions into the right
+// domain's stream (fault.TracedHost).
+func (n *Network) LinkTracer(id LinkID) *obs.Tracer { return n.placedOwner(id).Trace }
 
 // AddNode adds a named node and returns its id. Nodes only anchor link
-// endpoints (for route validation and diagnostics); they hold no state.
+// endpoints (for route validation, placement and diagnostics); they
+// hold no state. A new node joins domain 0 until Place says otherwise.
 func (n *Network) AddNode(name string) NodeID {
 	n.nodes = append(n.nodes, name)
+	n.nodeDom = append(n.nodeDom, 0)
 	return NodeID(len(n.nodes) - 1)
 }
 
@@ -265,44 +424,79 @@ func (n *Network) Nodes() int { return len(n.nodes) }
 // NodeName returns the name given to AddNode.
 func (n *Network) NodeName(id NodeID) string { return n.nodes[id] }
 
-// AddLink creates a directed link from one node to another with the
-// given rate (bytes/second), propagation delay and queue, and wires its
-// delivery and drop sinks into the network.
-func (n *Network) AddLink(from, to NodeID, rate, delay float64, queue netsim.Queue) LinkID {
-	return n.AdoptLink(netsim.NewLink(n.Sched, rate, delay, queue), from, to)
+func (n *Network) checkNodes(from, to NodeID) {
+	if int(from) >= len(n.nodes) || int(to) >= len(n.nodes) || from < 0 || to < 0 {
+		panic("topology: link endpoint node out of range")
+	}
 }
 
-// AdoptLink wires an externally constructed link into the graph as a
-// directed edge. The network takes over the link's Deliver and Release
-// sinks.
+// AddLink declares a directed link from one node to another with the
+// given rate (bytes/second), propagation delay and queue. On a placed
+// network it is built at once, its delivery and drop sinks wired into
+// its source node's domain; otherwise Place builds it.
+func (n *Network) AddLink(from, to NodeID, rate, delay float64, queue netsim.Queue) LinkID {
+	n.checkNodes(from, to)
+	if queue == nil {
+		panic("topology: nil queue")
+	}
+	if rate <= 0 || delay < 0 {
+		panic("topology: invalid link rate/delay")
+	}
+	if len(n.doms) > 1 {
+		panic("topology: AddLink after Place split the graph")
+	}
+	n.specs = append(n.specs, linkSpec{from: from, to: to, rate: rate, delay: delay, queue: queue})
+	n.links = append(n.links, nil)
+	id := LinkID(len(n.specs) - 1)
+	if len(n.doms) > 0 {
+		n.build(id)
+	}
+	return id
+}
+
+// AdoptLink wires an externally constructed link into a single-domain
+// graph as a directed edge. The network takes over the link's Deliver
+// and Release sinks.
 func (n *Network) AdoptLink(l *netsim.Link, from, to NodeID) LinkID {
 	if l == nil {
 		panic("topology: nil link")
 	}
-	if int(from) >= len(n.nodes) || int(to) >= len(n.nodes) || from < 0 || to < 0 {
-		panic("topology: link endpoint node out of range")
+	n.checkNodes(from, to)
+	if len(n.doms) != 1 {
+		panic("topology: AdoptLink needs a single-domain network")
 	}
-	l.Deliver = n.arriveFn
-	l.Release = n.PutPacket
+	n.specs = append(n.specs, linkSpec{from: from, to: to, rate: l.Rate, delay: l.Delay, queue: l.Queue()})
 	n.links = append(n.links, l)
-	n.linkFrom = append(n.linkFrom, from)
-	n.linkTo = append(n.linkTo, to)
+	n.doms[0].own(l)
 	return LinkID(len(n.links) - 1)
 }
 
 // Link returns the link behind an id (for inspection in tests and
-// experiments).
+// experiments); nil until the network is placed.
 func (n *Network) Link(id LinkID) *netsim.Link { return n.links[id] }
 
-// Links returns the number of links.
-func (n *Network) Links() int { return len(n.links) }
+// Links returns the number of declared links.
+func (n *Network) Links() int { return len(n.specs) }
 
-// LinkSched returns the scheduler that drives the link's events — the
-// network's single scheduler on this serial engine. The sharded engine
-// answers with the owning shard's scheduler instead; fault plans
-// (internal/fault) arm their timed events through this seam so each
-// event fires on the scheduler that owns the link it manipulates.
-func (n *Network) LinkSched(LinkID) *des.Scheduler { return n.Sched }
+// Edge returns a declared link's end nodes and propagation delay —
+// available before Place, which is what a partitioner reads.
+func (n *Network) Edge(id LinkID) (from, to NodeID, delay float64) {
+	sp := &n.specs[id]
+	return sp.from, sp.to, sp.delay
+}
+
+// LinkSched returns the scheduler that drives the link's events: its
+// owning domain's. Fault plans (internal/fault) arm their timed events
+// through this seam so each event fires on the scheduler that
+// serializes the link's packets.
+func (n *Network) LinkSched(id LinkID) *des.Scheduler { return n.placedOwner(id).sched }
+
+func (n *Network) placedOwner(id LinkID) *Domain {
+	if len(n.doms) == 0 {
+		panic("topology: network not placed")
+	}
+	return n.owner(id)
+}
 
 // checkRoute validates that hops form a contiguous directed path.
 func (n *Network) checkRoute(hops []LinkID) {
@@ -310,10 +504,10 @@ func (n *Network) checkRoute(hops []LinkID) {
 		panic("topology: empty route")
 	}
 	for i, h := range hops {
-		if int(h) >= len(n.links) || h < 0 {
+		if int(h) >= len(n.specs) || h < 0 {
 			panic(fmt.Sprintf("topology: route hop %d: unknown link %d", i, h))
 		}
-		if i > 0 && n.linkFrom[h] != n.linkTo[hops[i-1]] {
+		if i > 0 && n.specs[h].from != n.specs[hops[i-1]].to {
 			panic(fmt.Sprintf("topology: route hop %d: link %d does not start where link %d ends",
 				i, h, hops[i-1]))
 		}
@@ -324,6 +518,9 @@ func (n *Network) checkRoute(hops []LinkID) {
 // by a later AttachFlow for the same id.
 func (n *Network) SetRoute(flow int, hops ...LinkID) {
 	n.checkRoute(hops)
+	if n.routes == nil {
+		n.routes = map[int][]LinkID{}
+	}
 	n.routes[flow] = append([]LinkID(nil), hops...)
 }
 
@@ -333,7 +530,6 @@ func (n *Network) SetRoute(flow int, hops ...LinkID) {
 func (n *Network) SetDefaultRoute(hops ...LinkID) {
 	n.checkRoute(hops)
 	n.defaultRoute = append([]LinkID(nil), hops...)
-	n.defaultLink = n.links[hops[0]]
 }
 
 // SetReverseRoute declares the routed reverse path for a flow id, to be
@@ -371,7 +567,6 @@ func (n *Network) MirrorReverse(fwd []LinkID, queue func(hop int) netsim.Queue) 
 	n.checkRoute(fwd)
 	rev := make([]LinkID, 0, len(fwd))
 	for i := len(fwd) - 1; i >= 0; i-- {
-		h := fwd[i]
 		var q netsim.Queue
 		if queue != nil {
 			q = queue(len(rev))
@@ -379,8 +574,8 @@ func (n *Network) MirrorReverse(fwd []LinkID, queue func(hop int) netsim.Queue) 
 		if q == nil {
 			q = netsim.NewUnbounded()
 		}
-		l := n.links[h]
-		rev = append(rev, n.AddLink(n.linkTo[h], n.linkFrom[h], l.Rate, l.Delay, q))
+		sp := n.specs[fwd[i]]
+		rev = append(rev, n.AddLink(sp.to, sp.from, sp.rate, sp.delay, q))
 	}
 	return rev
 }
@@ -389,13 +584,13 @@ func (n *Network) MirrorReverse(fwd []LinkID, queue func(hop int) netsim.Queue) 
 // route's end node back to its start node.
 func (n *Network) checkReverse(fwd, rev []LinkID) {
 	n.checkRoute(rev)
-	if n.linkFrom[rev[0]] != n.linkTo[fwd[len(fwd)-1]] {
+	if from, end := n.specs[rev[0]].from, n.specs[fwd[len(fwd)-1]].to; from != end {
 		panic(fmt.Sprintf("topology: reverse route starts at node %d, want the forward route's last node %d",
-			n.linkFrom[rev[0]], n.linkTo[fwd[len(fwd)-1]]))
+			from, end))
 	}
-	if n.linkTo[rev[len(rev)-1]] != n.linkFrom[fwd[0]] {
+	if to, start := n.specs[rev[len(rev)-1]].to, n.specs[fwd[0]].from; to != start {
 		panic(fmt.Sprintf("topology: reverse route ends at node %d, want the forward route's first node %d",
-			n.linkTo[rev[len(rev)-1]], n.linkFrom[fwd[0]]))
+			to, start))
 	}
 }
 
@@ -409,7 +604,7 @@ func (n *Network) SetReverseJitter(j float64, seed uint64) {
 	if j < 0 || j >= 1 {
 		panic("topology: reverse jitter outside [0,1)")
 	}
-	if n.flowCount > 0 {
+	if n.attached() > 0 {
 		panic("topology: SetReverseJitter after flows attached")
 	}
 	n.ReverseJitter = j
@@ -417,11 +612,29 @@ func (n *Network) SetReverseJitter(j float64, seed uint64) {
 }
 
 // FlowJitterSeed derives the seed of a flow's private reverse-jitter
-// stream from the network-wide jitter seed. It is exported so that any
-// alternative executor of the same graph (internal/shard) derives
-// bit-identical streams.
+// stream from the network-wide jitter seed.
 func FlowJitterSeed(seed uint64, flow int) uint64 {
 	return seed ^ (uint64(flow)+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
+}
+
+// FlowRoute returns the forward route a flow attaches on: its SetRoute
+// entry, else the default route.
+func (n *Network) FlowRoute(flow int) []LinkID {
+	hops, ok := n.routes[flow]
+	if !ok {
+		hops = n.defaultRoute
+	}
+	if len(hops) == 0 {
+		panic(fmt.Sprintf("topology: no route for flow %d (SetRoute or SetDefaultRoute first)", flow))
+	}
+	return hops
+}
+
+// RouteDomains validates a route and returns the domains of its first
+// and last nodes: where a sender and a receiver over it live.
+func (n *Network) RouteDomains(hops []LinkID) (snd, rcv int) {
+	n.checkRoute(hops)
+	return n.nodeDom[n.specs[hops[0]].from], n.nodeDom[n.specs[hops[len(hops)-1]].to]
 }
 
 // AttachFlow implements netsim.Network: it registers a flow's endpoints
@@ -432,17 +645,17 @@ func FlowJitterSeed(seed uint64, flow int) uint64 {
 // reverse path (SetReverseRoute or SetDefaultReverseRoute), in which
 // case revDelay is the remaining delay after the last reverse hop.
 func (n *Network) AttachFlow(flow int, sender, receiver netsim.Endpoint, fwdExtra, revDelay float64) {
-	hops, ok := n.routes[flow]
-	if !ok {
-		hops = n.defaultRoute
-	}
-	if len(hops) == 0 {
-		panic(fmt.Sprintf("topology: no route for flow %d (SetRoute or SetDefaultRoute first)", flow))
-	}
+	hops := n.FlowRoute(flow)
 	if sender == nil || receiver == nil {
 		panic("topology: nil endpoint")
 	}
 	n.attach(flow, sender, receiver, hops, fwdExtra, revDelay)
+}
+
+// AttachFlow implements netsim.Network on the domain's network: flow
+// tables are network-wide, freelists per domain.
+func (d *Domain) AttachFlow(flow int, sender, receiver netsim.Endpoint, fwdExtra, revDelay float64) {
+	d.n.AttachFlow(flow, sender, receiver, fwdExtra, revDelay)
 }
 
 // AttachSink registers a receiver-less flow over a route: its packets
@@ -472,6 +685,8 @@ func (n *Network) attach(flow int, sender, receiver netsim.Endpoint, hops []Link
 // events — use it so registering a route per arrival (a map insert per
 // flow) never happens: every flow of an arrival class shares the
 // class's hop slices, and steady-state attach stays allocation-free.
+// It runs on the sender's domain and writes only the flow's own table
+// slot and that domain's flow-state pool and count.
 func (n *Network) AttachFlowOn(flow int, sender, receiver netsim.Endpoint, fwdHops, revHops []LinkID, fwdExtra, revDelay float64) {
 	if sender == nil || receiver == nil {
 		panic("topology: nil endpoint")
@@ -480,6 +695,9 @@ func (n *Network) AttachFlowOn(flow int, sender, receiver netsim.Endpoint, fwdHo
 }
 
 func (n *Network) attachOn(flow int, sender, receiver netsim.Endpoint, hops, revHops []LinkID, fwdExtra, revDelay float64) {
+	if len(n.doms) == 0 {
+		panic("topology: attach before Place")
+	}
 	if fwdExtra < 0 || revDelay < 0 {
 		panic("topology: negative delay")
 	}
@@ -489,11 +707,12 @@ func (n *Network) attachOn(flow int, sender, receiver netsim.Endpoint, hops, rev
 	if n.flowAt(flow) != nil {
 		panic(fmt.Sprintf("topology: duplicate flow id %d", flow))
 	}
-	n.checkRoute(hops)
+	snd, rcv := n.RouteDomains(hops)
 	if len(revHops) > 0 {
 		n.checkReverse(hops, revHops)
 	}
-	fs := n.getFlowState()
+	d := n.doms[snd]
+	fs := d.getFlowState()
 	for _, h := range hops {
 		fs.route = append(fs.route, n.links[h])
 	}
@@ -504,6 +723,7 @@ func (n *Network) attachOn(flow int, sender, receiver netsim.Endpoint, hops, rev
 	fs.revDelay = revDelay
 	fs.sender = sender
 	fs.receiver = receiver
+	fs.snd, fs.rcv = snd, rcv
 	if n.ReverseJitter > 0 {
 		fs.jitter.Reseed(FlowJitterSeed(n.jitterSeed, flow))
 	}
@@ -511,7 +731,7 @@ func (n *Network) attachOn(flow int, sender, receiver netsim.Endpoint, hops, rev
 		n.flows = append(n.flows, nil)
 	}
 	n.flows[flow] = fs
-	n.flowCount++
+	d.flowCount++
 }
 
 // flowAt returns the flow's routing entry, nil when the id is out of
@@ -521,6 +741,15 @@ func (n *Network) flowAt(flow int) *flowState {
 		return n.flows[flow]
 	}
 	return nil
+}
+
+// attached counts the attached flows over all domains.
+func (n *Network) attached() int {
+	total := 0
+	for _, d := range n.doms {
+		total += d.flowCount
+	}
+	return total
 }
 
 // ReserveFlows pre-sizes the flow table for ids [0, max): run-time
@@ -533,10 +762,24 @@ func (n *Network) ReserveFlows(max int) {
 	}
 }
 
+// RemoteReturn returns the smallest pure-delay reverse latency, at the
+// bottom of the jitter range, over the attached flows whose sender
+// lives in another domain than their receiver — +Inf when there is
+// none. The sharded executor folds it into its lookahead horizon.
+func (n *Network) RemoteReturn() float64 {
+	h := math.Inf(1)
+	for _, fs := range n.flows {
+		if fs != nil && fs.sender != nil && len(fs.revRoute) == 0 && fs.snd != fs.rcv {
+			h = math.Min(h, fs.revDelay*(1-n.ReverseJitter))
+		}
+	}
+	return h
+}
+
 // DetachFlow removes a flow at simulation time and recycles its routing
-// record into the flow-state pool, so a departed session costs nothing
-// once its last packet is back in the freelist. The caller must only
-// detach a quiet flow — endpoints done, their timers expired or
+// record into its domain's flow-state pool, so a departed session costs
+// nothing once its last packet is back in the freelist. The caller must
+// only detach a quiet flow — endpoints done, their timers expired or
 // cancelled, and no packets of the flow left inside the simulator;
 // with WatchFlows accounting enabled the last condition is asserted.
 // Detaching mutates no scheduler or ledger state, so a detach on one
@@ -549,13 +792,10 @@ func (n *Network) DetachFlow(flow int) {
 	if i := flow - n.lcLo; n.lcQuiet != nil && i >= 0 && i < len(n.lcCount) && n.lcCount[i] != 0 {
 		panic(fmt.Sprintf("topology: DetachFlow(%d) with %d packets still in the network", flow, n.lcCount[i]))
 	}
-	fs.route = fs.route[:0]
-	fs.revRoute = fs.revRoute[:0]
-	fs.sender, fs.receiver = nil, nil
-	fs.delivered = 0
-	n.fsPool = append(n.fsPool, fs)
+	d := n.doms[fs.snd]
+	d.recycle(fs)
+	d.flowCount--
 	n.flows[flow] = nil
-	n.flowCount--
 }
 
 // WatchFlows enables per-flow in-network packet accounting for flow ids
@@ -564,7 +804,8 @@ func (n *Network) DetachFlow(flow int) {
 // the flow's account invokes onQuiet(flow) — the churn engine's cue to
 // reclaim a finished flow the moment its last packet leaves the
 // simulator. The accounting costs two bounds checks per packet on
-// watched ranges and a nil check otherwise.
+// watched ranges and a nil check otherwise. The accounts are shared by
+// every domain, so only a single-domain network may watch flows.
 func (n *Network) WatchFlows(lo, count int, onQuiet func(flow int)) {
 	if onQuiet == nil || count <= 0 {
 		panic("topology: WatchFlows needs a callback and a positive range")
@@ -572,14 +813,15 @@ func (n *Network) WatchFlows(lo, count int, onQuiet func(flow int)) {
 	if n.lcQuiet != nil {
 		panic("topology: WatchFlows called twice")
 	}
+	if len(n.doms) != 1 {
+		panic("topology: WatchFlows needs a single-domain network")
+	}
 	n.lcLo = lo
 	if cap(n.lcCount) < count {
 		n.lcCount = make([]int32, count)
 	} else {
 		n.lcCount = n.lcCount[:count]
-		for i := range n.lcCount {
-			n.lcCount[i] = 0
-		}
+		clear(n.lcCount)
 	}
 	n.lcQuiet = onQuiet
 }
@@ -612,84 +854,100 @@ func (n *Network) lcDischarge(flow int) {
 
 // getFlowState recycles a flow-state record (route slices keep their
 // capacity across Reset) or allocates a fresh one.
-func (n *Network) getFlowState() *flowState {
-	if m := len(n.fsPool); m > 0 {
-		fs := n.fsPool[m-1]
-		n.fsPool = n.fsPool[:m-1]
+func (d *Domain) getFlowState() *flowState {
+	if m := len(d.fsPool); m > 0 {
+		fs := d.fsPool[m-1]
+		d.fsPool = d.fsPool[:m-1]
 		return fs
 	}
 	return &flowState{}
 }
 
-// GetPacket returns a zeroed packet from the freelist (allocating only
-// when the pool is empty). The simulator reclaims it after delivery.
-func (n *Network) GetPacket() *netsim.Packet {
-	n.issued++
-	if m := len(n.pool); m > 0 {
-		p := n.pool[m-1]
-		n.pool = n.pool[:m-1]
+// recycle clears a flow-state record into the domain's pool.
+func (d *Domain) recycle(fs *flowState) {
+	fs.route = fs.route[:0]
+	fs.revRoute = fs.revRoute[:0]
+	fs.sender, fs.receiver = nil, nil
+	fs.delivered = 0
+	d.fsPool = append(d.fsPool, fs)
+}
+
+// GetPacket returns a zeroed packet from the domain's freelist
+// (allocating only when the pool is empty). The simulator reclaims it
+// after delivery.
+func (d *Domain) GetPacket() *netsim.Packet {
+	d.issued++
+	if m := len(d.pool); m > 0 {
+		p := d.pool[m-1]
+		d.pool = d.pool[:m-1]
 		*p = netsim.Packet{}
 		return p
 	}
 	return &netsim.Packet{}
 }
 
-// PutPacket returns a packet to the freelist. Callers normally never
-// need this — the network releases packets itself after delivery and on
-// drops — but sources that abandon a packet before sending may.
-func (n *Network) PutPacket(p *netsim.Packet) {
+// PutPacket returns a packet to the domain's freelist. Callers normally
+// never need this — the network releases packets itself after delivery
+// and on drops — but sources that abandon a packet before sending may.
+func (d *Domain) PutPacket(p *netsim.Packet) {
 	if p == nil {
 		return
 	}
-	n.returned++
-	n.pool = append(n.pool, p)
-	if n.lcQuiet != nil {
-		n.lcDischarge(int(p.Flow))
+	d.returned++
+	d.pool = append(d.pool, p)
+	if d.n.lcQuiet != nil {
+		d.n.lcDischarge(int(p.Flow))
 	}
 }
 
-func (n *Network) getDelivery(to netsim.Endpoint, p *netsim.Packet, toSender bool) *delivery {
+func (d *Domain) getDelivery(to netsim.Endpoint, p *netsim.Packet, toSender bool) *delivery {
 	var dv *delivery
-	if m := len(n.dpool); m > 0 {
-		dv = n.dpool[m-1]
-		n.dpool = n.dpool[:m-1]
+	if m := len(d.dpool); m > 0 {
+		dv = d.dpool[m-1]
+		d.dpool = d.dpool[:m-1]
 	} else {
-		dv = &delivery{n: n}
+		dv = &delivery{d: d}
 		dv.run = dv.deliver
 	}
 	dv.to = to
 	dv.p = p
 	dv.toSender = toSender
-	dv.idx = int32(len(n.liveDel))
-	n.liveDel = append(n.liveDel, dv)
-	n.pendingDeliveries++
+	dv.idx = int32(len(d.liveDel))
+	d.liveDel = append(d.liveDel, dv)
 	return dv
 }
 
 // SendForward implements netsim.Network: the packet enters the first
-// link of its flow's route. Packets of unattached flows go to the
-// default route's first link (and are recycled at its egress).
-func (n *Network) SendForward(p *netsim.Packet) {
+// link of its flow's route, which the sender's domain owns. Packets of
+// unattached flows go to the default route's first link (and are
+// recycled at its egress); only that link's domain may send them.
+func (d *Domain) SendForward(p *netsim.Packet) {
+	n := d.n
 	if n.lcQuiet != nil {
 		n.lcCharge(int(p.Flow))
 	}
+	p.Hop = 0
 	if fs := n.flowAt(int(p.Flow)); fs != nil {
-		p.Hop = 0
 		fs.route[0].Send(p)
 		return
 	}
-	if n.defaultLink == nil {
+	if len(n.defaultRoute) == 0 {
 		panic(fmt.Sprintf("topology: forward packet for unrouted flow %d and no default route", p.Flow))
 	}
-	p.Hop = 0
-	n.defaultLink.Send(p)
+	if n.owner(n.defaultRoute[0]) != d {
+		panic(fmt.Sprintf("topology: forward packet for unrouted flow %d from a domain that does not own the default route", p.Flow))
+	}
+	n.links[n.defaultRoute[0]].Send(p)
 }
 
 // SendReverse implements netsim.Network: the packet enters the first
 // link of the flow's routed reverse path when one is declared (it may
-// be queued, delayed, and dropped on the way), otherwise it reaches the
-// flow's sender after the flow's reverse delay (jittered when enabled).
-func (n *Network) SendReverse(p *netsim.Packet) {
+// be queued, delayed, and dropped on the way; the path starts at the
+// receiver's node, so in the receiver's domain), otherwise it reaches
+// the flow's sender after the flow's reverse delay (jittered when
+// enabled).
+func (d *Domain) SendReverse(p *netsim.Packet) {
+	n := d.n
 	fs := n.flowAt(int(p.Flow))
 	if fs == nil || fs.sender == nil {
 		panic(fmt.Sprintf("topology: reverse packet for unknown flow %d", p.Flow))
@@ -703,46 +961,46 @@ func (n *Network) SendReverse(p *netsim.Packet) {
 		fs.revRoute[0].Send(p)
 		return
 	}
-	n.returnToSender(fs, p)
+	d.returnToSender(fs, p)
 }
 
 // returnToSender schedules the packet's final hand-off to the flow's
 // sender after the flow's remaining reverse delay (jittered when
 // enabled) — the shared tail of the pure-delay and routed reverse
-// paths.
-func (n *Network) returnToSender(fs *flowState, p *netsim.Packet) {
+// paths. A sender in another domain gets the packet through Remote.
+func (d *Domain) returnToSender(fs *flowState, p *netsim.Packet) {
 	delay := fs.revDelay
-	if n.ReverseJitter > 0 {
-		delay *= 1 + n.ReverseJitter*(2*fs.jitter.Float64()-1)
+	if j := d.n.ReverseJitter; j > 0 {
+		delay *= 1 + j*(2*fs.jitter.Float64()-1)
 	}
-	dv := n.getDelivery(fs.sender, p, true)
-	dv.tm = n.Sched.After(delay, dv.run)
-}
-
-// arriveReverse handles a reverse-path packet exiting a link: forward
-// it into the next hop of the flow's reverse route, or return it to the
-// sender past the last hop after the flow's remaining reverse delay.
-func (n *Network) arriveReverse(fs *flowState, p *netsim.Packet) {
-	if next := int(p.Hop) + 1; next < len(fs.revRoute) {
-		p.Hop = int32(next)
-		fs.revRoute[next].Send(p)
+	if fs.snd != d.id {
+		d.Remote(fs.snd, p, d.sched.Now()+delay)
 		return
 	}
-	n.returnToSender(fs, p)
+	dv := d.getDelivery(fs.sender, p, true)
+	dv.tm = d.sched.After(delay, dv.run)
 }
 
-// arrive handles a packet exiting a link: forward it into the next hop
-// of its route, or deliver it past the last hop.
-func (n *Network) arrive(p *netsim.Packet) {
-	fs := n.flowAt(int(p.Flow))
+// Arrive handles a packet exiting a link at the link's head node, in
+// the domain that owns that node: forward it into the next hop of its
+// route — owned by the same node, so by this domain — or deliver it
+// past the last hop. It is every owned link's Deliver sink, and the
+// sharded executor calls it for packets that crossed a cut link.
+func (d *Domain) Arrive(p *netsim.Packet) {
+	fs := d.n.flowAt(int(p.Flow))
 	if fs == nil {
 		// Unattached flow (e.g. background traffic that terminates at
 		// the default link): recycle silently.
-		n.PutPacket(p)
+		d.PutPacket(p)
 		return
 	}
 	if p.Rev {
-		n.arriveReverse(fs, p)
+		if next := int(p.Hop) + 1; next < len(fs.revRoute) {
+			p.Hop = int32(next)
+			fs.revRoute[next].Send(p)
+			return
+		}
+		d.returnToSender(fs, p)
 		return
 	}
 	if next := int(p.Hop) + 1; next < len(fs.route) {
@@ -753,17 +1011,40 @@ func (n *Network) arrive(p *netsim.Packet) {
 	fs.delivered++
 	if fs.receiver == nil {
 		// Sink flow: the route end is the destination.
-		n.PutPacket(p)
+		d.PutPacket(p)
 		return
 	}
 	if fs.fwdExtra == 0 {
 		fs.receiver.Receive(p)
-		n.PutPacket(p)
+		d.PutPacket(p)
 		return
 	}
-	dv := n.getDelivery(fs.receiver, p, false)
-	dv.tm = n.Sched.After(fs.fwdExtra, dv.run)
+	dv := d.getDelivery(fs.receiver, p, false)
+	dv.tm = d.sched.After(fs.fwdExtra, dv.run)
 }
+
+// ToSender hands a reverse packet whose pure delay has elapsed to its
+// flow's sender and recycles it: the receiving end of Remote.
+func (d *Domain) ToSender(p *netsim.Packet) {
+	d.n.flowAt(int(p.Flow)).sender.Receive(p)
+	d.PutPacket(p)
+}
+
+// GetPacket, PutPacket, SendForward and SendReverse implement
+// netsim.Network on the network's first domain — the whole network when
+// it was built with New.
+
+// GetPacket returns a zeroed packet from the first domain's freelist.
+func (n *Network) GetPacket() *netsim.Packet { return n.doms[0].GetPacket() }
+
+// PutPacket returns a packet to the first domain's freelist.
+func (n *Network) PutPacket(p *netsim.Packet) { n.doms[0].PutPacket(p) }
+
+// SendForward injects a forward packet from the first domain.
+func (n *Network) SendForward(p *netsim.Packet) { n.doms[0].SendForward(p) }
+
+// SendReverse sends a reverse packet from the first domain.
+func (n *Network) SendReverse(p *netsim.Packet) { n.doms[0].SendReverse(p) }
 
 // BaseRTT returns the no-queueing round-trip time for the flow: the sum
 // of its routed links' propagation delays — forward and, when the
@@ -793,26 +1074,46 @@ func (n *Network) Delivered(flow int) int64 {
 	return 0
 }
 
-// Outstanding returns issued-minus-returned freelist packets: the
-// number the pool believes are alive inside the network.
-func (n *Network) Outstanding() int64 { return n.issued - n.returned }
+// Outstanding returns issued-minus-returned packets of the domain's
+// freelist: the number it believes are alive inside the network.
+func (d *Domain) Outstanding() int64 { return d.issued - d.returned }
 
-// InNetwork counts the packets demonstrably inside the simulator:
-// queued, serializing or propagating on some link — forward and routed
+// InNetwork counts the packets demonstrably held by the domain: queued,
+// serializing or propagating on one of its links — forward and routed
 // reverse alike, since reverse links are ordinary graph links — or
 // waiting in a pending delivery.
-func (n *Network) InNetwork() int {
-	total := n.pendingDeliveries
-	for _, l := range n.links {
+func (d *Domain) InNetwork() int {
+	total := len(d.liveDel)
+	for _, l := range d.links {
 		total += l.InFlight()
 	}
 	return total
 }
 
+// Outstanding sums the domains' freelist ledgers.
+func (n *Network) Outstanding() int64 {
+	var total int64
+	for _, d := range n.doms {
+		total += d.Outstanding()
+	}
+	return total
+}
+
+// InNetwork sums the domains' in-network packet counts.
+func (n *Network) InNetwork() int {
+	total := 0
+	for _, d := range n.doms {
+		total += d.InNetwork()
+	}
+	return total
+}
+
 // CheckLeaks verifies the freelist leak invariant: every packet the
-// pool issued is either returned or physically inside the network. It
+// pools issued is either returned or physically inside the network. It
 // holds at any inter-event instant provided all sources draw from
-// GetPacket and no endpoint retains or double-returns a packet.
+// GetPacket and no endpoint retains or double-returns a packet. (With
+// several domains the sharded executor checks each domain against its
+// own cross-domain traffic as well.)
 func (n *Network) CheckLeaks() error {
 	if out, in := n.Outstanding(), int64(n.InNetwork()); out != in {
 		return fmt.Errorf("topology: packet leak: %d outstanding from the freelist but %d in the network", out, in)

@@ -290,7 +290,7 @@ func TestNetworkResetReuse(t *testing.T) {
 		if err := n.CheckLeaks(); err != nil {
 			t.Fatal(err)
 		}
-		return n.Delivered(1), len(n.pool)
+		return n.Delivered(1), len(n.doms[0].pool)
 	}
 
 	var s1 des.Scheduler
@@ -310,7 +310,7 @@ func TestNetworkResetReuse(t *testing.T) {
 		t.Fatalf("Reset left freelist accounting: outstanding=%d in-network=%d",
 			reused.Outstanding(), reused.InNetwork())
 	}
-	if len(reused.pool) == 0 || len(reused.fsPool) == 0 {
+	if len(reused.doms[0].pool) == 0 || len(reused.doms[0].fsPool) == 0 {
 		t.Fatal("Reset discarded the packet or flow-state pool")
 	}
 	gotDelivered, pooled := run(&s2, reused)
