@@ -2,20 +2,17 @@ package arrivals
 
 import (
 	"repro/internal/checkpoint"
-	"repro/internal/des"
 	"repro/internal/palm"
 )
 
 // Save writes the engine's run-time state in class declaration order:
 // the class RNG and arrival cursor, the pending next-arrival timer, the
 // population and Palm bookkeeping, and — inline — every live transfer's
-// protocol state. capOf maps a scheduler to the capture of its timer
-// population, so classes whose sender and receiver live on different
-// shards save each endpoint against the right capture.
-func (e *Engine) Save(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.TimerCapture) {
+// protocol state.
+func (e *Engine) Save(w *checkpoint.Writer) {
 	w.Int(len(e.classes))
 	for _, cs := range e.classes {
-		cs.save(w, capOf)
+		cs.save(w)
 	}
 }
 
@@ -45,12 +42,12 @@ func (e *Engine) Restore(r *checkpoint.Reader) {
 	}
 }
 
-func (cs *classState) save(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.TimerCapture) {
+func (cs *classState) save(w *checkpoint.Writer) {
 	for _, word := range cs.random.State() {
 		w.U64(word)
 	}
 	w.Int(cs.next)
-	w.Timer(capOf(cs.sndSched).StateOf(cs.arriveTm))
+	w.Timer(cs.arriveTm.State())
 	switch cs.Proto {
 	case TFRC:
 		w.Int(len(cs.tfrcPool))
@@ -75,7 +72,6 @@ func (cs *classState) save(w *checkpoint.Writer, capOf func(*des.Scheduler) *des
 	w.F64(cs.lastArrivalAt)
 	w.F64(cs.lastPop)
 	w.Bool(cs.openCycle)
-	sndCap, rcvCap := capOf(cs.sndSched), capOf(cs.rcvSched)
 	for i := 0; i < cs.next; i++ {
 		sl := &cs.slots[i]
 		w.F64(sl.startedAt)
@@ -86,13 +82,13 @@ func (cs *classState) save(w *checkpoint.Writer, capOf func(*des.Scheduler) *des
 		}
 		switch cs.Proto {
 		case TFRC:
-			sl.tfrcSnd.Save(w, sndCap)
-			sl.tfrcRcv.Save(w, rcvCap)
+			sl.tfrcSnd.Save(w)
+			sl.tfrcRcv.Save(w)
 		case TCP:
-			sl.tcpSnd.Save(w, sndCap)
+			sl.tcpSnd.Save(w)
 			sl.tcpRcv.Save(w)
 		case CBR:
-			sl.probe.Save(w, sndCap)
+			sl.probe.Save(w)
 		}
 	}
 }

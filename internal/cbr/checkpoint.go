@@ -1,14 +1,11 @@
 package cbr
 
-import (
-	"repro/internal/checkpoint"
-	"repro/internal/des"
-)
+import "repro/internal/checkpoint"
 
 // Save writes the probe's run-time state. Rate, size and grouping
 // window are class configuration and come from the rebuild; the
 // transfer volume is drawn per arrival, so it rides in the snapshot.
-func (p *Probe) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
+func (p *Probe) Save(w *checkpoint.Writer) {
 	w.Int(p.flow)
 	for _, word := range p.random.State() {
 		w.U64(word)
@@ -17,7 +14,7 @@ func (p *Probe) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
 	w.I64(p.total)
 	w.Bool(p.started)
 	w.Bool(p.done)
-	w.Timer(cap.StateOf(p.sendTimer))
+	w.Timer(p.sendTimer.State())
 	w.I64(p.expected)
 	p.events.Save(w)
 	w.F64(p.measStart)

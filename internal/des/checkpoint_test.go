@@ -8,8 +8,9 @@ import (
 
 // TestCaptureRestoreOrder schedules a mixed pending set (near, far,
 // overflow-distance, same-instant ties, AtOrigin keys, cancellations),
-// runs partway, snapshots, restores into a fresh scheduler, and checks
-// the restored scheduler fires the identical suffix.
+// runs partway, snapshots every handle through Timer.State, restores
+// into a fresh scheduler, and checks the restored scheduler fires the
+// identical suffix.
 func TestCaptureRestoreOrder(t *testing.T) {
 	type rec struct {
 		id int
@@ -46,14 +47,18 @@ func TestCaptureRestoreOrder(t *testing.T) {
 	s.RunUntil(0.75)
 	tms[7].Cancel()
 
-	cap := s.CaptureTimers()
-	if cap.Len() != s.Pending() {
-		t.Fatalf("capture holds %d timers, Pending = %d", cap.Len(), s.Pending())
-	}
 	now, seq, fired, cascaded := s.Now(), s.Seq(), s.Fired(), s.Cascaded()
 	var sts []checkpoint.TimerState
+	captured := 0
 	for _, tm := range tms {
-		sts = append(sts, cap.StateOf(tm))
+		st := tm.State()
+		sts = append(sts, st)
+		if st.OK {
+			captured++
+		}
+	}
+	if captured != s.Pending() {
+		t.Fatalf("State reports %d live timers, Pending = %d", captured, s.Pending())
 	}
 	if sts[0].OK {
 		t.Error("fired timer captured as live")
@@ -129,14 +134,16 @@ func TestRestoreAtValidation(t *testing.T) {
 	mustPanic("pending events", func() { s2.RestoreClock(0, 0, 0, 0) })
 }
 
-func TestStateOfForeignTimer(t *testing.T) {
-	a, b := &Scheduler{}, &Scheduler{}
-	tm := b.At(1, func() {})
-	cap := a.CaptureTimers()
-	if st := cap.StateOf(tm); st.OK {
-		t.Error("foreign timer resolved as live")
+// TestZeroTimerState pins that the zero Timer, and a handle made stale
+// by Reset, save as the zero TimerState.
+func TestZeroTimerState(t *testing.T) {
+	if st := (Timer{}).State(); st != (checkpoint.TimerState{}) {
+		t.Errorf("zero timer state %+v, want the zero state", st)
 	}
-	if st := cap.StateOf(Timer{}); st.OK {
-		t.Error("zero timer resolved as live")
+	s := &Scheduler{}
+	tm := s.At(1, func() {})
+	s.Reset()
+	if st := tm.State(); st != (checkpoint.TimerState{}) {
+		t.Errorf("stale timer state %+v, want the zero state", st)
 	}
 }

@@ -13,21 +13,33 @@
 // acquire local sequence numbers in the deterministic merge order their
 // bundles are drained in.
 //
-// # Design: hierarchical timing wheel + slot freelist
+// # Design: a timing wheel threaded through the slot table
+//
+// Every pending event occupies one slot of a slot table, which holds
+// its callback and its (time, origin, seq) identity. Slots are recycled
+// through a freelist, so steady-state scheduling performs zero
+// allocations, and the table is all the memory pending events take: it
+// grows to the peak number of live events, whatever the burst pattern.
 //
 // The event queue is a hierarchical timing wheel (a calendar-queue
-// hybrid): time is discretized into 2^-16 s ticks and pending events
-// live in multi-level wheels of pointer-free slot buckets — level 0
-// spans one tick per bucket, and each higher level spans 256x the
-// previous one, so four levels cover ~18 simulated hours. Events beyond
-// the horizon wait in an overflow level that cascades back into the
-// wheels on rollover. Inserting into the wheel and cancelling are O(1);
-// firing pays a small amortized cascade cost as buckets migrate toward
-// level 0, so many-hop, many-flow simulations scale without the event
-// queue becoming the bottleneck. One insert is not O(1): an event at or
-// behind the cursor is merged into the sorted working set of the
-// cursor's tick, at a cost that grows with the entries already there,
-// so the cursor must not run far ahead of the clock.
+// hybrid): time is discretized into 2^-16 s ticks; level 0 spans one
+// tick per bucket, and each higher level spans 256x the previous one,
+// so four levels cover ~18 simulated hours. Events beyond the horizon
+// wait in an overflow list that cascades back into the wheels on
+// rollover. Each bucket, and the overflow, is a FIFO doubly-linked list
+// threaded through the slot table by slot id: per-level head and tail
+// arrays sit beside an occupancy bitmap that lets the cursor jump
+// straight to the next non-empty bucket, so sparse queues do not pay
+// for empty ticks. Inserting appends at a list's tail and cancelling
+// unlinks, both O(1); firing pays a small amortized cascade cost as
+// buckets migrate toward level 0, and a cascade appends in list order,
+// so a bucket's events reach level 0 in the order they were filed.
+//
+// When the cursor reaches a tick, the events of its level-0 bucket are
+// copied into a working set sorted by (time, origin, seq). One insert
+// is not O(1): an event at or behind the cursor is merged into that
+// sorted working set, at a cost that grows with the entries already
+// there, so the cursor must not run far ahead of the clock.
 //
 // The first event scheduled into an empty queue moves the cursor
 // straight to its tick and skips the wheels, so the schedule-one/
@@ -37,38 +49,27 @@
 // cursor returns to the clock's tick and the jumped-to event goes into
 // the wheel, once.
 //
-// Above level 0 a bucket fills once per pass of the cursor (a level-2
-// bucket spans one simulated second), so a bucket that kept its array
-// would hold its high-water capacity for a whole turn of the wheel. A
-// drained bucket's array goes onto a per-level spare stack instead, and
-// the next empty bucket of that level to fill takes it: a level holds
-// about as many arrays as it has buckets occupied at once.
-//
-// Determinism is preserved exactly: a bucket is sorted by
-// (time, origin, seq) when the cursor reaches it, and ticks partition
-// the time axis monotonically, so the global firing order is identical
-// to a total (time, origin, seq) priority queue — FIFO within identical
+// Determinism is preserved exactly: ticks partition the time axis
+// monotonically and each tick's events are sorted by (time, origin,
+// seq) before any fires, so the global firing order is identical to a
+// total (time, origin, seq) priority queue — FIFO within identical
 // timestamps included (an event's origin is its causal scheduling time;
-// see AtOrigin). Per-level occupancy bitmaps let the cursor jump straight to
-// the next non-empty bucket, so sparse queues do not pay for empty
-// ticks.
+// see AtOrigin).
 //
-// Callbacks and liveness live in a separate slot table indexed by the
-// entry's slot id and recycled through a freelist, so steady-state
-// scheduling performs zero allocations. A Timer handle is a plain value
-// {scheduler, slot, generation}; the slot's generation is bumped when
-// the event fires or is cancelled, so a stale handle to a recycled slot
-// can never cancel (or observe as active) the slot's new occupant.
-// Cancellation is lazy — the bucket entry stays behind and is discarded
-// when it surfaces — but the scheduler compacts the buckets whenever
-// dead entries outnumber live ones, so cancellation-heavy workloads
-// (TFRC no-feedback timers, TCP retransmit timers re-armed on every
-// ACK) keep bounded memory.
+// A Timer handle is a plain value {scheduler, slot, generation}; the
+// slot's generation is bumped when the event fires or is cancelled, so
+// a stale handle to a recycled slot can never cancel (or observe as
+// active) the slot's new occupant. Cancelling unlinks the event at
+// once. The one exception is an event already copied into the working
+// set: its copy stays behind and is discarded when it surfaces, and the
+// working set empties every tick. Nothing else is cancelled lazily, so
+// cancellation-heavy workloads (TFRC no-feedback timers, TCP retransmit
+// timers re-armed on every ACK) need no compaction.
 //
-// Reset returns a scheduler to its zero state while keeping every
-// bucket's and table's capacity, so a pooled scheduler can be reused
-// across simulation runs without reallocating (see the run arena in
-// internal/experiments).
+// Reset returns a scheduler to its zero state while keeping the slot
+// table's and the working set's capacity, so a pooled scheduler can be
+// reused across simulation runs without reallocating (see the run arena
+// in internal/experiments).
 package des
 
 import (
@@ -79,8 +80,8 @@ import (
 // Event is a callback scheduled to run at a simulated time.
 type Event func()
 
-// entry is one pending event in the wheel: pointer-free so that bucket
-// moves copy plain words and never trip GC write barriers.
+// entry is a pending event's copy in the working set: pointer-free so
+// that sorting moves plain words and never trips GC write barriers.
 //
 // key is the causal scheduling time — the instant the event was brought
 // into existence. At sets it to the scheduler's clock; AtOrigin lets a
@@ -107,12 +108,19 @@ func packGenSlot(gen uint32, slot int32) uint64 {
 func (e entry) gen() uint32 { return uint32(e.genslot >> 32) }
 func (e entry) slot() int32 { return int32(uint32(e.genslot)) }
 
-// slot carries the mutable part of a scheduled event. gen increments
-// when the event fires or is cancelled, invalidating outstanding Timer
-// handles and any bucket entry still carrying the old generation.
+// slot holds one scheduled event. gen increments when the event fires
+// or is cancelled, invalidating outstanding Timer handles and any
+// working-set copy still carrying the old generation. Slot 0 never
+// holds an event, so id 0 ends every list.
 type slot struct {
 	fn  Event
+	at  float64
+	key float64
+	seq uint64
 	gen uint32
+	// prev and next link the slot into the bucket or overflow list
+	// that holds it (see locate).
+	prev, next int32
 }
 
 // Timer is a generation-checked handle to a scheduled event. It is a
@@ -127,19 +135,18 @@ type Timer struct {
 // Cancel prevents the event from firing. Cancelling an already fired or
 // already cancelled timer is a no-op, as is cancelling the zero Timer.
 func (t Timer) Cancel() {
-	if t.s == nil {
-		return
-	}
-	sl := &t.s.slots[t.slot]
-	if sl.gen != t.gen {
+	if !t.Active() {
 		return // already fired, cancelled, or slot recycled
 	}
+	s := t.s
+	sl := &s.slots[t.slot]
+	if tk := tickOf(sl.at); tk > s.curTick {
+		s.unlink(tk, t.slot)
+	} // else the working set holds a copy, discarded when it surfaces
 	sl.gen++
 	sl.fn = nil
-	t.s.free = append(t.s.free, t.slot)
-	t.s.live--
-	t.s.dead++
-	t.s.maybeCompact()
+	s.free = append(s.free, t.slot)
+	s.live--
 }
 
 // Active reports whether the timer is still pending.
@@ -150,7 +157,7 @@ func (t Timer) Active() bool {
 // Wheel geometry. A tick is 2^-16 s (~15.3 µs); each level's bucket
 // spans 256x the previous level's, so the four levels cover 2^32 ticks
 // (~18 simulated hours) ahead of the cursor. Events beyond that wait in
-// the overflow level.
+// the overflow list.
 const (
 	tickBits   = 16 // ticks per second = 1 << tickBits
 	levelBits  = 8  // buckets per level = 1 << levelBits
@@ -162,13 +169,13 @@ const (
 	ticksPerSecond = 1 << tickBits
 	// maxTick caps the tick of very distant events so the float-to-int
 	// conversion below is always in range; order among capped events is
-	// still exact because buckets sort by (at, key, seq).
+	// still exact because the working set sorts by (at, key, seq).
 	maxTick = uint64(1) << 62
 )
 
 // tickOf discretizes a timestamp. It is monotone: t1 <= t2 implies
 // tickOf(t1) <= tickOf(t2), which is all correctness needs — events of
-// one tick are ordered by (at, key, seq) when their bucket is reached.
+// one tick are ordered by (at, key, seq) when the cursor reaches it.
 func tickOf(t float64) uint64 {
 	ticks := t * ticksPerSecond
 	if ticks >= float64(maxTick) {
@@ -177,13 +184,15 @@ func tickOf(t float64) uint64 {
 	return uint64(ticks)
 }
 
-// level is one wheel: a ring of buckets with an occupancy bitmap so the
-// cursor can jump straight to the next non-empty bucket. Above level 0,
-// spare holds the arrays of drained buckets for the next bucket to fill.
+// list is a FIFO of pending events threaded through the slot table by
+// slot id; {0, 0} is empty.
+type list struct{ head, tail int32 }
+
+// level is one wheel: a ring of bucket lists with an occupancy bitmap
+// so the cursor can jump straight to the next non-empty bucket.
 type level struct {
-	bucket [levelSlots][]entry
+	bucket [levelSlots]list
 	bitmap [levelWords]uint64
-	spare  [][]entry
 }
 
 // next returns the first occupied bucket index >= from, if any.
@@ -213,11 +222,12 @@ type Scheduler struct {
 	fired    uint64
 	cascaded uint64
 
-	// cur is the working set at the wheel cursor: entries with tick <=
-	// curTick, sorted by (at, seq); cur[curIdx] is the next candidate.
+	// cur is the working set at the wheel cursor: copies of the entries
+	// with tick <= curTick, sorted by (at, key, seq); cur[curIdx] is the
+	// next candidate.
 	cur    []entry
 	curIdx int
-	// curTick is the wheel cursor. All bucketed entries have tick >
+	// curTick is the wheel cursor. All listed events have tick >
 	// curTick; it trails no pending event and may run ahead of Now when
 	// RunUntil stops between events.
 	curTick uint64
@@ -225,12 +235,11 @@ type Scheduler struct {
 	// was scheduled into an otherwise empty queue (see insert).
 	jumped   bool
 	levels   [numLevels]level
-	overflow []entry // events beyond the wheel horizon
+	overflow list // events beyond the wheel horizon
 
 	slots []slot
 	free  []int32 // recycled slot ids, LIFO
 	live  int     // pending non-cancelled events
-	dead  int     // cancelled entries still buffered
 }
 
 // Now returns the current simulated time in seconds.
@@ -239,14 +248,15 @@ func (s *Scheduler) Now() float64 { return s.now }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Cascaded returns the number of entry migrations the wheel has
-// performed — entries re-inserted from a higher level toward level 0
-// as the cursor advanced. The ratio cascaded/fired is the amortized
-// wheel-maintenance cost per event; the shard snapshots publish it as
-// a live utilization signal to watch for pathological wheel occupancy.
-// (It is schedule-dependent — per-wheel occupancy differs between the
-// serial engine and a partitioned run — so it stays out of the
-// executor-invariant metrics registry.)
+// Cascaded returns the number of event migrations the wheel has
+// performed — pending events re-filed from a higher level toward level
+// 0 as the cursor advanced. Cancelled events leave the wheel at once,
+// so only live events migrate. The ratio cascaded/fired is the
+// amortized wheel-maintenance cost per event; the shard snapshots
+// publish it as a live utilization signal to watch for pathological
+// wheel occupancy. (It is schedule-dependent — per-wheel occupancy
+// differs between the serial engine and a partitioned run — so it stays
+// out of the executor-invariant metrics registry.)
 func (s *Scheduler) Cascaded() uint64 { return s.cascaded }
 
 // Pending returns the number of live (non-cancelled) events still
@@ -255,7 +265,7 @@ func (s *Scheduler) Pending() int { return s.live }
 
 // Reset returns the scheduler to its zero state — clock at 0, no
 // pending events, all Timer handles inert — while retaining the
-// capacity of every bucket, the slot table and the freelist, so a
+// capacity of the slot table, the freelist and the working set, so a
 // pooled scheduler runs its next simulation without reallocating.
 func (s *Scheduler) Reset() {
 	s.now, s.seq, s.fired, s.cascaded = 0, 0, 0, 0
@@ -263,22 +273,11 @@ func (s *Scheduler) Reset() {
 	s.curIdx = 0
 	s.curTick = 0
 	s.jumped = false
-	s.overflow = s.overflow[:0]
-	for l := range s.levels {
-		lv := &s.levels[l]
-		for w, word := range lv.bitmap {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				j := w<<6 + b
-				lv.bucket[j] = lv.bucket[j][:0]
-			}
-			lv.bitmap[w] = 0
-		}
-	}
-	s.live, s.dead = 0, 0
+	s.levels = [numLevels]level{}
+	s.overflow = list{}
+	s.live = 0
 	s.free = s.free[:0]
-	for i := range s.slots {
+	for i := 1; i < len(s.slots); i++ {
 		s.slots[i].fn = nil
 		s.slots[i].gen++ // invalidate handles from the previous run
 		s.free = append(s.free, int32(i))
@@ -314,19 +313,28 @@ func (s *Scheduler) schedule(at, key float64, fn Event) Timer {
 	if fn == nil {
 		panic("des: nil event")
 	}
+	seq := s.seq
+	s.seq++
+	return s.arm(at, key, seq, fn)
+}
+
+// arm files an event with the given identity into a free slot.
+func (s *Scheduler) arm(at, key float64, seq uint64, fn Event) Timer {
 	var id int32
 	if n := len(s.free); n > 0 {
 		id = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
+		if len(s.slots) == 0 {
+			s.slots = append(s.slots, slot{}) // slot 0 ends every list
+		}
 		s.slots = append(s.slots, slot{})
 		id = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[id]
-	sl.fn = fn
+	sl.fn, sl.at, sl.key, sl.seq = fn, at, key, seq
 	s.live++
-	s.insert(entry{at: at, key: key, seq: s.seq, genslot: packGenSlot(sl.gen, id)})
-	s.seq++
+	s.insert(entry{at: at, key: key, seq: seq, genslot: packGenSlot(sl.gen, id)})
 	return Timer{s: s, gen: sl.gen, slot: id}
 }
 
@@ -365,8 +373,8 @@ func cmpEntry(a, b entry) int {
 	}
 }
 
-// insert places an entry into the working set, a wheel bucket, or the
-// overflow level, keyed by its tick relative to the cursor.
+// insert files an event into the working set, a wheel bucket, or the
+// overflow list, keyed by its tick relative to the cursor.
 func (s *Scheduler) insert(e entry) {
 	t := tickOf(e.at)
 	if s.jumped && t != s.curTick {
@@ -378,7 +386,7 @@ func (s *Scheduler) insert(e entry) {
 		s.curInsert(e)
 		return
 	}
-	if s.live+s.dead == 1 && s.curIdx == len(s.cur) {
+	if s.live == 1 && s.curIdx == len(s.cur) {
 		// Only event in the queue: jump the cursor straight to it and
 		// skip the wheels — the schedule-one/fire-one pattern pays no
 		// cascade this way.
@@ -387,33 +395,73 @@ func (s *Scheduler) insert(e entry) {
 		s.curInsert(e)
 		return
 	}
-	diff := t ^ s.curTick
-	lvl := (bits.Len64(diff) - 1) / levelBits
+	lvl, j := s.locate(t)
+	if lvl < numLevels {
+		s.levels[lvl].bitmap[j>>6] |= 1 << (uint(j) & 63)
+	}
+	l := s.list(lvl, j)
+	id := e.slot()
+	sl := &s.slots[id]
+	sl.prev, sl.next = l.tail, 0
+	if l.tail != 0 {
+		s.slots[l.tail].next = id
+	} else {
+		l.head = id
+	}
+	l.tail = id
+}
+
+// locate returns the level and bucket that hold an event at tick t
+// beyond the cursor; level numLevels is the overflow list. An event
+// stays where locate first put it until its bucket cascades: the
+// cursor never passes an occupied bucket, so the highest bit in which
+// t and the cursor differ does not move. Cancel relies on this to find
+// an event's list from its tick.
+func (s *Scheduler) locate(t uint64) (lvl, j int) {
+	lvl = int(uint(bits.Len64(t^s.curTick)-1) / levelBits) // t^curTick != 0
 	if lvl >= numLevels {
-		s.overflow = append(s.overflow, e)
-		return
+		return numLevels, 0
 	}
-	shift := uint(lvl) * levelBits
-	j := int(t>>shift) & levelMask
-	lv := &s.levels[lvl]
-	b := lv.bucket[j]
-	if cap(b) == 0 && len(lv.spare) > 0 {
-		n := len(lv.spare) - 1
-		b = lv.spare[n]
-		lv.spare[n] = nil
-		lv.spare = lv.spare[:n]
+	return lvl, int(t>>(uint(lvl)*levelBits)) & levelMask
+}
+
+// list returns the list at a level and bucket locate returned.
+func (s *Scheduler) list(lvl, j int) *list {
+	if lvl == numLevels {
+		return &s.overflow
 	}
-	lv.bucket[j] = append(b, e)
-	lv.bitmap[j>>6] |= 1 << (uint(j) & 63)
+	return &s.levels[lvl].bucket[j]
+}
+
+// unlink removes the slot of an event at tick t beyond the cursor from
+// its list, clearing the bucket's occupancy bit when the list empties.
+func (s *Scheduler) unlink(t uint64, id int32) {
+	lvl, j := s.locate(t)
+	l := s.list(lvl, j)
+	sl := &s.slots[id]
+	if sl.prev != 0 {
+		s.slots[sl.prev].next = sl.next
+	} else {
+		l.head = sl.next
+	}
+	if sl.next != 0 {
+		s.slots[sl.next].prev = sl.prev
+	} else {
+		l.tail = sl.prev
+	}
+	if l.head == 0 && lvl < numLevels {
+		s.levels[lvl].bitmap[j>>6] &^= 1 << (uint(j) & 63)
+	}
 }
 
 // rewind undoes a singleton jump before an event at another tick is
 // inserted; left in place, a far jump would put every later insert
 // behind the cursor until the clock caught up. The cursor returns to the
-// clock's tick and the working set, all of it at the jumped-to tick, is
-// filed into the wheel: each entry now lies beyond the cursor, and none
-// is the only one pending (the entry being inserted is counted), so
-// insert takes neither the working-set path nor the jump for it.
+// clock's tick and the live part of the working set, all of it at the
+// jumped-to tick, is filed into the wheel: each event now lies beyond
+// the cursor, and none is the only one pending (the event being
+// inserted is counted), so insert takes neither the working-set path
+// nor the jump for it.
 func (s *Scheduler) rewind() {
 	s.jumped = false
 	now := tickOf(s.now)
@@ -425,8 +473,16 @@ func (s *Scheduler) rewind() {
 	s.curIdx = 0
 	s.curTick = now
 	for _, e := range held {
-		s.insert(e)
+		if s.slots[e.slot()].gen == e.gen() {
+			s.insert(e)
+		}
 	}
+}
+
+// entryOf returns a listed event's working-set entry.
+func (s *Scheduler) entryOf(id int32) entry {
+	sl := &s.slots[id]
+	return entry{at: sl.at, key: sl.key, seq: sl.seq, genslot: packGenSlot(sl.gen, id)}
 }
 
 // curInsert merges an entry into the sorted working set.
@@ -461,24 +517,6 @@ func (s *Scheduler) curInsert(e entry) {
 	s.cur[lo] = e
 }
 
-// takeBucket detaches bucket j of level lvl, clearing its occupancy
-// bit, and returns its entries. A level-0 bucket keeps its array. Above
-// level 0 the array goes onto the level's spare stack at once: the
-// caller re-files the entries at lower levels only, so no insert takes
-// the array back before the caller has read them.
-func (s *Scheduler) takeBucket(lvl, j int) []entry {
-	lv := &s.levels[lvl]
-	b := lv.bucket[j]
-	lv.bitmap[j>>6] &^= 1 << (uint(j) & 63)
-	if lvl == 0 {
-		lv.bucket[j] = b[:0]
-	} else {
-		lv.bucket[j] = nil
-		lv.spare = append(lv.spare, b[:0])
-	}
-	return b
-}
-
 // refill advances the cursor to the next occupied tick and loads its
 // events into the working set, cascading higher-level buckets toward
 // level 0 on the way. It reports false when nothing is pending beyond
@@ -493,29 +531,37 @@ func (s *Scheduler) refill() bool {
 		found := false
 		for lvl := 0; lvl < numLevels; lvl++ {
 			shift := uint(lvl) * levelBits
-			idx := int(s.curTick>>shift) & levelMask
-			j, ok := s.levels[lvl].next(idx + 1)
+			lv := &s.levels[lvl]
+			j, ok := lv.next(int(s.curTick>>shift)&levelMask + 1)
 			if !ok {
 				continue
 			}
-			// Jump the cursor to the start of the found bucket's span.
+			// Jump the cursor to the start of the found bucket's span
+			// and detach the bucket's list.
 			below := uint64(1)<<(shift+levelBits) - 1
 			s.curTick = s.curTick&^below | uint64(j)<<shift
-			b := s.takeBucket(lvl, j)
+			id := lv.bucket[j].head
+			lv.bucket[j] = list{}
+			lv.bitmap[j>>6] &^= 1 << (uint(j) & 63)
 			if lvl == 0 {
 				// A level-0 bucket holds exactly the events of tick
-				// curTick: sort once and it becomes the working set.
-				s.cur = append(s.cur, b...)
+				// curTick: copy and sort once and it becomes the
+				// working set.
+				for ; id != 0; id = s.slots[id].next {
+					s.cur = append(s.cur, s.entryOf(id))
+				}
 				if len(s.cur) > 1 {
 					sortEntries(s.cur)
 				}
 			} else {
-				// Cascade: re-keyed against the new cursor, each entry
+				// Cascade: re-keyed against the new cursor, each event
 				// lands at a lower level (or straight in the working
 				// set when its tick is the cursor's).
-				s.cascaded += uint64(len(b))
-				for _, e := range b {
-					s.insert(e)
+				for id != 0 {
+					next := s.slots[id].next
+					s.cascaded++
+					s.insert(s.entryOf(id))
+					id = next
 				}
 			}
 			found = true
@@ -524,7 +570,7 @@ func (s *Scheduler) refill() bool {
 		if found {
 			continue
 		}
-		if len(s.overflow) > 0 {
+		if s.overflow.head != 0 {
 			s.rollover()
 			continue
 		}
@@ -533,26 +579,22 @@ func (s *Scheduler) refill() bool {
 }
 
 // rollover runs when the wheels drain while far-future events wait in
-// the overflow level: the cursor jumps to the earliest overflow tick
-// and every overflow event within the new horizon cascades into the
-// wheels.
+// the overflow list: the cursor jumps to the earliest overflow tick and
+// every overflow event is re-filed against it, so those within the new
+// horizon cascade into the wheels and the rest return to the overflow.
 func (s *Scheduler) rollover() {
 	minTick := maxTick + 1
-	for i := range s.overflow {
-		if t := tickOf(s.overflow[i].at); t < minTick {
-			minTick = t
-		}
+	for id := s.overflow.head; id != 0; id = s.slots[id].next {
+		minTick = min(minTick, tickOf(s.slots[id].at))
 	}
 	s.curTick = minTick
-	keep := s.overflow[:0]
-	for _, e := range s.overflow {
-		if tickOf(e.at)^s.curTick >= uint64(1)<<(numLevels*levelBits) {
-			keep = append(keep, e)
-			continue
-		}
-		s.insert(e)
+	id := s.overflow.head
+	s.overflow = list{}
+	for id != 0 {
+		next := s.slots[id].next
+		s.insert(s.entryOf(id))
+		id = next
 	}
-	s.overflow = keep
 }
 
 // sortEntries orders a bucket by (at, key, seq): insertion sort for the
@@ -575,8 +617,8 @@ func sortEntries(es []entry) {
 }
 
 // nextLive positions cur[curIdx] on the next live event, discarding
-// cancelled entries as they surface. It reports false when the queue
-// has no live events.
+// cancelled copies as they surface. It reports false when the queue has
+// no live events.
 func (s *Scheduler) nextLive() bool {
 	for {
 		for s.curIdx < len(s.cur) {
@@ -584,59 +626,12 @@ func (s *Scheduler) nextLive() bool {
 			if s.slots[e.slot()].gen == e.gen() {
 				return true
 			}
-			s.curIdx++ // lazily discard a cancelled entry
-			s.dead--
+			s.curIdx++ // discard a copy cancelled after it was taken
 		}
 		if !s.refill() {
 			return false
 		}
 	}
-}
-
-// maybeCompact rebuilds the buckets without dead entries once they
-// outnumber the live ones, bounding memory under heavy cancellation.
-func (s *Scheduler) maybeCompact() {
-	if s.dead <= 64 || s.dead <= s.live {
-		return
-	}
-	liveOf := func(es []entry) []entry {
-		w := 0
-		for _, e := range es {
-			if s.slots[e.slot()].gen == e.gen() {
-				es[w] = e
-				w++
-			}
-		}
-		return es[:w]
-	}
-	// The working set keeps its sorted order (filtering preserves it);
-	// the consumed prefix goes too.
-	w := 0
-	for r := s.curIdx; r < len(s.cur); r++ {
-		e := s.cur[r]
-		if s.slots[e.slot()].gen == e.gen() {
-			s.cur[w] = e
-			w++
-		}
-	}
-	s.cur = s.cur[:w]
-	s.curIdx = 0
-	for l := range s.levels {
-		lv := &s.levels[l]
-		for wd, word := range lv.bitmap {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << uint(b)
-				j := wd<<6 + b
-				lv.bucket[j] = liveOf(lv.bucket[j])
-				if len(lv.bucket[j]) == 0 {
-					lv.bitmap[wd] &^= 1 << uint(b)
-				}
-			}
-		}
-	}
-	s.overflow = liveOf(s.overflow)
-	s.dead = 0
 }
 
 // fire executes a live entry the cursor has already consumed.

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -142,35 +143,50 @@ func TestPendingCountsLiveOnly(t *testing.T) {
 	}
 }
 
-// storedEntries counts the entries physically buffered anywhere in the
+// listLen counts the events on one bucket or overflow list.
+func listLen(s *Scheduler, l list) int {
+	n := 0
+	for id := l.head; id != 0; id = s.slots[id].next {
+		n++
+	}
+	return n
+}
+
+// storedEntries counts the events physically buffered anywhere in the
 // scheduler: the working set, every wheel bucket, and the overflow
-// level.
+// list.
 func storedEntries(s *Scheduler) int {
-	n := len(s.cur) - s.curIdx + len(s.overflow)
+	n := len(s.cur) - s.curIdx + listLen(s, s.overflow)
 	for l := range s.levels {
-		for j := range s.levels[l].bucket {
-			n += len(s.levels[l].bucket[j])
+		for _, b := range s.levels[l].bucket {
+			n += listLen(s, b)
 		}
 	}
 	return n
 }
 
-func TestCompactionBoundsHeap(t *testing.T) {
+// TestCancelUnlinksAtOnce pins eager cancellation under a cancel storm:
+// far-future timers scheduled and immediately cancelled, as a
+// retransmit timer re-armed per ACK is. Each cancel unlinks its event,
+// so the scheduler buffers nothing but at most the last cancelled copy
+// left in the working set, and the slot table never grows past the one
+// event pending at a time.
+func TestCancelUnlinksAtOnce(t *testing.T) {
 	var s Scheduler
-	// Cancel-heavy workload: schedule far-future timers and immediately
-	// cancel them, as a retransmit timer re-armed per ACK does. Without
-	// compaction the wheel would grow by one dead entry per iteration.
 	for i := 0; i < 100000; i++ {
 		tm := s.At(1e9+float64(i), func() {})
 		tm.Cancel()
 	}
-	if got := storedEntries(&s); got > 200 {
-		t.Fatalf("wheel holds %d entries after cancel storm, want compacted (<= 200)", got)
+	if got := storedEntries(&s); got > 1 {
+		t.Fatalf("scheduler buffers %d entries after cancel storm, want <= 1", got)
+	}
+	if len(s.slots) > 2 {
+		t.Fatalf("slot table holds %d slots after cancel storm, want <= 2", len(s.slots))
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("pending = %d, want 0", s.Pending())
 	}
-	// Live events must survive compaction and fire in order.
+	// Live events must survive the storm and fire in order.
 	var got []float64
 	for i := 10; i > 0; i-- {
 		s.At(float64(i), func() { got = append(got, s.Now()) })
@@ -179,13 +195,16 @@ func TestCompactionBoundsHeap(t *testing.T) {
 		tm := s.At(1e9+float64(i), func() {})
 		tm.Cancel()
 	}
+	if n := storedEntries(&s); n > s.Pending()+1 {
+		t.Fatalf("scheduler buffers %d entries for %d pending", n, s.Pending())
+	}
 	s.RunUntil(20)
 	if len(got) != 10 {
 		t.Fatalf("fired %d live events, want 10", len(got))
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
-			t.Fatalf("out of order after compaction: %v", got)
+			t.Fatalf("out of order after cancel storm: %v", got)
 		}
 	}
 }
@@ -247,9 +266,10 @@ func TestFIFOUnderFreelistReuse(t *testing.T) {
 	}
 }
 
-// refEvent mirrors one scheduled event in the naive reference model.
+// refEvent mirrors one scheduled event in the naive reference models.
 type refEvent struct {
 	at   float64
+	key  float64
 	seq  uint64
 	id   int
 	dead bool
@@ -399,29 +419,79 @@ func TestQuickClockMonotone(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAlloc pins the tentpole property: a steady
-// schedule/cancel/fire cycle with a preallocated callback performs no
-// per-event allocations once the heap and freelist have warmed up.
+// TestSteadyStateZeroAlloc pins that the loops of the perfbench
+// scheduler bodies allocate nothing once warmed up: the slot table, the
+// freelist and the working set grow only on a new pending high-water.
+// Each case returns one iteration of its body's loop, set up as the
+// body sets it up.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	var s Scheduler
 	fn := func() {}
-	var tm Timer
-	work := func() {
-		tm.Cancel()
-		tm = s.After(2, fn)
-		s.After(1, fn)
-		s.Step()
+	deep := func(n int, spacing float64) func() {
+		var s Scheduler
+		for i := 0; i < n; i++ {
+			s.After(float64(i)*spacing+0.5, fn)
+		}
+		return func() {
+			s.After(0.25, fn)
+			s.Step()
+		}
 	}
-	for i := 0; i < 1024; i++ { // warm up
-		work()
+	cases := []struct {
+		name string
+		loop func() func()
+	}{
+		{"Fire", func() func() {
+			var s Scheduler
+			return func() {
+				s.After(1, fn)
+				s.Step()
+			}
+		}},
+		{"TimerChurn", func() func() {
+			var s Scheduler
+			tm := s.After(1, fn)
+			return func() {
+				tm.Cancel()
+				tm = s.After(2, fn)
+				s.After(1, fn)
+				s.Step()
+			}
+		}},
+		{"DeepQueue", func() func() { return deep(1024, 1) }},
+		{"DeepQueue8K", func() func() { return deep(8192, 1.0/8) }},
+		{"FarAnchor", func() func() {
+			const round = 1 << 14
+			var s Scheduler
+			i := 0
+			return func() {
+				if i%round == 0 {
+					s.Reset()
+					s.At(40, fn)
+					for j := 0; j < 1024; j++ {
+						s.At((float64(j)+0.5)/32, fn)
+					}
+				}
+				i++
+				s.After(0.25/32, fn)
+				s.Step()
+			}
+		}},
 	}
-	if avg := testing.AllocsPerRun(1000, work); avg != 0 {
-		t.Fatalf("steady-state allocs per event cycle = %v, want 0", avg)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			loop := c.loop()
+			for i := 0; i < 1<<15; i++ { // warm up, through two anchor rounds
+				loop()
+			}
+			if avg := testing.AllocsPerRun(1<<15, loop); avg != 0 {
+				t.Fatalf("steady-state allocs per loop iteration = %v, want 0", avg)
+			}
+		})
 	}
 }
 
-// refHeap is a naive binary heap ordered by (at, seq) — the reference
-// priority queue the wheel must match event for event.
+// refHeap is a naive binary heap ordered by (at, key, seq) — the
+// reference priority queue the wheel must match event for event.
 type refHeap struct {
 	es []refEvent
 }
@@ -466,6 +536,9 @@ func refBefore(a, b refEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
+	if a.key != b.key {
+		return a.key < b.key
+	}
 	return a.seq < b.seq
 }
 
@@ -488,141 +561,6 @@ func (h *refHeap) popLive(dead map[int]bool) (refEvent, bool) {
 		h.pop()
 	}
 	return e, ok
-}
-
-// boundaryDelay draws delays biased toward the wheel's sore spots: the
-// tick quantum, the exact spans of each cascade level, the far-future
-// horizon, and zero (same-instant FIFO ties).
-func boundaryDelay(r *rng.RNG) float64 {
-	const tick = 1.0 / ticksPerSecond
-	switch r.Uint64() % 8 {
-	case 0: // inside the current tick
-		return r.Float64() * tick / 2
-	case 1: // exactly on a tick edge
-		return float64(r.Uint64()%512) * tick
-	case 2, 3: // straddling a cascade-level span: 256^L ticks ± 1 tick
-		lvl := 1 + int(r.Uint64()%3)
-		span := float64(uint64(1)<<(uint(lvl)*levelBits)) * tick
-		return span + float64(int(r.Uint64()%3)-1)*tick
-	case 4: // beyond the wheel horizon (overflow level)
-		span := float64(uint64(1)<<(numLevels*levelBits)) * tick
-		return span * (1 + r.Float64()*2)
-	case 5: // same instant as a pending event (seq tie-break)
-		return 0
-	default:
-		return r.Float64() * 3
-	}
-}
-
-// TestWheelVsReferenceHeapChurn drives random schedule/cancel/
-// reschedule/step churn — with delays concentrated on tick edges,
-// cascade-level spans, the overflow horizon and same-timestamp ties —
-// through the wheel and a reference binary heap in lockstep, comparing
-// the full firing order. The later trials open with one far-future event
-// on the empty scheduler, so the cursor jumps ahead of the clock, and
-// also advance with RunUntil/RunBefore to random deadlines, mostly
-// between events: the jump and its undo are checked against the heap.
-func TestWheelVsReferenceHeapChurn(t *testing.T) {
-	r := rng.New(777)
-	for trial := 0; trial < 300; trial++ {
-		far := trial >= 150
-		var s Scheduler
-		ref := &refHeap{}
-		dead := map[int]bool{}
-		timers := map[int]Timer{}
-		var gotIDs, wantIDs []int
-		nextID := 0
-		schedule := func(delay float64) {
-			id := nextID
-			nextID++
-			at := s.Now() + delay
-			timers[id] = s.At(at, func() { gotIDs = append(gotIDs, id) })
-			ref.push(refEvent{at: at, seq: uint64(id), id: id})
-		}
-		stepBoth := func() {
-			fired := s.Step()
-			e, ok := ref.popLive(dead)
-			if fired != ok {
-				t.Fatalf("trial %d: wheel fired=%v, reference fired=%v", trial, fired, ok)
-			}
-			if ok {
-				wantIDs = append(wantIDs, e.id)
-			}
-		}
-		// advance runs both queues to a deadline drawn up to half again
-		// past the next live event, so most deadlines fall between
-		// events; RunBefore excludes an event exactly at the deadline.
-		advance := func() {
-			deadline := s.Now() + r.Float64()*3
-			if e, ok := ref.peekLive(dead); ok {
-				deadline = s.Now() + r.Float64()*1.5*(e.at-s.Now())
-				if r.Bernoulli(0.1) {
-					deadline = e.at
-				}
-			}
-			before := r.Bernoulli(0.5)
-			if before {
-				s.RunBefore(deadline)
-			} else {
-				s.RunUntil(deadline)
-			}
-			for {
-				e, ok := ref.peekLive(dead)
-				if !ok || e.at > deadline || before && e.at == deadline {
-					break
-				}
-				ref.pop()
-				wantIDs = append(wantIDs, e.id)
-			}
-			if len(gotIDs) != len(wantIDs) {
-				t.Fatalf("trial %d: advance to %v fired %d events, reference %d",
-					trial, deadline, len(gotIDs), len(wantIDs))
-			}
-		}
-		if far {
-			if r.Bernoulli(0.8) {
-				schedule(20 + r.Float64()*40)
-			} else {
-				schedule(boundaryDelay(r))
-			}
-		}
-		ops := int(r.Uint64()%300) + 20
-		for op := 0; op < ops; op++ {
-			switch {
-			case far && r.Bernoulli(0.2):
-				advance()
-			case r.Bernoulli(0.45):
-				schedule(boundaryDelay(r))
-			case r.Bernoulli(0.3): // cancel or reschedule a live timer
-				for id, tm := range timers {
-					tm.Cancel()
-					delete(timers, id)
-					dead[id] = true
-					if r.Bernoulli(0.5) {
-						schedule(boundaryDelay(r))
-					}
-					break
-				}
-			default:
-				stepBoth()
-			}
-		}
-		for s.Pending() > 0 {
-			stepBoth()
-		}
-		if _, ok := ref.popLive(dead); ok {
-			t.Fatalf("trial %d: reference still has live events after wheel drained", trial)
-		}
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("trial %d: fired %d events, reference fired %d", trial, len(gotIDs), len(wantIDs))
-		}
-		for i := range gotIDs {
-			if gotIDs[i] != wantIDs[i] {
-				t.Fatalf("trial %d: firing order diverges at %d: got %v want %v",
-					trial, i, gotIDs, wantIDs)
-			}
-		}
-	}
 }
 
 // TestFarJumpRewinds pins the undo of the singleton jump. The first
@@ -666,31 +604,19 @@ func TestFarJumpRewinds(t *testing.T) {
 	}
 }
 
-// retainedCap is the entry capacity the scheduler holds on to: the
-// working set, every bucket's array, the spare arrays and the overflow
-// level.
+// retainedCap is the event capacity the scheduler holds on to: the
+// slot table and the working set.
 func retainedCap(s *Scheduler) int {
-	n := cap(s.cur) + cap(s.overflow)
-	for l := range s.levels {
-		lv := &s.levels[l]
-		for j := range lv.bucket {
-			n += cap(lv.bucket[j])
-		}
-		for _, b := range lv.spare {
-			n += cap(b)
-		}
-	}
-	return n
+	return cap(s.slots) + cap(s.cur)
 }
 
-// TestSparedBucketsBoundMemory pins the recycling of bucket arrays above
-// level 0 under the retransmit-timer pattern: 500 timers, one cancelled
-// and re-armed 1 s ahead every millisecond, for 300 simulated seconds.
-// Each simulated second fills another level-2 bucket; were every bucket
-// to keep its array, the retained capacity would grow with simulated
-// time until the wheel turned, to hundreds of times the entries ever
-// buffered at once.
-func TestSparedBucketsBoundMemory(t *testing.T) {
+// TestSlotTableBoundsMemory pins that pending-event memory follows the
+// live events under the retransmit-timer pattern: 500 timers, one
+// cancelled and re-armed 1 s ahead every millisecond, for 300 simulated
+// seconds. Each simulated second files another level-2 bucket; the
+// capacity retained must stay within a small multiple of the peak
+// number pending, however many buckets have filled and drained.
+func TestSlotTableBoundsMemory(t *testing.T) {
 	var s Scheduler
 	fn := func() {}
 	timers := make([]Timer, 500)
@@ -703,13 +629,69 @@ func TestSparedBucketsBoundMemory(t *testing.T) {
 		timers[k].Cancel()
 		timers[k] = s.After(1, fn)
 		k = (k + 1) % len(timers)
-		peak = max(peak, s.live+s.dead)
+		peak = max(peak, s.Pending())
 		s.After(0.001, drive)
 	}
 	s.After(0.001, drive)
 	s.RunUntil(300)
 	if got := retainedCap(&s); got > 8*peak {
-		t.Fatalf("scheduler retains capacity for %d entries, peak buffered %d", got, peak)
+		t.Fatalf("scheduler retains capacity for %d events, peak pending %d", got, peak)
+	}
+}
+
+// burstyTimers runs 60 simulated seconds of 256 timers re-armed at
+// uniform delays in (0, 1) s every 2 ms, plus a burst of 2,000
+// same-instant events 20 ms ahead every 100 ms. It returns the
+// scheduler and the peak number of events pending.
+func burstyTimers() (*Scheduler, int) {
+	s := &Scheduler{}
+	r := rng.New(16)
+	fn := func() {}
+	timers := make([]Timer, 256)
+	peak := 0
+	var rearm, burst func()
+	rearm = func() {
+		for i := range timers {
+			timers[i].Cancel()
+			timers[i] = s.After(r.Float64(), fn)
+		}
+		peak = max(peak, s.Pending())
+		s.After(0.002, rearm)
+	}
+	burst = func() {
+		at := s.Now() + 0.02
+		for i := 0; i < 2000; i++ {
+			s.At(at, fn)
+		}
+		peak = max(peak, s.Pending())
+		s.After(0.1, burst)
+	}
+	s.At(0, rearm)
+	s.At(0, burst)
+	s.RunUntil(60)
+	return s, peak
+}
+
+// TestPendingMemoryFollowsLiveEvents pins that what a scheduler keeps
+// alive follows its peak number of pending events, not its burst
+// pattern or its count of cancellations. It measures black-box: the
+// live heap after a GC with the scheduler reachable, minus the same
+// after dropping it.
+func TestPendingMemoryFollowsLiveEvents(t *testing.T) {
+	var ms runtime.MemStats
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	s, peak := burstyTimers()
+	with := liveHeap()
+	runtime.KeepAlive(s) // s is dead from here on
+	kept := with - liveHeap()
+	t.Logf("scheduler keeps %d B alive for %d peak pending events", kept, peak)
+	if perEvent := kept / int64(peak); perEvent > 256 {
+		t.Fatalf("scheduler keeps %d B alive, %d B for each of %d peak pending events; want <= 256 B",
+			kept, perEvent, peak)
 	}
 }
 
@@ -727,8 +709,8 @@ func TestOverflowCascade(t *testing.T) {
 	s.At(far2, rec)
 	s.At(far1, rec)
 	s.At(far1, rec) // same-instant tie in the overflow level
-	if len(s.overflow) != 3 {
-		t.Fatalf("overflow holds %d entries, want 3", len(s.overflow))
+	if n := listLen(&s, s.overflow); n != 3 {
+		t.Fatalf("overflow holds %d entries, want 3", n)
 	}
 	s.Run()
 	want := []float64{1, far1, far1, far2}
@@ -740,8 +722,8 @@ func TestOverflowCascade(t *testing.T) {
 			t.Fatalf("fire times = %v, want %v", got, want)
 		}
 	}
-	if len(s.overflow) != 0 {
-		t.Fatalf("overflow not drained: %d entries", len(s.overflow))
+	if n := listLen(&s, s.overflow); n != 0 {
+		t.Fatalf("overflow not drained: %d entries", n)
 	}
 }
 
@@ -806,28 +788,28 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 
 // TestResetOverflowEdge pins Reset against the far-future path: after
 // scheduling events past the wheel horizon (populating the overflow
-// level and high wheel levels) and part-way consuming the queue, Reset
+// list and high wheel levels) and part-way consuming the queue, Reset
 // must leave no occupancy bit set, no buffered entry anywhere, and a
-// freelist covering the whole slot table — cross-checked against a
-// fresh scheduler replaying the same workload.
+// freelist covering every event slot — cross-checked against a fresh
+// scheduler replaying the same workload.
 func TestResetOverflowEdge(t *testing.T) {
 	horizon := float64(uint64(1)<<(numLevels*levelBits)) / ticksPerSecond
 	var s Scheduler
 	fn := func() {}
 	s.At(1, fn) // anchor the cursor near zero so far events overflow
 	for i := 0; i < 100; i++ {
-		s.At(horizon*(1.5+float64(i)), fn) // overflow level
+		s.At(horizon*(1.5+float64(i)), fn) // overflow list
 		s.At(horizon*0.9-float64(i), fn)   // top wheel level
 		s.At(float64(i)+2, fn)             // low levels
 	}
-	if len(s.overflow) == 0 {
-		t.Fatal("workload did not reach the overflow level")
+	if s.overflow.head == 0 {
+		t.Fatal("workload did not reach the overflow list")
 	}
 	s.RunUntil(50) // consume part of the queue, cursor mid-wheel
 
 	s.Reset()
-	if len(s.overflow) != 0 {
-		t.Fatalf("overflow holds %d entries after Reset", len(s.overflow))
+	if s.overflow != (list{}) {
+		t.Fatalf("overflow list %+v after Reset", s.overflow)
 	}
 	for l := range s.levels {
 		lv := &s.levels[l]
@@ -836,20 +818,20 @@ func TestResetOverflowEdge(t *testing.T) {
 				t.Fatalf("level %d bitmap word %d = %#x after Reset", l, w, word)
 			}
 		}
-		for j := range lv.bucket {
-			if len(lv.bucket[j]) != 0 {
-				t.Fatalf("level %d bucket %d holds %d entries after Reset", l, j, len(lv.bucket[j]))
+		for j, b := range lv.bucket {
+			if b != (list{}) {
+				t.Fatalf("level %d bucket %d list %+v after Reset", l, j, b)
 			}
 		}
 	}
 	if storedEntries(&s) != 0 {
 		t.Fatalf("%d entries still buffered after Reset", storedEntries(&s))
 	}
-	if len(s.free) != len(s.slots) {
-		t.Fatalf("freelist covers %d of %d slots after Reset", len(s.free), len(s.slots))
+	if len(s.free) != len(s.slots)-1 {
+		t.Fatalf("freelist covers %d of %d event slots after Reset", len(s.free), len(s.slots)-1)
 	}
-	if s.live != 0 || s.dead != 0 || s.curTick != 0 {
-		t.Fatalf("live=%d dead=%d curTick=%d after Reset, want zeros", s.live, s.dead, s.curTick)
+	if s.live != 0 || s.curTick != 0 {
+		t.Fatalf("live=%d curTick=%d after Reset, want zeros", s.live, s.curTick)
 	}
 
 	// A replayed far-future workload must fire identically to a fresh

@@ -39,23 +39,6 @@ type CheckpointOptions struct {
 // Checkpoint is the process-wide checkpoint configuration.
 var Checkpoint CheckpointOptions
 
-// captureAll returns the resolver every snapshot section saves its
-// timers through: it maps the scheduler that owns a timer to the
-// point-in-time capture of that scheduler's pending set. Captures are
-// built lazily — one O(pending) scan per scheduler per snapshot — and
-// shared by every component saving against the same scheduler.
-func captureAll() func(*des.Scheduler) *des.TimerCapture {
-	caps := make(map[*des.Scheduler]*des.TimerCapture, 4)
-	return func(s *des.Scheduler) *des.TimerCapture {
-		c := caps[s]
-		if c == nil {
-			c = s.CaptureTimers()
-			caps[s] = c
-		}
-		return c
-	}
-}
-
 // configDigest folds every field of the run's configuration that shapes
 // its trajectory — scenario label, seed, topology, flow population,
 // fault plan, churn classes, executor shape and epoch structure — into
@@ -306,7 +289,6 @@ func (d *topoCkpt) tryResume() (float64, bool) {
 // deliveries, then cross-shard handoffs), the epoch log, and — last —
 // the freelist ledgers.
 func (d *topoCkpt) save(w *checkpoint.Writer) {
-	capOf := captureAll()
 	scheds := d.schedulers()
 	w.Int(len(scheds))
 	for _, s := range scheds {
@@ -316,31 +298,31 @@ func (d *topoCkpt) save(w *checkpoint.Writer) {
 		w.U64(s.Cascaded())
 		w.Int(s.Pending())
 	}
-	d.env.SaveLinks(w, capOf)
+	d.env.SaveLinks(w)
 	for i, snd := range d.tfrcSnd {
-		snd.Save(w, capOf(snd.Scheduler()))
-		d.tfrcRcv[i].Save(w, capOf(d.tfrcRcv[i].Scheduler()))
+		snd.Save(w)
+		d.tfrcRcv[i].Save(w)
 	}
 	for i, snd := range d.tcpSnd {
-		snd.Save(w, capOf(snd.Scheduler()))
+		snd.Save(w)
 		d.tcpRcv[i].Save(w)
 	}
 	for i, snd := range d.crossSnd {
-		snd.Save(w, capOf(snd.Scheduler()))
+		snd.Save(w)
 		d.crossRcv[i].Save(w)
 	}
 	w.Int(len(d.watchers))
 	for _, rw := range d.watchers {
-		rw.save(w, capOf(rw.sched))
+		rw.save(w)
 	}
-	d.armed.Save(w, capOf)
+	d.armed.Save(w)
 	w.Bool(d.churn != nil)
 	if d.churn != nil {
-		d.churn.Save(w, capOf)
+		d.churn.Save(w)
 	}
 	d.env.SaveFlows(w)
-	d.env.SaveDeliveries(w, capOf)
-	d.env.SaveHandoffs(w, capOf)
+	d.env.SaveDeliveries(w)
+	d.env.SaveHandoffs(w)
 	w.Bool(d.ob != nil)
 	if d.ob != nil {
 		d.ob.save(w)
@@ -455,10 +437,10 @@ func (d *topoCkpt) schedulers() []*des.Scheduler {
 
 // --- rateWatch checkpoint hooks ---
 
-func (rw *rateWatch) save(w *checkpoint.Writer, cap *des.TimerCapture) {
+func (rw *rateWatch) save(w *checkpoint.Writer) {
 	w.F64(rw.preRate)
 	w.F64(rw.recoveredAt)
-	w.Timer(cap.StateOf(rw.tm))
+	w.Timer(rw.tm.State())
 }
 
 func (rw *rateWatch) restore(r *checkpoint.Reader) {

@@ -1,16 +1,11 @@
 package fault
 
-import (
-	"repro/internal/checkpoint"
-	"repro/internal/des"
-)
+import "repro/internal/checkpoint"
 
 // Save writes the armed plan's run-time phase: per-event timer state
-// (fired events save as dead timers) and per-link control state. capOf
-// maps a scheduler to the capture of its timer population, so a plan
-// spanning several shards saves against the right capture per event.
+// (fired events save as dead timers) and per-link control state.
 // Saving a nil Armed writes an empty section that restores against nil.
-func (a *Armed) Save(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.TimerCapture) {
+func (a *Armed) Save(w *checkpoint.Writer) {
 	if a == nil {
 		w.Int(0)
 		w.Int(0)
@@ -18,7 +13,7 @@ func (a *Armed) Save(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.Timer
 	}
 	w.Int(len(a.events))
 	for _, e := range a.events {
-		w.Timer(capOf(e.sched).StateOf(e.tm))
+		w.Timer(e.tm.State())
 	}
 	w.Int(len(a.ctls))
 	for _, c := range a.ctls {

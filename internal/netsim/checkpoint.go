@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"repro/internal/checkpoint"
-	"repro/internal/des"
-)
+import "repro/internal/checkpoint"
 
 // This file is the netsim half of the snapshot protocol: packets, queue
 // disciplines, links (with their in-flight pipelines) and loss-event
@@ -170,8 +167,8 @@ func restoreRingPackets(r *checkpoint.Reader, ring *pktRing, n int, get func() *
 // Save writes the link's mutated state: effective rate (fault SetRate
 // events change it), busy flag, forwarding counters, the queue, the
 // packet being serialized and the propagation pipeline, each with its
-// pending timer resolved through cap.
-func (l *Link) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
+// pending timer.
+func (l *Link) Save(w *checkpoint.Writer) {
 	w.F64(l.Rate)
 	w.Bool(l.busy)
 	w.I64(l.FaultDrops)
@@ -181,13 +178,13 @@ func (l *Link) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
 	w.Bool(l.txPkt != nil)
 	if l.txPkt != nil {
 		SavePacket(w, l.txPkt)
-		w.Timer(cap.StateOf(l.txTm))
+		w.Timer(l.txTm.State())
 	}
 	w.Int(l.propLen)
 	for i := 0; i < l.propLen; i++ {
 		e := l.prop[(l.propHead+i)%len(l.prop)]
 		SavePacket(w, e.p)
-		w.Timer(cap.StateOf(e.tm))
+		w.Timer(e.tm.State())
 	}
 }
 

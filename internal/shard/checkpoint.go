@@ -2,7 +2,6 @@ package shard
 
 import (
 	"repro/internal/checkpoint"
-	"repro/internal/des"
 	"repro/internal/netsim"
 )
 
@@ -12,22 +11,20 @@ import (
 // between Run calls, when the cluster is barrier-aligned: every bundle
 // is drained, so the only cross-shard state in flight is the
 // scheduled-but-unfired injections, which each destination shard owns
-// and saves like any other timer. capOf maps a scheduler to the capture
-// of its timer population.
+// and saves like any other timer.
 
 // SaveHandoffs writes every shard's cross-shard traffic in shard order:
 // its handoff count, then its scheduled-but-unfired arrivals — the
 // destination-side packet copy, the message kind, and the injection
 // timer (whose causal key is the source clock at emission).
-func (c *Cluster) SaveHandoffs(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.TimerCapture) {
+func (c *Cluster) SaveHandoffs(w *checkpoint.Writer) {
 	for _, s := range c.shards {
 		w.I64(s.handoffs)
-		cap := capOf(&s.sched)
 		w.Int(len(s.liveInj))
 		for _, in := range s.liveInj {
 			w.U8(in.kind)
 			netsim.SavePacket(w, in.p)
-			w.Timer(cap.StateOf(in.tm))
+			w.Timer(in.tm.State())
 		}
 	}
 }

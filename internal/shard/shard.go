@@ -196,8 +196,9 @@ type Snapshot struct {
 	Injections int64
 	// Fired is the shard scheduler's cumulative event count.
 	Fired uint64
-	// Cascaded is the scheduler's cumulative timing-wheel entry
-	// migrations; Cascaded/Fired is the amortized wheel-maintenance cost
+	// Cascaded is the scheduler's cumulative timing-wheel event
+	// migrations; cancelled events leave the wheel at once and never
+	// migrate. Cascaded/Fired is the amortized wheel-maintenance cost
 	// per event, a per-shard utilization signal.
 	Cascaded uint64
 	// Handoffs is the cumulative count of cross-shard messages emitted.

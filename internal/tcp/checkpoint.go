@@ -4,13 +4,12 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
-	"repro/internal/des"
 )
 
 // Save writes the sender's run-time state. Configuration comes from the
 // rebuild, except the transfer volume: churn flows draw TotalSegments
 // per arrival, so it rides in the snapshot.
-func (s *Sender) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
+func (s *Sender) Save(w *checkpoint.Writer) {
 	w.Int(s.flow)
 	w.I64(s.cfg.TotalSegments)
 	w.F64(s.cwnd)
@@ -25,7 +24,7 @@ func (s *Sender) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
 	w.F64(s.rttvar)
 	w.F64(s.rto)
 	w.Int(s.backoff)
-	w.Timer(cap.StateOf(s.rtoTimer))
+	w.Timer(s.rtoTimer.State())
 	s.lossEvents.Save(w)
 	w.Bool(s.started)
 	w.Bool(s.done)
@@ -106,10 +105,6 @@ func (rc *Receiver) Restore(r *checkpoint.Reader) {
 	rc.unacked = r.Int()
 	rc.PacketsReceived = r.I64()
 }
-
-// Scheduler returns the scheduler the sender's RTO timer lives on, so a
-// snapshot orchestrator can resolve it against the right capture.
-func (s *Sender) Scheduler() *des.Scheduler { return s.sched }
 
 // Retire marks a never-started sender as completed so it can sit in a
 // recycling pool: Renew demands a Quiesced (done) sender, a state a

@@ -1,15 +1,11 @@
 package tfrc
 
-import (
-	"repro/internal/checkpoint"
-	"repro/internal/des"
-)
+import "repro/internal/checkpoint"
 
 // Save writes the sender's run-time state. Configuration comes from the
 // rebuild, except the transfer volume: churn flows draw TotalPackets per
-// arrival, so it rides in the snapshot. Timers resolve through cap (the
-// capture of the sender's scheduler).
-func (s *Sender) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
+// arrival, so it rides in the snapshot.
+func (s *Sender) Save(w *checkpoint.Writer) {
 	w.Int(s.flow)
 	w.I64(s.cfg.TotalPackets)
 	w.F64(s.rate)
@@ -19,8 +15,8 @@ func (s *Sender) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
 	for _, word := range s.random.State() {
 		w.U64(word)
 	}
-	w.Timer(cap.StateOf(s.sendTimer))
-	w.Timer(cap.StateOf(s.nfTimer))
+	w.Timer(s.sendTimer.State())
+	w.Timer(s.nfTimer.State())
 	w.Bool(s.started)
 	w.Bool(s.done)
 	w.F64(s.lastRecvRt)
@@ -70,10 +66,8 @@ func (s *Sender) Restore(r *checkpoint.Reader) {
 	}
 }
 
-// Save writes the receiver's run-time state. Timers resolve through cap
-// (the capture of the receiver's scheduler, which differs from the
-// sender's on a sharded executor).
-func (rc *Receiver) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
+// Save writes the receiver's run-time state.
+func (rc *Receiver) Save(w *checkpoint.Writer) {
 	w.Int(rc.flow)
 	w.I64(rc.expected)
 	w.I64(rc.highest)
@@ -85,7 +79,7 @@ func (rc *Receiver) Save(w *checkpoint.Writer, cap *des.TimerCapture) {
 	w.F64(rc.lastRecvAt)
 	w.F64(rc.bytesSinceFB)
 	w.F64(rc.lastFBAt)
-	w.Timer(cap.StateOf(rc.fbTimer))
+	w.Timer(rc.fbTimer.State())
 	w.Int(rc.silentFB)
 	w.I64(rc.PacketsReceived)
 	w.I64(rc.eventsBase)
@@ -115,14 +109,6 @@ func (rc *Receiver) Restore(r *checkpoint.Reader) {
 	rc.eventsBase = r.I64()
 	rc.intervals0 = r.Int()
 }
-
-// Scheduler returns the scheduler the sender's timers live on, so a
-// snapshot orchestrator can resolve them against the right capture.
-func (s *Sender) Scheduler() *des.Scheduler { return s.sched }
-
-// Scheduler returns the scheduler the receiver's feedback timer lives
-// on.
-func (rc *Receiver) Scheduler() *des.Scheduler { return rc.sched }
 
 // Retire marks a never-started sender as completed so it can sit in a
 // recycling pool: Renew demands a Quiesced (done) sender, a state a

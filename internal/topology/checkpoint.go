@@ -2,7 +2,6 @@ package topology
 
 import (
 	"repro/internal/checkpoint"
-	"repro/internal/des"
 	"repro/internal/netsim"
 )
 
@@ -12,15 +11,13 @@ import (
 // flow overlays only after every flow — including churn arrivals — has
 // been re-attached, deliveries after the endpoints they target exist,
 // and the freelist ledgers last of all so the leak invariant holds the
-// moment the restore completes. capOf maps a scheduler to the capture
-// of its timer population; every section resolves each timer against
-// the capture of the domain that owns it.
+// moment the restore completes.
 
 // SaveLinks writes every link's state in link-id order.
-func (n *Network) SaveLinks(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.TimerCapture) {
+func (n *Network) SaveLinks(w *checkpoint.Writer) {
 	w.Int(len(n.links))
-	for id, l := range n.links {
-		l.Save(w, capOf(n.owner(LinkID(id)).sched))
+	for _, l := range n.links {
+		l.Save(w)
 	}
 }
 
@@ -93,14 +90,13 @@ func (n *Network) RestoreFlows(r *checkpoint.Reader) {
 // SaveDeliveries writes every domain's pending pure-delay hand-offs in
 // domain order: the packet, which endpoint of its flow it targets, and
 // the hand-off timer.
-func (n *Network) SaveDeliveries(w *checkpoint.Writer, capOf func(*des.Scheduler) *des.TimerCapture) {
+func (n *Network) SaveDeliveries(w *checkpoint.Writer) {
 	for _, d := range n.doms {
-		cap := capOf(d.sched)
 		w.Int(len(d.liveDel))
 		for _, dv := range d.liveDel {
 			w.Bool(dv.toSender)
 			netsim.SavePacket(w, dv.p)
-			w.Timer(cap.StateOf(dv.tm))
+			w.Timer(dv.tm.State())
 		}
 	}
 }
