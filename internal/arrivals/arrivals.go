@@ -23,11 +23,17 @@
 //     network — and mutates no scheduler or ledger state, so reclamation
 //     is invisible to the simulation.
 //
+// Memory follows the live population, not the arrival budget: each
+// class keeps its transfers in a live table whose entries are recycled
+// through a free list as flows are reclaimed, so the table grows only at
+// a new peak of live transfers. The arrival budget (MaxArrivals) sizes
+// one int32 per arrival, the index from arrival to live entry.
+//
 // Beyond driving churn, each class records the Palm-calculus view of
-// its own arrival process: the population found by each arrival (a Palm
-// expectation — PASTA makes it match the time average for Poisson
-// classes and not for bursty ones) next to the exact time-average
-// population, as a palm.Log of inter-arrival cycles.
+// its own arrival process: the mean population found by an arrival (a
+// Palm expectation — PASTA makes it match the time average for Poisson
+// classes and not for bursty ones), kept as a running sum in arrival
+// order, next to the exact time-average population.
 package arrivals
 
 import (
@@ -36,7 +42,6 @@ import (
 	"repro/internal/cbr"
 	"repro/internal/des"
 	"repro/internal/netsim"
-	"repro/internal/palm"
 	"repro/internal/rng"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
@@ -303,15 +308,11 @@ type ClassResult struct {
 	// expectation E0[N]); TimePop the exact time-average population over
 	// [Start, end]. PASTA makes the two agree for Poisson classes.
 	PalmPop, TimePop float64
-	// Log holds the inter-arrival cycles (duration = gap to the next
-	// arrival, value = population found) for Palm-vs-time comparisons
-	// via internal/palm; nil when the class saw fewer than one closed
-	// cycle.
-	Log *palm.Log
 }
 
-// flowSlot tracks one arrival's endpoints and lifecycle.
-type flowSlot struct {
+// transfer is one live transfer: an arrival's endpoints and lifecycle,
+// from its attach until the engine reclaims it.
+type transfer struct {
 	tfrcSnd *tfrc.Sender
 	tfrcRcv *tfrc.Receiver
 	tcpSnd  *tcp.Sender
@@ -320,7 +321,6 @@ type flowSlot struct {
 
 	startedAt float64
 	done      bool
-	reclaimed bool
 }
 
 // tfrcPair / tcpPair are the serial executor's recycling pools' units.
@@ -352,7 +352,14 @@ type classState struct {
 	arriveTm des.Timer // pending next-arrival event, if any
 	next     int       // arrival index of the next arrival
 
-	slots []flowSlot
+	// live holds the transfers that have arrived and are not reclaimed
+	// yet; a reclaimed transfer's entry goes on free for the next
+	// arrival, so the table grows only at a new peak of live transfers.
+	// index[i] is arrival i's entry in live plus one: 0 before it
+	// arrives and once it is reclaimed.
+	live  []transfer
+	free  []int32
+	index []int32
 
 	tfrcPool []tfrcPair
 	tcpPool  []tcpPair
@@ -368,7 +375,13 @@ type classState struct {
 	popIntegral float64
 	lastChange  float64
 
-	cycles        []palm.Cycle
+	// palmSum and palmN are the running Palm sums: the populations found
+	// by the arrivals whose inter-arrival cycle closed with a positive
+	// length, added in arrival order, and their count. The last arrival's
+	// cycle stays open (lastArrivalAt, lastPop) until the next arrival or
+	// the end of the run closes it.
+	palmSum       float64
+	palmN         int
 	lastArrivalAt float64
 	lastPop       float64
 	openCycle     bool
@@ -438,10 +451,11 @@ func NewEngine(host Host, firstFlow int, classes []Class) *Engine {
 // FlowRange returns the engine's flow-id block: ids [lo, lo+count).
 func (e *Engine) FlowRange() (lo, count int) { return e.lo, e.count }
 
-// Arm allocates each class's slot and cycle buffers (one allocation
-// each, sized by MaxArrivals — steady-state churn allocates nothing),
-// installs the quiet watch on serial executors, and schedules every
-// class's first arrival. Call once, before the first Run.
+// Arm allocates each class's arrival index (one int32 per budgeted
+// arrival; the live table grows with the population, so steady-state
+// churn allocates nothing), installs the quiet watch on serial
+// executors, and schedules every class's first arrival. Call once,
+// before the first Run.
 func (e *Engine) Arm() {
 	if e.armed {
 		panic("arrivals: engine armed twice")
@@ -451,8 +465,7 @@ func (e *Engine) Arm() {
 		e.lc.WatchFlows(e.lo, e.count, e.onQuiet)
 	}
 	for _, cs := range e.classes {
-		cs.slots = make([]flowSlot, cs.MaxArrivals)
-		cs.cycles = make([]palm.Cycle, 0, cs.MaxArrivals)
+		cs.index = make([]int32, cs.MaxArrivals)
 		cs.lastChange = cs.Start
 		if t := cs.Start + cs.Gap.draw(cs.random); t < cs.Stop {
 			cs.arriveTm = cs.sndSched.At(t, cs.arriveFn)
@@ -460,7 +473,7 @@ func (e *Engine) Arm() {
 	}
 }
 
-// classOf maps a churn flow id to its class and slot index.
+// classOf maps a churn flow id to its class and arrival index.
 func (e *Engine) classOf(flow int) (*classState, int) {
 	for _, cs := range e.classes {
 		if i := flow - cs.firstFlow; i >= 0 && i < cs.MaxArrivals {
@@ -489,21 +502,21 @@ func (e *Engine) maybeReclaim(flow int) {
 	if cs == nil {
 		return
 	}
-	sl := &cs.slots[i]
-	if sl.reclaimed || !sl.done {
+	t := cs.transfer(i)
+	if t == nil || !t.done {
 		return
 	}
 	switch cs.Proto {
 	case TFRC:
-		if !sl.tfrcSnd.Quiesced() || !sl.tfrcRcv.Idle() {
+		if !t.tfrcSnd.Quiesced() || !t.tfrcRcv.Idle() {
 			return
 		}
 	case TCP:
-		if !sl.tcpSnd.Quiesced() {
+		if !t.tcpSnd.Quiesced() {
 			return
 		}
 	case CBR:
-		if !sl.probe.Quiesced() {
+		if !t.probe.Quiesced() {
 			return
 		}
 	}
@@ -511,19 +524,48 @@ func (e *Engine) maybeReclaim(flow int) {
 		return
 	}
 	e.lc.DetachFlow(flow)
-	sl.reclaimed = true
 	cs.reclaimed++
 	switch cs.Proto {
 	case TFRC:
-		cs.tfrcPool = append(cs.tfrcPool, tfrcPair{sl.tfrcSnd, sl.tfrcRcv})
-		sl.tfrcSnd, sl.tfrcRcv = nil, nil
+		cs.tfrcPool = append(cs.tfrcPool, tfrcPair{t.tfrcSnd, t.tfrcRcv})
 	case TCP:
-		cs.tcpPool = append(cs.tcpPool, tcpPair{sl.tcpSnd, sl.tcpRcv})
-		sl.tcpSnd, sl.tcpRcv = nil, nil
+		cs.tcpPool = append(cs.tcpPool, tcpPair{t.tcpSnd, t.tcpRcv})
 	case CBR:
-		cs.cbrPool = append(cs.cbrPool, sl.probe)
-		sl.probe = nil
+		cs.cbrPool = append(cs.cbrPool, t.probe)
 	}
+	cs.release(i)
+}
+
+// transfer returns arrival i's live transfer, nil before it arrives and
+// once it is reclaimed. The pointer is valid until the next admit.
+func (cs *classState) transfer(i int) *transfer {
+	if k := cs.index[i]; k != 0 {
+		return &cs.live[k-1]
+	}
+	return nil
+}
+
+// admit files arrival i in the live table, on a freed entry when there
+// is one.
+func (cs *classState) admit(i int) *transfer {
+	var k int32
+	if n := len(cs.free); n > 0 {
+		k = cs.free[n-1]
+		cs.free = cs.free[:n-1]
+	} else {
+		k = int32(len(cs.live))
+		cs.live = append(cs.live, transfer{})
+	}
+	cs.index[i] = k + 1
+	return &cs.live[k]
+}
+
+// release clears reclaimed arrival i's entry onto the free list.
+func (cs *classState) release(i int) {
+	k := cs.index[i] - 1
+	cs.index[i] = 0
+	cs.live[k] = transfer{}
+	cs.free = append(cs.free, k)
 }
 
 // arrive is one class's arrival event: close the previous inter-arrival
@@ -533,10 +575,9 @@ func (e *Engine) maybeReclaim(flow int) {
 // class RNG's stream is executor-invariant.
 func (cs *classState) arrive() {
 	now := cs.sndSched.Now()
-	if cs.openCycle {
-		if d := now - cs.lastArrivalAt; d > 0 {
-			cs.cycles = append(cs.cycles, palm.Cycle{Duration: d, Value: cs.lastPop})
-		}
+	if cs.openCycle && now > cs.lastArrivalAt {
+		cs.palmSum += cs.lastPop
+		cs.palmN++
 	}
 	found := cs.pop
 	cs.lastPop = float64(found)
@@ -563,13 +604,14 @@ func (cs *classState) arrive() {
 	}
 }
 
-// start attaches and starts the i-th transfer: a pooled endpoint pair
-// renewed in place when the serial executor has reclaimed one, a fresh
-// pair otherwise. Renew resets a pair to exactly its freshly-built
-// state, so both paths produce the same trajectory.
+// start files the i-th transfer in the live table, then attaches and
+// starts it: a pooled endpoint pair renewed in place when the serial
+// executor has reclaimed one, a fresh pair otherwise. Renew resets a
+// pair to exactly its freshly-built state, so both paths produce the
+// same trajectory.
 func (cs *classState) start(i, flow int, size int64, now float64) {
-	sl := &cs.slots[i]
-	sl.startedAt = now
+	t := cs.admit(i)
+	t.startedAt = now
 	seed := FlowSeed(cs.Seed, i)
 	switch cs.Proto {
 	case TFRC:
@@ -579,43 +621,43 @@ func (cs *classState) start(i, flow int, size int64, now float64) {
 		if n := len(cs.tfrcPool); n > 0 {
 			p := cs.tfrcPool[n-1]
 			cs.tfrcPool = cs.tfrcPool[:n-1]
-			sl.tfrcSnd, sl.tfrcRcv = p.snd, p.rcv
+			t.tfrcSnd, t.tfrcRcv = p.snd, p.rcv
 			tfrc.RenewRaw(p.snd, p.rcv, flow, cfg)
 		} else {
 			cs.constructions++
-			sl.tfrcSnd, sl.tfrcRcv = cs.newTFRC(flow, cfg)
+			t.tfrcSnd, t.tfrcRcv = cs.newTFRC(flow, cfg)
 		}
-		cs.eng.host.AttachLive(flow, sl.tfrcSnd, sl.tfrcRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-		sl.tfrcSnd.Start()
+		cs.eng.host.AttachLive(flow, t.tfrcSnd, t.tfrcRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
+		t.tfrcSnd.Start()
 	case TCP:
 		cfg := cs.TCP
 		cfg.TotalSegments = size
 		if n := len(cs.tcpPool); n > 0 {
 			p := cs.tcpPool[n-1]
 			cs.tcpPool = cs.tcpPool[:n-1]
-			sl.tcpSnd, sl.tcpRcv = p.snd, p.rcv
+			t.tcpSnd, t.tcpRcv = p.snd, p.rcv
 			tcp.RenewRaw(p.snd, p.rcv, flow, cfg)
 		} else {
 			cs.constructions++
-			sl.tcpSnd, sl.tcpRcv = cs.newTCP(flow, cfg)
+			t.tcpSnd, t.tcpRcv = cs.newTCP(flow, cfg)
 		}
-		cs.eng.host.AttachLive(flow, sl.tcpSnd, sl.tcpRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-		sl.tcpSnd.Start()
+		cs.eng.host.AttachLive(flow, t.tcpSnd, t.tcpRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
+		t.tcpSnd.Start()
 	case CBR:
 		if n := len(cs.cbrPool); n > 0 {
 			p := cs.cbrPool[n-1]
 			cs.cbrPool = cs.cbrPool[:n-1]
-			sl.probe = p
+			t.probe = p
 			p.Renew(flow, cs.CBRSize, cs.CBRRate, false, cs.CBRRTT, seed)
 		} else {
 			cs.constructions++
 			p := cs.probe(flow, seed)
-			sl.probe = p
+			t.probe = p
 		}
-		sl.probe.SetTotalPackets(size)
-		snd, rcv := sl.probe.Endpoints()
+		t.probe.SetTotalPackets(size)
+		snd, rcv := t.probe.Endpoints()
 		cs.eng.host.AttachLive(flow, snd, rcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-		sl.probe.Start()
+		t.probe.Start()
 	}
 }
 
@@ -653,15 +695,14 @@ func (cs *classState) probe(flow int, seed uint64) *cbr.Probe {
 // transfer (last packet sent for TFRC/CBR, full volume acknowledged for
 // TCP) — so every executor accounts the completion at the same instant.
 func (cs *classState) flowDone(flow int) {
-	i := flow - cs.firstFlow
-	sl := &cs.slots[i]
-	if sl.done {
+	t := cs.transfer(flow - cs.firstFlow)
+	if t == nil || t.done {
 		return
 	}
-	sl.done = true
+	t.done = true
 	now := cs.sndSched.Now()
 	cs.completions++
-	cs.durSum += now - sl.startedAt
+	cs.durSum += now - t.startedAt
 	cs.popIntegral += float64(cs.pop) * (now - cs.lastChange)
 	cs.lastChange = now
 	cs.pop--
@@ -698,22 +739,15 @@ func (e *Engine) Results(end float64) []ClassResult {
 		if span > 0 {
 			r.TimePop = integral / span
 		}
-		cycles := cs.cycles
-		if cs.openCycle {
-			if d := end - cs.lastArrivalAt; d > 0 {
-				cycles = append(cycles, palm.Cycle{Duration: d, Value: cs.lastPop})
-			}
+		// Palm mean over arrivals: the population each arrival found,
+		// one sample per inter-arrival cycle, the open one closed at end.
+		sum, n := cs.palmSum, cs.palmN
+		if cs.openCycle && end > cs.lastArrivalAt {
+			sum += cs.lastPop
+			n++
 		}
-		if len(cycles) > 0 {
-			// Palm mean over arrivals: the population each arrival found.
-			// The cycle values carry exactly that sequence (one cycle per
-			// arrival, closed at the next arrival or at end).
-			sum := 0.0
-			for _, c := range cycles {
-				sum += c.Value
-			}
-			r.PalmPop = sum / float64(len(cycles))
-			r.Log = palm.NewLog(cycles)
+		if n > 0 {
+			r.PalmPop = sum / float64(n)
 		}
 		out = append(out, r)
 	}

@@ -2,8 +2,10 @@ package arrivals
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -59,8 +61,9 @@ func baseTFRC() tfrc.Config {
 	return cfg
 }
 
-func runEngine(t *testing.T, host Host, net *topology.Network, route []topology.LinkID, specs []Spec, end float64) (*Engine, []ClassResult) {
-	t.Helper()
+// armEngine builds an engine of the given classes over the route on the
+// host, reserves its flow ids on the network and arms it.
+func armEngine(host Host, net *topology.Network, route []topology.LinkID, specs []Spec) *Engine {
 	classes := make([]Class, len(specs))
 	for i, sp := range specs {
 		cl := Class{Spec: sp, FwdHops: route, FwdExtra: 0.005, RevDelay: 0.025}
@@ -79,12 +82,13 @@ func runEngine(t *testing.T, host Host, net *topology.Network, route []topology.
 	lo, count := eng.FlowRange()
 	net.ReserveFlows(lo + count)
 	eng.Arm()
-	sched := classes[0].FwdHops[0] // silence unused warnings pattern not needed
-	_ = sched
-	hostSched := host.(interface {
-		RouteEnv([]topology.LinkID) (*des.Scheduler, netsim.Network, *des.Scheduler, netsim.Network)
-	})
-	s, _, _, _ := hostSched.RouteEnv(route)
+	return eng
+}
+
+func runEngine(t *testing.T, host Host, net *topology.Network, route []topology.LinkID, specs []Spec, end float64) (*Engine, []ClassResult) {
+	t.Helper()
+	eng := armEngine(host, net, route, specs)
+	s, _, _, _ := host.RouteEnv(route)
 	s.RunUntil(end)
 	return eng, eng.Results(end)
 }
@@ -268,12 +272,27 @@ func TestServeReclaimRecycle(t *testing.T) {
 				t.Fatalf("freelist invariant broken after churn: %v", err)
 			}
 			cs := eng.classes[0]
-			// Every reclaimed flow: detached (InFlight accounting zeroed)
-			// and its pooled endpoints hold no live timers.
+			// Every reclaimed flow: detached (InFlight accounting zeroed),
+			// out of the live table, and its pooled endpoints hold no live
+			// timers.
 			for i := 0; i < cs.next; i++ {
-				if cs.slots[i].reclaimed && net.InFlight(cs.firstFlow+i) != 0 {
+				if cs.transfer(i) == nil && net.InFlight(cs.firstFlow+i) != 0 {
 					t.Fatalf("reclaimed flow %d still has packets in flight", cs.firstFlow+i)
 				}
+			}
+			// The live table holds exactly the transfers not yet reclaimed,
+			// its freed entries hold no endpoints, and it grew only at a new
+			// peak: one entry per pair ever built.
+			if got, want := len(cs.live)-len(cs.free), int(r.Arrivals-r.Reclaimed); got != want {
+				t.Fatalf("live table holds %d transfers, %d arrived and not reclaimed", got, want)
+			}
+			for _, k := range cs.free {
+				if cs.live[k] != (transfer{}) {
+					t.Fatalf("freed live entry %d still holds a transfer", k)
+				}
+			}
+			if int64(len(cs.live)) != r.Constructions {
+				t.Fatalf("live table has %d entries for %d pairs built", len(cs.live), r.Constructions)
 			}
 			for _, p := range cs.tfrcPool {
 				if !p.snd.Quiesced() || !p.rcv.Idle() {
@@ -325,11 +344,11 @@ func TestReclaimInvisible(t *testing.T) {
 	}
 }
 
-// Two identical runs must agree bit for bit, and the Palm log of a
+// Two identical runs must agree bit for bit, and the Palm sums of a
 // Poisson class must see PASTA: the population found by arrivals equals
 // the time-average population, within Monte Carlo noise.
 func TestDeterminismAndPASTA(t *testing.T) {
-	run := func() ClassResult {
+	run := func() (*Engine, ClassResult) {
 		var sched des.Scheduler
 		net, route := testNet(&sched)
 		host := &serialHost{sched: &sched, net: net}
@@ -338,16 +357,17 @@ func TestDeterminismAndPASTA(t *testing.T) {
 		// the comparison below needs matching windows.
 		sp := tfrcSpec(31)
 		sp.Stop = 40
-		_, res := runEngine(t, host, net, route, []Spec{sp}, 40)
-		return res[0]
+		eng, res := runEngine(t, host, net, route, []Spec{sp}, 40)
+		return eng, res[0]
 	}
-	a, b := run(), run()
+	eng, a := run()
+	_, b := run()
 	if a.Arrivals != b.Arrivals || a.PalmPop != b.PalmPop || a.TimePop != b.TimePop ||
 		a.Completions != b.Completions || a.MeanDuration != b.MeanDuration {
 		t.Fatalf("replay differs:\n%+v\n%+v", a, b)
 	}
-	if a.Log == nil {
-		t.Fatal("no palm log")
+	if eng.classes[0].palmN == 0 {
+		t.Fatal("no closed palm cycle")
 	}
 	if a.TimePop <= 0 {
 		t.Fatal("no time-average population")
@@ -356,8 +376,10 @@ func TestDeterminismAndPASTA(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("PASTA violated for Poisson arrivals: palm/time = %v", ratio)
 	}
-	if got := a.Log.N(); got != int(a.Arrivals) {
-		t.Fatalf("palm log has %d cycles for %d arrivals", got, a.Arrivals)
+	// One Palm sample per arrival: the closed cycles plus the last one,
+	// which Results closes at the end of the run.
+	if got := eng.classes[0].palmN + 1; got != int(a.Arrivals) {
+		t.Fatalf("palm sums hold %d cycles for %d arrivals", got, a.Arrivals)
 	}
 }
 
@@ -415,4 +437,163 @@ func TestArmTwicePanics(t *testing.T) {
 		}
 	}()
 	eng.Arm()
+}
+
+// Arming sizes nothing by the arrival budget but the arrival index, one
+// int32 per budgeted arrival: on a host that never reclaims (the
+// sharded executor's shape) a 1,000,000-arrival budget keeps at most
+// 4.5 MB reachable. Transfers take memory as they arrive, not before.
+func TestArmMemoryIsTheIndexOnly(t *testing.T) {
+	var sched des.Scheduler
+	net, route := testNet(&sched)
+	host := &noReclaimHost{serialHost{sched: &sched, net: net}}
+	sp := tfrcSpec(61)
+	sp.MaxArrivals = 1_000_000
+	cl := Class{Spec: sp, FwdHops: route, FwdExtra: 0.005, RevDelay: 0.025, TFRC: baseTFRC()}
+	eng := NewEngine(host, 0, []Class{cl})
+	heap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	before := heap()
+	eng.Arm()
+	after := heap()
+	runtime.KeepAlive(eng)
+	if grew := (after - before) / (1 << 20); grew > 4.5 {
+		t.Fatalf("Arm on a %d-arrival budget keeps %.1f MB reachable, want at most 4.5", sp.MaxArrivals, grew)
+	}
+}
+
+// The churn section of a snapshot follows the live transfers, not the
+// arrivals served: apart from the live transfers' own records, it is
+// the same size after about 4K arrivals of one steady class as after
+// about 1K. A record per arrival or per Palm cycle would grow it by
+// kilobytes.
+func TestSnapshotSectionFlatInArrivals(t *testing.T) {
+	var sched des.Scheduler
+	net, route := testNet(&sched)
+	host := &serialHost{sched: &sched, net: net}
+	sp := tfrcSpec(71)
+	sp.Stop = 200
+	sp.MaxArrivals = 8000
+	eng := armEngine(host, net, route, []Spec{sp})
+	cs := eng.classes[0]
+	// section runs to the given time and returns the arrivals served, the
+	// live transfers and the section's size without their records.
+	section := func(until float64) (arrivals, live, rest int) {
+		sched.RunUntil(until)
+		var w checkpoint.Writer
+		eng.Save(&w)
+		rest = w.Len()
+		for i := 0; i < cs.next; i++ {
+			if tr := cs.transfer(i); tr != nil {
+				var one checkpoint.Writer
+				cs.saveTransfer(&one, i, tr)
+				rest -= one.Len()
+				live++
+			}
+		}
+		return cs.next, live, rest
+	}
+	a1, l1, rest1 := section(25)
+	a4, l4, rest4 := section(100)
+	if a1 < 800 || a1 > 1200 || a4 < 3600 || a4 > 4400 {
+		t.Fatalf("snapshots after %d and %d arrivals, want about 1K and 4K", a1, a4)
+	}
+	if l1 == 0 || l4 == 0 {
+		t.Fatalf("no live transfer in a snapshot (%d, %d); the test exercises nothing", l1, l4)
+	}
+	if rest4 != rest1 {
+		t.Fatalf("churn section without its %d/%d live transfers is %d B after %d arrivals, %d B after %d",
+			l1, l4, rest1, a1, rest4, a4)
+	}
+}
+
+// A churn section restores onto a freshly armed engine built from the
+// same classes: live transfers come back on fresh endpoint pairs with
+// their protocol state, the pools refill to their saved depths, and
+// saving the restored engine writes the same bytes with the same
+// results.
+func TestSaveRestoreRoundTrip(t *testing.T) {
+	for _, proto := range []Proto{TFRC, TCP, CBR} {
+		t.Run(proto.String(), func(t *testing.T) {
+			sp := tfrcSpec(81)
+			sp.Proto = proto
+			sp.CBRRate = 200
+			build := func() (*des.Scheduler, *Engine) {
+				var sched des.Scheduler
+				net, route := testNet(&sched)
+				return &sched, armEngine(&serialHost{sched: &sched, net: net}, net, route, []Spec{sp})
+			}
+			sched, eng := build()
+			sched.RunUntil(12)
+			var w checkpoint.Writer
+			eng.Save(&w)
+			cs := eng.classes[0]
+			if len(cs.live)-len(cs.free) == 0 || cs.reclaimed == 0 {
+				t.Fatalf("snapshot with %d live transfers and %d reclaimed; the test exercises nothing",
+					len(cs.live)-len(cs.free), cs.reclaimed)
+			}
+
+			sched2, eng2 := build()
+			sched2.Reset()
+			sched2.RestoreClock(sched.Now(), sched.Seq(), sched.Fired(), sched.Cascaded())
+			r := checkpoint.NewReader(w.Bytes())
+			eng2.Restore(r)
+			if err := r.Err(); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if r.Remaining() != 0 {
+				t.Fatalf("restore left %d bytes unread", r.Remaining())
+			}
+			var w2 checkpoint.Writer
+			eng2.Save(&w2)
+			if string(w2.Bytes()) != string(w.Bytes()) {
+				t.Fatalf("restored engine saves %d bytes that differ from the %d it was restored from", w2.Len(), w.Len())
+			}
+			if a, b := eng.Results(12)[0], eng2.Results(12)[0]; a != b {
+				t.Fatalf("restored results differ:\n%+v\n%+v", a, b)
+			}
+		})
+	}
+}
+
+// A churn section that does not fit the rebuilt engine is refused with
+// an error: restored before Arm, a different class count, or more
+// arrivals than the class's budget.
+func TestRestoreRejectsMismatch(t *testing.T) {
+	var sched des.Scheduler
+	net, route := testNet(&sched)
+	host := &serialHost{sched: &sched, net: net}
+	sp := tfrcSpec(91)
+	eng := armEngine(host, net, route, []Spec{sp})
+	sched.RunUntil(5)
+	var w checkpoint.Writer
+	eng.Save(&w)
+
+	restore := func(name string, into *Engine) {
+		t.Helper()
+		r := checkpoint.NewReader(w.Bytes())
+		into.Restore(r)
+		if r.Err() == nil {
+			t.Errorf("%s: restore succeeded", name)
+		}
+	}
+	fresh := func(specs ...Spec) *Engine {
+		var s des.Scheduler
+		n, rt := testNet(&s)
+		return armEngine(&serialHost{sched: &s, net: n}, n, rt, specs)
+	}
+	var s des.Scheduler
+	n, rt := testNet(&s)
+	unarmed := NewEngine(&serialHost{sched: &s, net: n}, 0, []Class{{Spec: sp, FwdHops: rt, TFRC: baseTFRC()}})
+	restore("before Arm", unarmed)
+	other := sp
+	other.Name = "u"
+	restore("two classes", fresh(sp, other))
+	small := sp
+	small.MaxArrivals = 7
+	restore("smaller budget", fresh(small))
 }

@@ -1,14 +1,13 @@
 package arrivals
 
-import (
-	"repro/internal/checkpoint"
-	"repro/internal/palm"
-)
+import "repro/internal/checkpoint"
 
 // Save writes the engine's run-time state in class declaration order:
 // the class RNG and arrival cursor, the pending next-arrival timer, the
-// population and Palm bookkeeping, and — inline — every live transfer's
-// protocol state.
+// population and running Palm sums, and the live transfers in arrival
+// order, each with its protocol state inline. Reclaimed transfers leave
+// nothing behind, so the section follows the live population, not the
+// number of arrivals served.
 func (e *Engine) Save(w *checkpoint.Writer) {
 	w.Int(len(e.classes))
 	for _, cs := range e.classes {
@@ -64,32 +63,34 @@ func (cs *classState) save(w *checkpoint.Writer) {
 	w.Int(cs.peak)
 	w.F64(cs.popIntegral)
 	w.F64(cs.lastChange)
-	w.Int(len(cs.cycles))
-	for _, c := range cs.cycles {
-		w.F64(c.Duration)
-		w.F64(c.Value)
-	}
+	w.F64(cs.palmSum)
+	w.Int(cs.palmN)
 	w.F64(cs.lastArrivalAt)
 	w.F64(cs.lastPop)
 	w.Bool(cs.openCycle)
+	w.Int(len(cs.live) - len(cs.free))
 	for i := 0; i < cs.next; i++ {
-		sl := &cs.slots[i]
-		w.F64(sl.startedAt)
-		w.Bool(sl.done)
-		w.Bool(sl.reclaimed)
-		if sl.reclaimed {
-			continue
+		if t := cs.transfer(i); t != nil {
+			cs.saveTransfer(w, i, t)
 		}
-		switch cs.Proto {
-		case TFRC:
-			sl.tfrcSnd.Save(w)
-			sl.tfrcRcv.Save(w)
-		case TCP:
-			sl.tcpSnd.Save(w)
-			sl.tcpRcv.Save(w)
-		case CBR:
-			sl.probe.Save(w)
-		}
+	}
+}
+
+// saveTransfer writes live transfer i: its arrival index, start time,
+// completion flag and protocol state.
+func (cs *classState) saveTransfer(w *checkpoint.Writer, i int, t *transfer) {
+	w.Int(i)
+	w.F64(t.startedAt)
+	w.Bool(t.done)
+	switch cs.Proto {
+	case TFRC:
+		t.tfrcSnd.Save(w)
+		t.tfrcRcv.Save(w)
+	case TCP:
+		t.tcpSnd.Save(w)
+		t.tcpRcv.Save(w)
+	case CBR:
+		t.probe.Save(w)
 	}
 }
 
@@ -118,46 +119,46 @@ func (cs *classState) restore(r *checkpoint.Reader) {
 	cs.peak = r.Int()
 	cs.popIntegral = r.F64()
 	cs.lastChange = r.F64()
-	nc := r.Count()
-	cs.cycles = cs.cycles[:0]
-	for i := 0; i < nc; i++ {
-		cs.cycles = append(cs.cycles, palm.Cycle{Duration: r.F64(), Value: r.F64()})
-	}
+	cs.palmSum = r.F64()
+	cs.palmN = r.Int()
 	cs.lastArrivalAt = r.F64()
 	cs.lastPop = r.F64()
 	cs.openCycle = r.Bool()
-	for i := 0; i < cs.next; i++ {
+	n := r.Count()
+	prev := -1
+	for j := 0; j < n; j++ {
+		i := r.Int()
 		if r.Err() != nil {
 			return
 		}
-		sl := &cs.slots[i]
-		sl.startedAt = r.F64()
-		sl.done = r.Bool()
-		sl.reclaimed = r.Bool()
-		if sl.reclaimed {
-			continue
+		if i <= prev || i >= cs.next {
+			r.Fail("arrivals class %s snapshot lists live transfer %d after %d of %d arrivals", cs.Name, i, prev, cs.next)
+			return
 		}
+		prev = i
+		t := cs.admit(i)
+		t.startedAt = r.F64()
+		t.done = r.Bool()
 		flow := cs.firstFlow + i
 		seed := FlowSeed(cs.Seed, i)
 		switch cs.Proto {
 		case TFRC:
 			cfg := cs.TFRC
 			cfg.Seed = seed
-			sl.tfrcSnd, sl.tfrcRcv = cs.newTFRC(flow, cfg)
-			cs.eng.host.AttachLive(flow, sl.tfrcSnd, sl.tfrcRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-			sl.tfrcSnd.Restore(r)
-			sl.tfrcRcv.Restore(r)
+			t.tfrcSnd, t.tfrcRcv = cs.newTFRC(flow, cfg)
+			cs.eng.host.AttachLive(flow, t.tfrcSnd, t.tfrcRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
+			t.tfrcSnd.Restore(r)
+			t.tfrcRcv.Restore(r)
 		case TCP:
-			cfg := cs.TCP
-			sl.tcpSnd, sl.tcpRcv = cs.newTCP(flow, cfg)
-			cs.eng.host.AttachLive(flow, sl.tcpSnd, sl.tcpRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-			sl.tcpSnd.Restore(r)
-			sl.tcpRcv.Restore(r)
+			t.tcpSnd, t.tcpRcv = cs.newTCP(flow, cs.TCP)
+			cs.eng.host.AttachLive(flow, t.tcpSnd, t.tcpRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
+			t.tcpSnd.Restore(r)
+			t.tcpRcv.Restore(r)
 		case CBR:
-			sl.probe = cs.probe(flow, seed)
-			snd, rcv := sl.probe.Endpoints()
+			t.probe = cs.probe(flow, seed)
+			snd, rcv := t.probe.Endpoints()
 			cs.eng.host.AttachLive(flow, snd, rcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-			sl.probe.Restore(r)
+			t.probe.Restore(r)
 		}
 	}
 	// Refill the recycling pool to its saved depth with fresh pairs: pool

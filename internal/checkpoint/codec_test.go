@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -179,6 +182,30 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// A file written under an earlier codec version — here version 2, whose
+// churn section listed every arrival and every Palm cycle — is refused
+// with the version error, not misread under the current layout. The
+// envelope is otherwise intact: its checksum covers the old version.
+func TestReadFileRefusesOlderVersion(t *testing.T) {
+	b := Encode(7, []byte("an older snapshot"))
+	binary.LittleEndian.PutUint32(b[8:], 2)
+	body := b[:len(b)-trailerLen]
+	h := fnv.New64a()
+	h.Write(body)
+	binary.LittleEndian.PutUint64(b[len(body):], h.Sum64())
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := ReadFile(path)
+	if err == nil {
+		t.Fatal("a version-2 snapshot was read without error")
+	}
+	if want := fmt.Sprintf("codec version 2, this binary reads version %d", CodecVersion); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not say %q", err, want)
 	}
 }
 

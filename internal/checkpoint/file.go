@@ -11,8 +11,9 @@ import (
 // CodecVersion is the container format version. Readers refuse files
 // written under a different version rather than guessing at layouts.
 // Version 2: every run saves its network's per-domain sections and the
-// cluster's handoff section, at any shard count.
-const CodecVersion = 2
+// cluster's handoff section, at any shard count. Version 3: the churn
+// section holds the live transfers and the running Palm sums only.
+const CodecVersion = 3
 
 // magic identifies a checkpoint file. Eight bytes, fixed.
 const magic = "EBRCCKP1"

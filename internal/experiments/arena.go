@@ -19,6 +19,11 @@ import (
 // clusters wait on a free list: a sweep keeps as many as it has runs in
 // flight, and every later run starts warm.
 //
+// A cluster is Reset when it is returned, not when it is next drawn, so
+// an idle cluster holds capacity only: the finished run's endpoints,
+// engines and pending events are unreachable from the free list and the
+// garbage collector takes them while the cluster waits.
+//
 // Reuse is invisible to results: the cluster Reset restores the exact
 // zero-value semantics (clock 0, empty graph, fresh counters), every
 // packet is zeroed on Get, and event order depends only on (time,
@@ -72,7 +77,6 @@ var shardForceParallel bool
 // that registration, "" when there is none.
 func getCluster(shards int) (c *shard.Cluster, liveKey string) {
 	c = clusterPool.get()
-	c.Reset()
 	c.ForceParallel = shardForceParallel
 	if Observe.Live && shards > 1 {
 		liveKey = obs.PublishLive("cluster", func() any { return c.Snapshots() })
@@ -80,16 +84,17 @@ func getCluster(shards int) (c *shard.Cluster, liveKey string) {
 	return c, liveKey
 }
 
-// putCluster recycles the cluster once the run's results have been
-// copied out — nothing returned by a Run* function may alias it —
-// unless a stall detector tripped on it: a poisoned cluster may still
-// be referenced by an abandoned shard driver, so it is leaked rather
-// than pooled (Reset would panic on it anyway).
+// putCluster resets and recycles the cluster once the run's results
+// have been copied out — nothing returned by a Run* function may alias
+// it — unless a stall detector tripped on it: a poisoned cluster may
+// still be referenced by an abandoned shard driver, so it is leaked
+// rather than pooled (Reset would panic on it anyway).
 func putCluster(c *shard.Cluster, liveKey string) {
 	if liveKey != "" {
 		obs.UnpublishLive(liveKey)
 	}
 	if !c.Poisoned() {
+		c.Reset()
 		clusterPool.put(c)
 	}
 }

@@ -87,7 +87,6 @@ func churnSignature(res TopoSimResult) []arrivals.ClassResult {
 	for i, c := range res.Churn {
 		c.Constructions = 0
 		c.Reclaimed = 0
-		c.Log = nil
 		sig[i] = c
 	}
 	return sig

@@ -110,22 +110,16 @@ func SchedulerFarAnchor(b *testing.B) {
 	}
 }
 
-// DumbbellSteadyState measures whole-simulation throughput on a
-// mid-size run of the lab testbed profile: 8 TFRC + 8 TCP flows through
-// the 10 Mb/s DropTail-100 bottleneck for 30 simulated seconds — large
-// enough that the steady-state event loop (packet transmissions,
-// deliveries, acks, protocol timers) dominates setup cost. It reports
+// wholeSim runs a whole-simulation body b.N times and reports
 // events/sec (scheduler events per second of wall time, the end-to-end
 // number the hot-path optimization targets) and events/run (divide
 // allocs/op by it for allocations per simulated event).
-func DumbbellSteadyState(b *testing.B) {
-	cfg := experiments.LabDT100.Scale(0.1, 0).Config(8, 8, 17)
+func wholeSim(b *testing.B, run func() uint64) {
 	var events uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunSim(cfg)
-		events = res.EventsFired
+		events = run()
 	}
 	b.StopTimer()
 	if events > 0 {
@@ -135,16 +129,58 @@ func DumbbellSteadyState(b *testing.B) {
 	}
 }
 
+// topoRun and revRun turn a configuration into one simulation run that
+// returns its event count.
+func topoRun(cfg experiments.TopoSimConfig) func() uint64 {
+	return func() uint64 { return experiments.RunTopoSim(cfg).EventsFired }
+}
+
+func revRun(cfg experiments.RevSimConfig) func() uint64 {
+	return func() uint64 { return experiments.RunRevSim(cfg).EventsFired }
+}
+
+// wholeSims lists the whole-simulation bodies by their `ebrc -bench`
+// names, each as one simulation run; ckpt marks the body that runs with
+// checkpointing on (see withCheckpoints).
+var wholeSims = []struct {
+	name string
+	run  func() uint64
+	ckpt bool
+}{
+	{"DumbbellSteadyState", dumbbell(), false},
+	{"ParkingLotSteadyState", topoRun(parkingLotConfig()), false},
+	{"ReversePathSteadyState", reversePath(), false},
+	{"DeepChainSteadyState", deepChain(), false},
+	{"ShardedChainBaseline", topoRun(shardedChainConfig(1)), false},
+	{"ShardedChainSteadyState", topoRun(shardedChainConfig(4)), false},
+	{"FaultyChainSteadyState", faultyChain(), false},
+	{"ChurnSteadyState", topoRun(churnSteadyConfig(1)), false},
+	{"CheckpointedChainSteadyState", checkpointedChain(), true},
+}
+
+// DumbbellSteadyState measures whole-simulation throughput on a
+// mid-size run of the lab testbed profile: 8 TFRC + 8 TCP flows through
+// the 10 Mb/s DropTail-100 bottleneck for 30 simulated seconds — large
+// enough that the steady-state event loop (packet transmissions,
+// deliveries, acks, protocol timers) dominates setup cost.
+func DumbbellSteadyState(b *testing.B) { wholeSim(b, dumbbell()) }
+
+func dumbbell() func() uint64 {
+	cfg := experiments.LabDT100.Scale(0.1, 0).Config(8, 8, 17)
+	return func() uint64 { return experiments.RunSim(cfg).EventsFired }
+}
+
 // ParkingLotSteadyState measures whole-simulation throughput on the
 // multi-hop topology path: 4 long TFRC + 4 long TCP flows across a
 // three-bottleneck parking-lot chain with 2 crossing TCP flows per hop,
 // 30 simulated seconds. Against DumbbellSteadyState it isolates the
 // cost of multi-hop forwarding (per-hop queueing, route lookups, three
 // links' transmission pipelines) on the same zero-allocation
-// primitives. Reports events/sec and events/run like the dumbbell
-// benchmark.
-func ParkingLotSteadyState(b *testing.B) {
-	cfg := experiments.TopoSimConfig{
+// primitives.
+func ParkingLotSteadyState(b *testing.B) { wholeSim(b, topoRun(parkingLotConfig())) }
+
+func parkingLotConfig() experiments.TopoSimConfig {
+	return experiments.TopoSimConfig{
 		Hops:          3,
 		Capacity:      1.25e6,
 		Buffer:        64,
@@ -161,19 +197,6 @@ func ParkingLotSteadyState(b *testing.B) {
 		Warmup:        5,
 		Seed:          17,
 		RevJitter:     0.2,
-	}
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunTopoSim(cfg)
-		events = res.EventsFired
-	}
-	b.StopTimer()
-	if events > 0 {
-		secPerOp := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(float64(events)/secPerOp, "events/sec")
-		b.ReportMetric(float64(events), "events/run")
 	}
 }
 
@@ -187,41 +210,23 @@ func ParkingLotSteadyState(b *testing.B) {
 // at zero by ParkingLotSteadyState itself, whose path has no capture
 // branches.
 func CheckpointedChainSteadyState(b *testing.B) {
-	cfg := experiments.TopoSimConfig{
-		Hops:          3,
-		Capacity:      1.25e6,
-		Buffer:        64,
-		HopDelay:      0.01,
-		AccessDelay:   0.005,
-		RevDelay:      0.025,
-		NTFRC:         4,
-		NTCP:          4,
-		CrossPerHop:   2,
-		CrossRevDelay: 0.02,
-		L:             8,
-		Comprehensive: true,
-		Duration:      25,
-		Warmup:        5,
-		Seed:          17,
-		RevJitter:     0.2,
-		Label:         "bench checkpointed chain",
-	}
+	defer withCheckpoints(b.TempDir())()
+	wholeSim(b, checkpointedChain())
+}
+
+func checkpointedChain() func() uint64 {
+	cfg := parkingLotConfig()
+	cfg.Label = "bench checkpointed chain"
+	return topoRun(cfg)
+}
+
+// withCheckpoints turns checkpointing on, a snapshot every 5 simulated
+// seconds written to dir, and returns the function that restores the
+// previous setting.
+func withCheckpoints(dir string) func() {
 	old := experiments.Checkpoint
-	experiments.Checkpoint = experiments.CheckpointOptions{Every: 5, Dir: b.TempDir()}
-	defer func() { experiments.Checkpoint = old }()
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunTopoSim(cfg)
-		events = res.EventsFired
-	}
-	b.StopTimer()
-	if events > 0 {
-		secPerOp := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(float64(events)/secPerOp, "events/sec")
-		b.ReportMetric(float64(events), "events/run")
-	}
+	experiments.Checkpoint = experiments.CheckpointOptions{Every: 5, Dir: dir}
+	return func() { experiments.Checkpoint = old }
 }
 
 // DeepChainSteadyState measures whole-simulation throughput in the
@@ -231,10 +236,11 @@ func CheckpointedChainSteadyState(b *testing.B) {
 // the standard share. The pending-event set here is an order of
 // magnitude beyond DumbbellSteadyState's, so this benchmark is the
 // end-to-end witness for the deep-queue scheduler path and the
-// run-arena reuse together. Reports events/sec and events/run like the
-// other whole-simulation benchmarks.
-func DeepChainSteadyState(b *testing.B) {
-	cfg := experiments.TopoSimConfig{
+// run-arena reuse together.
+func DeepChainSteadyState(b *testing.B) { wholeSim(b, deepChain()) }
+
+func deepChain() func() uint64 {
+	return topoRun(experiments.TopoSimConfig{
 		Hops:          12,
 		Capacity:      2.5e6,
 		Buffer:        64,
@@ -251,20 +257,7 @@ func DeepChainSteadyState(b *testing.B) {
 		Warmup:        2,
 		Seed:          17,
 		RevJitter:     0.2,
-	}
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunTopoSim(cfg)
-		events = res.EventsFired
-	}
-	b.StopTimer()
-	if events > 0 {
-		secPerOp := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(float64(events)/secPerOp, "events/sec")
-		b.ReportMetric(float64(events), "events/run")
-	}
+	})
 }
 
 // shardedChainConfig is the workload ShardedChainBaseline and
@@ -297,34 +290,12 @@ func shardedChainConfig(shards int) experiments.TopoSimConfig {
 	}
 }
 
-// runShardedChain is the shared benchmark body for the sharded-chain
-// pair; it reports events/sec and events/run like the other
-// whole-simulation benchmarks.
-func runShardedChain(b *testing.B, shards int) {
-	cfg := shardedChainConfig(shards)
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunTopoSim(cfg)
-		events = res.EventsFired
-	}
-	b.StopTimer()
-	if events > 0 {
-		secPerOp := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(float64(events)/secPerOp, "events/sec")
-		b.ReportMetric(float64(events), "events/run")
-	}
-}
-
 // ShardedChainBaseline runs the sharded-chain workload on the serial
 // engine (one scheduler, one event loop). It is the denominator of the
 // sharded speedup: ShardedChainSteadyState's events/sec divided by this
 // benchmark's is the end-to-end gain from splitting the same simulation
 // across shards.
-func ShardedChainBaseline(b *testing.B) {
-	runShardedChain(b, 1)
-}
+func ShardedChainBaseline(b *testing.B) { wholeSim(b, topoRun(shardedChainConfig(1))) }
 
 // ShardedChainSteadyState runs the identical workload split across 4
 // shards of the space-parallel engine — each shard owning a contiguous
@@ -335,9 +306,7 @@ func ShardedChainBaseline(b *testing.B) {
 // the ratio to ShardedChainBaseline is the engine's coordination
 // overhead instead. The TSV output (and events/run) is byte-identical
 // to the baseline's either way.
-func ShardedChainSteadyState(b *testing.B) {
-	runShardedChain(b, 4)
-}
+func ShardedChainSteadyState(b *testing.B) { wholeSim(b, topoRun(shardedChainConfig(4))) }
 
 // FaultyChainSteadyState measures whole-simulation throughput with the
 // full fault-injection machinery live: the 8-hop fault-family chain
@@ -348,7 +317,9 @@ func ShardedChainSteadyState(b *testing.B) {
 // on the measured path. Against DeepChainSteadyState it bounds the
 // overhead the fault subsystem adds to a faulted run; links without a
 // plan entry keep a nil hook and pay nothing.
-func FaultyChainSteadyState(b *testing.B) {
+func FaultyChainSteadyState(b *testing.B) { wholeSim(b, faultyChain()) }
+
+func faultyChain() func() uint64 {
 	cfg := experiments.TopoSimConfig{
 		Hops:          8,
 		Capacity:      2.5e6,
@@ -373,19 +344,7 @@ func FaultyChainSteadyState(b *testing.B) {
 		Flap(4, cfg.Warmup+2, cfg.Warmup+3, fault.Flush).
 		Burst(0, 400, 25, 0.6).
 		Squeeze(6, cfg.Warmup+1, cfg.Warmup+4, 0.5*cfg.Capacity, cfg.Capacity)
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunTopoSim(cfg)
-		events = res.EventsFired
-	}
-	b.StopTimer()
-	if events > 0 {
-		secPerOp := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(float64(events)/secPerOp, "events/sec")
-		b.ReportMetric(float64(events), "events/run")
-	}
+	return topoRun(cfg)
 }
 
 // churnSteadyConfig is the ChurnSteadyState workload: the parking-lot
@@ -444,26 +403,6 @@ func churnSteadyConfig(durScale float64) experiments.TopoSimConfig {
 	return cfg
 }
 
-// runChurnSteadyState is the shared body behind ChurnSteadyState and
-// the alloc-flatness test; it reports events/sec and events/run like
-// the other whole-simulation benchmarks.
-func runChurnSteadyState(b *testing.B, durScale float64) {
-	cfg := churnSteadyConfig(durScale)
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunTopoSim(cfg)
-		events = res.EventsFired
-	}
-	b.StopTimer()
-	if events > 0 {
-		secPerOp := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(float64(events)/secPerOp, "events/sec")
-		b.ReportMetric(float64(events), "events/run")
-	}
-}
-
 // ChurnSteadyState measures whole-simulation throughput under run-time
 // flow churn: several hundred finite TFRC/TCP/CBR transfers arrive,
 // complete and are reclaimed while the persistent flows hold the
@@ -472,9 +411,7 @@ func runChurnSteadyState(b *testing.B, durScale float64) {
 // endpoint pools — and its allocs/op is the witness that steady-state
 // churn recycles instead of allocating: allocations scale with the
 // peak concurrent population, not with the number of arrivals served.
-func ChurnSteadyState(b *testing.B) {
-	runChurnSteadyState(b, 1)
-}
+func ChurnSteadyState(b *testing.B) { wholeSim(b, topoRun(churnSteadyConfig(1))) }
 
 // ReversePathSteadyState measures whole-simulation throughput with a
 // routed congested reverse path: 2 TFRC + 2 TCP primary flows whose
@@ -482,10 +419,11 @@ func ChurnSteadyState(b *testing.B) {
 // opposing-direction TCP flows and cross traffic, 25 simulated seconds.
 // Against DumbbellSteadyState it isolates the cost of reverse-path
 // routing (the Rev branch in the forwarding path, reverse queues, and
-// the doubled per-packet link traversals of two-way traffic). Reports
-// events/sec and events/run like the other whole-simulation benchmarks.
-func ReversePathSteadyState(b *testing.B) {
-	cfg := experiments.RevSimConfig{
+// the doubled per-packet link traversals of two-way traffic).
+func ReversePathSteadyState(b *testing.B) { wholeSim(b, reversePath()) }
+
+func reversePath() func() uint64 {
+	return revRun(experiments.RevSimConfig{
 		Capacity:      1.25e6,
 		Buffer:        64,
 		FwdDelay:      0.01,
@@ -504,18 +442,5 @@ func ReversePathSteadyState(b *testing.B) {
 		Warmup:        5,
 		Seed:          17,
 		RevJitter:     0.2,
-	}
-	var events uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunRevSim(cfg)
-		events = res.EventsFired
-	}
-	b.StopTimer()
-	if events > 0 {
-		secPerOp := b.Elapsed().Seconds() / float64(b.N)
-		b.ReportMetric(float64(events)/secPerOp, "events/sec")
-		b.ReportMetric(float64(events), "events/run")
-	}
+	})
 }

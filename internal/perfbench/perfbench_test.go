@@ -1,6 +1,7 @@
 package perfbench
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -29,18 +30,87 @@ func TestChurnSteadyStateAllocsFlat(t *testing.T) {
 		t.Fatalf("arrival counts did not scale with the window: %d vs %d", a1, a2)
 	}
 
-	r1 := testing.Benchmark(func(b *testing.B) { runChurnSteadyState(b, 1) })
-	r2 := testing.Benchmark(func(b *testing.B) { runChurnSteadyState(b, 2) })
+	r1 := testing.Benchmark(func(b *testing.B) { wholeSim(b, topoRun(churnSteadyConfig(1))) })
+	r2 := testing.Benchmark(func(b *testing.B) { wholeSim(b, topoRun(churnSteadyConfig(2))) })
 	if r1.AllocsPerOp() == 0 {
 		t.Fatal("benchmark recorded zero allocs/run — harness broken")
 	}
 	// The band absorbs run-arena amortization wiggle (the arena is built
-	// once and reused) and the slightly larger slot/flow tables of the
+	// once and reused) and the larger arrival index and flow table of the
 	// doubled arrival budget; per-arrival construction (~10 allocs each
 	// across hundreds of extra transfers) blows far past it.
 	limit := float64(r1.AllocsPerOp())*1.25 + 256
 	if got := float64(r2.AllocsPerOp()); got > limit {
 		t.Fatalf("allocs/run scaled with the arrival count: %d at 1x (%d arrivals) vs %d at 2x (%d arrivals)",
 			r1.AllocsPerOp(), a1, r2.AllocsPerOp(), a2)
+	}
+	// The same for bytes: what the arrival budget still sizes (the churn
+	// engine's int32 arrival index; the flow table is arena capacity)
+	// fits the band; a per-arrival record or Palm cycle (tens of bytes
+	// each) does not.
+	limitB := float64(r1.AllocedBytesPerOp())*1.25 + 16<<10
+	if got := float64(r2.AllocedBytesPerOp()); got > limitB {
+		t.Fatalf("bytes/run scaled with the arrival count: %d at 1x (%d arrivals) vs %d at 2x (%d arrivals)",
+			r1.AllocedBytesPerOp(), a1, r2.AllocedBytesPerOp(), a2)
+	}
+}
+
+// bench16 holds each whole-simulation body's allocs/op and events/run
+// as BENCH_16.json recorded them.
+var bench16 = map[string]struct{ allocs, events float64 }{
+	"DumbbellSteadyState":          {553, 124629},
+	"ParkingLotSteadyState":        {655, 281486},
+	"ReversePathSteadyState":       {323, 190286},
+	"DeepChainSteadyState":         {3567, 610327},
+	"ShardedChainBaseline":         {11033, 1286657},
+	"ShardedChainSteadyState":      {11367, 1286657},
+	"FaultyChainSteadyState":       {1239, 302426},
+	"ChurnSteadyState":             {983, 200377},
+	"CheckpointedChainSteadyState": {941, 281486},
+}
+
+// churnBytesPerEvent is ChurnSteadyState's bytes/op over its events/run
+// as BENCH_17.json recorded them.
+const churnBytesPerEvent = 139404.0 / 200377
+
+// Every whole-simulation body keeps its allocations per simulated event
+// at or below 1.25x the BENCH_16 value, and ChurnSteadyState its bytes
+// per event at or below 1.25x the BENCH_17 value. Unlike the benchmark
+// gate these are counts, not timings, so they hold on any machine. One
+// warm-up run sizes the run arena, as the earlier runs of a sweep do;
+// the next run is measured.
+func TestWholeSimAllocCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-simulation alloc ceilings skipped in -short mode")
+	}
+	for _, w := range wholeSims {
+		t.Run(w.name, func(t *testing.T) {
+			base, ok := bench16[w.name]
+			if !ok {
+				t.Fatalf("no BENCH_16 record for %s", w.name)
+			}
+			if w.ckpt {
+				defer withCheckpoints(t.TempDir())()
+			}
+			w.run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			events := float64(w.run())
+			runtime.ReadMemStats(&after)
+			if events == 0 {
+				t.Fatal("the run fired no events")
+			}
+			allocs := float64(after.Mallocs-before.Mallocs) / events
+			if limit := 1.25 * base.allocs / base.events; allocs > limit {
+				t.Errorf("%.5f allocs/event, ceiling %.5f (1.25x BENCH_16)", allocs, limit)
+			}
+			if w.name != "ChurnSteadyState" {
+				return
+			}
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / events
+			if limit := 1.25 * churnBytesPerEvent; bytes > limit {
+				t.Errorf("%.3f bytes/event, ceiling %.3f (1.25x BENCH_17)", bytes, limit)
+			}
+		})
 	}
 }

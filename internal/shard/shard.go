@@ -133,6 +133,9 @@ type Shard struct {
 	// handoffs counts cross-shard messages this shard has emitted.
 	handoffs int64
 
+	// ipool is the injection freelist; a pop clears the slot it vacates,
+	// so an injection still pending when a run ends is not kept
+	// reachable from the pool.
 	ipool []*injection
 	// liveInj indexes the scheduled-but-unfired injections for the
 	// checkpoint layer and the leak ledger (unordered; removal
@@ -278,6 +281,7 @@ func (s *Shard) getInjection() *injection {
 	var in *injection
 	if n := len(s.ipool); n > 0 {
 		in = s.ipool[n-1]
+		s.ipool[n-1] = nil
 		s.ipool = s.ipool[:n-1]
 	} else {
 		in = &injection{s: s}

@@ -157,6 +157,11 @@ type Domain struct {
 	// InNetwork accounting.
 	links []*netsim.Link
 
+	// pool, dpool and fsPool are the freelists of packets, deliveries
+	// and flow-state records. Delivery and flow-state pops clear the slot
+	// they vacate: a record still in use when a run ends must not stay
+	// reachable from the pool, nor the endpoints it points to. Packets
+	// hold no pointers, so their pool skips that store on the hot path.
 	pool   []*netsim.Packet
 	dpool  []*delivery
 	fsPool []*flowState
@@ -857,15 +862,20 @@ func (n *Network) lcDischarge(flow int) {
 func (d *Domain) getFlowState() *flowState {
 	if m := len(d.fsPool); m > 0 {
 		fs := d.fsPool[m-1]
+		d.fsPool[m-1] = nil
 		d.fsPool = d.fsPool[:m-1]
 		return fs
 	}
 	return &flowState{}
 }
 
-// recycle clears a flow-state record into the domain's pool.
+// recycle clears a flow-state record into the domain's pool. Its route
+// arrays are cleared before they are truncated, so a pooled record
+// keeps no link — nor, through it, a finished run — reachable.
 func (d *Domain) recycle(fs *flowState) {
+	clear(fs.route)
 	fs.route = fs.route[:0]
+	clear(fs.revRoute)
 	fs.revRoute = fs.revRoute[:0]
 	fs.sender, fs.receiver = nil, nil
 	fs.delivered = 0
@@ -904,6 +914,7 @@ func (d *Domain) getDelivery(to netsim.Endpoint, p *netsim.Packet, toSender bool
 	var dv *delivery
 	if m := len(d.dpool); m > 0 {
 		dv = d.dpool[m-1]
+		d.dpool[m-1] = nil
 		d.dpool = d.dpool[:m-1]
 	} else {
 		dv = &delivery{d: d}

@@ -322,3 +322,78 @@ func TestNetworkResetReuse(t *testing.T) {
 		t.Fatal("second run did not recycle packets through the carried-over pool")
 	}
 }
+
+// staleTail reports whether a pool's backing array holds a pointer past
+// its length: a record handed out by a pop that the pool still reaches.
+func staleTail[T any](pool []*T) bool {
+	for _, p := range pool[len(pool):cap(pool)] {
+		if p != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// After a run and Reset, a pooled network must keep capacity only: no
+// pool backing array reaches a record past its length (a delivery still
+// pending when the run ended would keep its endpoint alive), and no
+// pooled flow-state's route arrays hold a link of the finished graph.
+func TestResetLetsGo(t *testing.T) {
+	var s des.Scheduler
+	n := New(&s)
+	a := n.AddNode("a")
+	b := n.AddNode("b")
+	c := n.AddNode("c")
+	l1 := n.AddLink(a, b, 1e6, 0.01, netsim.NewDropTail(64))
+	l2 := n.AddLink(b, c, 1e6, 0.01, netsim.NewDropTail(64))
+	r1 := n.AddLink(c, b, 1e6, 0.01, netsim.NewDropTail(64))
+	r2 := n.AddLink(b, a, 1e6, 0.01, netsim.NewDropTail(64))
+	n.SetDefaultRoute(l1, l2)
+	n.SetReverseRoute(2, r1, r2)
+	recv := netsim.EndpointFunc(func(*netsim.Packet) {})
+	for f := 1; f <= 3; f++ {
+		n.AttachFlow(f, recv, recv, 0.05, 0.005)
+	}
+	// The first burst drains, filling the delivery pool; the second is
+	// cut off mid-flight, so its deliveries were popped from the pool and
+	// are still pending when the run ends.
+	for f := 1; f <= 3; f++ {
+		for i := 0; i < 4; i++ {
+			send(n, f, 1000)
+		}
+	}
+	s.Run()
+	for f := 1; f <= 3; f++ {
+		for i := 0; i < 4; i++ {
+			send(n, f, 1000)
+		}
+	}
+	s.RunUntil(s.Now() + 0.07)
+	d := n.doms[0]
+	if len(d.liveDel) == 0 {
+		t.Fatal("no delivery pending at the cut-off; the test exercises nothing")
+	}
+	n.DetachFlow(3)
+	s.Reset()
+	n.Reset()
+	if staleTail(d.dpool) {
+		t.Error("delivery pool reaches a record past its length after Reset")
+	}
+	if staleTail(d.fsPool) {
+		t.Error("flow-state pool reaches a record past its length after Reset")
+	}
+	if staleTail(d.liveDel) {
+		t.Error("live-delivery registry reaches a record past its length after Reset")
+	}
+	if len(d.fsPool) != 3 {
+		t.Fatalf("flow-state pool holds %d records after Reset, want 3", len(d.fsPool))
+	}
+	for _, fs := range d.fsPool {
+		if staleTail(fs.route) || staleTail(fs.revRoute) {
+			t.Error("pooled flow-state route array still holds a link")
+		}
+		if fs.sender != nil || fs.receiver != nil {
+			t.Error("pooled flow-state still holds an endpoint")
+		}
+	}
+}
