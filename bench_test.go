@@ -1,13 +1,15 @@
-// Package repro's benchmark harness: one testing.B benchmark per figure
-// of the paper's evaluation section, each running a scaled-down version
-// of the experiment through the scenario registry and reporting the
-// figure's headline metric via b.ReportMetric, plus ablation benches
-// for the design choices called out in DESIGN.md §5 and serial-vs-pool
-// benches for the runner engine itself.
+// Package repro's benchmarks for what no registered scenario expresses:
+// the Fig. 2 deviation-from-convexity computation and Claim 4's analytic
+// fluid model timed on their own, ablations of the design choices
+// (estimator weights and window, comprehensive vs basic control, queue
+// discipline, loss grouping, history discounting, cross traffic), and
+// the sim-heavy scenarios run serially and on a worker pool. Every
+// figure's scenario runs through ebrc, and whole-simulation throughput
+// is measured by `ebrc -bench` (internal/perfbench).
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package repro
 
 import (
@@ -25,7 +27,7 @@ import (
 	"repro/internal/runner"
 )
 
-// benchSizing is small enough to keep the full bench suite within a few
+// benchSizing is small enough to keep these benchmarks within a few
 // minutes while preserving every figure's qualitative shape.
 var benchSizing = experiments.Sizing{
 	Events:    15000,
@@ -34,29 +36,8 @@ var benchSizing = experiments.Sizing{
 	PairsCap:  2,
 }
 
-// benchScenario runs one registry scenario serially at bench sizing.
-func benchScenario(b *testing.B, name string) []*experiments.Table {
-	b.Helper()
-	s, ok := experiments.Lookup(name)
-	if !ok {
-		b.Fatalf("scenario %q not registered", name)
-	}
-	tables, err := s.Run(context.Background(), benchSizing, runner.Serial{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tables
-}
-
-func BenchmarkFig01(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig1")[0]
-		if i == 0 {
-			b.ReportMetric(float64(len(t.Rows)), "grid-points")
-		}
-	}
-}
-
+// BenchmarkFig02 times Fig. 2's deviation-from-convexity ratio of
+// PFTK-standard and reports it.
 func BenchmarkFig02(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
@@ -66,224 +47,7 @@ func BenchmarkFig02(b *testing.B) {
 	b.ReportMetric(ratio, "deviation-ratio")
 }
 
-func BenchmarkFig03(b *testing.B) {
-	var lastDrop float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig3")[1] // PFTK-simplified panel
-		l8 := t.Column("L8")
-		lastDrop = l8[0] - l8[len(l8)-1]
-	}
-	b.ReportMetric(lastDrop, "normalized-drop")
-}
-
-func BenchmarkFig04(b *testing.B) {
-	var drop float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig4")[1] // the p = 0.1 panel
-		l8 := t.Column("L8")
-		drop = l8[0] - l8[len(l8)-1]
-	}
-	b.ReportMetric(drop, "normalized-drop-over-cv")
-}
-
-func BenchmarkFig05(b *testing.B) {
-	var norm float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig5")[0]
-		if len(t.Rows) > 0 {
-			norm = t.Rows[len(t.Rows)-1][3]
-		}
-	}
-	b.ReportMetric(norm, "tfrc-normalized")
-}
-
-func BenchmarkFig06(b *testing.B) {
-	var overshoot float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig6")[0]
-		col := t.Column("pftksimp_norm")
-		overshoot = col[len(col)-1]
-	}
-	b.ReportMetric(overshoot, "pftk-heavy-loss-normalized")
-}
-
-func BenchmarkFig07(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig7")[0]
-		// Mean p_tfrc / p_tcp over rows with data (Claim 3: >= 1).
-		var sumT, sumC float64
-		for _, row := range t.Rows {
-			sumT += row[2]
-			sumC += row[3]
-		}
-		if sumC > 0 {
-			ratio = sumT / sumC
-		}
-	}
-	b.ReportMetric(ratio, "p-tfrc-over-p-tcp")
-}
-
-func BenchmarkFig08(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig8")[0]
-		s := 0.0
-		for _, row := range t.Rows {
-			s += row[2]
-		}
-		if len(t.Rows) > 0 {
-			mean = s / float64(len(t.Rows))
-		}
-	}
-	b.ReportMetric(mean, "tfrc-over-tcp-throughput")
-}
-
-func BenchmarkFig09(b *testing.B) {
-	var below float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig9")[0]
-		n := 0
-		for _, row := range t.Rows {
-			if row[2] <= row[1] {
-				n++
-			}
-		}
-		if len(t.Rows) > 0 {
-			below = float64(n) / float64(len(t.Rows))
-		}
-	}
-	b.ReportMetric(below, "tcp-below-formula-fraction")
-}
-
-func BenchmarkFig10(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig10")[0]
-		worst = 0
-		for _, row := range t.Rows {
-			if v := row[2]; v > worst || -v > worst {
-				if v < 0 {
-					v = -v
-				}
-				worst = v
-			}
-		}
-	}
-	b.ReportMetric(worst, "max-abs-covnorm")
-}
-
-func BenchmarkFig11(b *testing.B) {
-	var maxRatio float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig11")[0]
-		maxRatio = 0
-		for _, row := range t.Rows {
-			if row[3] > maxRatio {
-				maxRatio = row[3]
-			}
-		}
-	}
-	b.ReportMetric(maxRatio, "max-tfrc-over-tcp")
-}
-
-func BenchmarkFig12to15(b *testing.B) {
-	var pRatio float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig12-15")[0]
-		s, n := 0.0, 0
-		for _, row := range t.Rows {
-			s += row[4]
-			n++
-		}
-		if n > 0 {
-			pRatio = s / float64(n)
-		}
-	}
-	b.ReportMetric(pRatio, "mean-pprime-over-p")
-}
-
-func BenchmarkFig16(b *testing.B) {
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig16")[0]
-		s := 0.0
-		for _, row := range t.Rows {
-			s += row[3]
-		}
-		if len(t.Rows) > 0 {
-			mean = s / float64(len(t.Rows))
-		}
-	}
-	b.ReportMetric(mean, "mean-tfrc-over-tcp")
-}
-
-func BenchmarkFig17(b *testing.B) {
-	var comp float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig17")[0]
-		s, n := 0.0, 0
-		for _, row := range t.Rows {
-			if row[2] > 0 {
-				s += row[2]
-				n++
-			}
-		}
-		if n > 0 {
-			comp = s / float64(n)
-		}
-	}
-	b.ReportMetric(comp, "mean-competing-pprime-over-p")
-}
-
-func BenchmarkFig18to19(b *testing.B) {
-	var normTCP float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "fig18-19")[0]
-		s, n := 0.0, 0
-		for _, row := range t.Rows {
-			s += row[6]
-			n++
-		}
-		if n > 0 {
-			normTCP = s / float64(n)
-		}
-	}
-	b.ReportMetric(normTCP, "mean-tcp-obedience")
-}
-
-func BenchmarkTableI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "tableI")[0]
-		if len(t.Rows) != 4 {
-			b.Fatal("tableI should list 4 WAN profiles")
-		}
-	}
-}
-
-func BenchmarkClaim3(b *testing.B) {
-	var spread float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "claim3")[0]
-		spread = t.Rows[len(t.Rows)-1][2] / t.Rows[0][2] // p''/p'
-	}
-	b.ReportMetric(spread, "poisson-over-tcp")
-}
-
-func BenchmarkClaim4(b *testing.B) {
-	var fluid float64
-	for i := 0; i < b.N; i++ {
-		t := benchScenario(b, "claim4")[0]
-		for _, row := range t.Rows {
-			if row[0] == 0.5 {
-				fluid = row[2]
-			}
-		}
-	}
-	b.ReportMetric(fluid, "fluid-ratio-beta-half")
-}
-
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches ---
 
 // BenchmarkAblationWeights compares the TFRC flat-then-linear weights
 // against uniform and exponential weighting of the estimator at the same

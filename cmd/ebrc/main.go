@@ -248,6 +248,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ebrc: -checkpoint-every/-resume and -trace are incompatible\n")
 		return 2
 	}
+	if *ckptEvery > 0 {
+		// Saves write into the directory but do not create it.
+		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
+			fmt.Fprintf(stderr, "ebrc: -checkpoint-dir: %v\n", err)
+			return 1
+		}
+	}
 	experiments.Checkpoint = experiments.CheckpointOptions{
 		Every:  *ckptEvery,
 		Dir:    *ckptDir,

@@ -245,6 +245,22 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
+// -checkpoint-dir need not exist: ebrc creates it once before any job
+// runs, and every job's snapshot lands in it.
+func TestCheckpointDirCreated(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "new", "ckpt")
+	var out, errb bytes.Buffer
+	args := []string{"-quick", "-events", "2000", "-simfactor", "0.04",
+		"-checkpoint-every", "2", "-checkpoint-dir", dir, "-run", "parkinglot"}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, errb.String())
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot in the created directory %s (err %v)", dir, err)
+	}
+}
+
 // The observability flags: -metrics and -epochs append their blocks
 // after the tables and the whole stream — tables plus capture — stays
 // byte-identical between the serial engine and a sharded run; -trace

@@ -6,17 +6,21 @@
 // The package deliberately imports nothing but the standard library, so
 // every simulation layer (des, netsim, topology, the protocol packages,
 // shard, experiments) can depend on it without cycles. A snapshot is a
-// flat byte stream: each component appends its numeric state in a fixed
+// flat byte stream: each component writes its numeric state in a fixed
 // field order on save and consumes the same order on restore — no field
-// names, no reflection, no pointers. Versioning is coarse by design:
-// the envelope carries a codec version and the saver's config digest,
-// and a reader that does not match both refuses the file instead of
-// guessing.
+// names, no reflection, no pointers. A save streams: StreamFile hands
+// the components a Writer over one fixed-size chunk that is flushed to
+// the snapshot's temporary file whenever it fills, folding each flushed
+// chunk into the envelope's CRC-32C, so no save holds the whole payload.
+// Versioning is coarse by design: the envelope carries a codec version
+// and the saver's config digest, and a reader that does not match both
+// refuses the file instead of guessing.
 package checkpoint
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -33,19 +37,57 @@ type TimerState struct {
 }
 
 // Writer appends fixed-width little-endian primitives to a buffer.
-// The zero value is ready to use.
+// The zero value is ready to use and keeps the whole payload in memory.
+// A Writer with a sink (see StreamFile) instead keeps one chunk: a field
+// that would overflow it flushes the chunk to the sink first. A sink
+// error is sticky: later writes are dropped and flush reports it.
 type Writer struct {
-	buf []byte
+	buf  []byte
+	sink io.Writer
+	err  error
 }
 
-// Bytes returns the encoded payload.
+// Bytes returns the bytes not yet flushed: for a Writer without a sink,
+// the whole payload.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
+// Len returns the number of bytes Bytes returns.
 func (w *Writer) Len() int { return len(w.buf) }
 
+// flush hands the buffered bytes to the sink, if there is one, and
+// returns the first sink error.
+func (w *Writer) flush() error {
+	if w.sink != nil {
+		if w.err == nil && len(w.buf) > 0 {
+			_, w.err = w.sink.Write(w.buf)
+		}
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+// room flushes a sink's chunk when n more bytes would not fit in it and
+// returns the buffer to append to.
+func (w *Writer) room(n int) []byte {
+	if w.sink != nil && len(w.buf)+n > cap(w.buf) {
+		w.flush()
+	}
+	return w.buf
+}
+
+// put appends raw bytes, flushing a sink's chunk each time it fills.
+func put[T string | []byte](w *Writer, p T) {
+	for w.sink != nil && len(w.buf)+len(p) > cap(w.buf) {
+		n := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf = w.buf[:cap(w.buf)]
+		p = p[n:]
+		w.flush()
+	}
+	w.buf = append(w.buf, p...)
+}
+
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+func (w *Writer) U8(v uint8) { w.buf = append(w.room(1), v) }
 
 // Bool writes a boolean as one byte.
 func (w *Writer) Bool(v bool) {
@@ -57,10 +99,10 @@ func (w *Writer) Bool(v bool) {
 }
 
 // U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.room(4), v) }
 
 // U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.room(8), v) }
 
 // I64 writes a little-endian int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -75,7 +117,7 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // Str writes a length-prefixed string.
 func (w *Writer) Str(s string) {
 	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+	put(w, s)
 }
 
 // Timer writes a TimerState.

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -167,7 +166,7 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 		{"truncated-header", func(b []byte) []byte { return b[:10] }, "too short"},
 		{"truncated-payload", func(b []byte) []byte { return b[:len(b)-9] }, "checksum"},
 		{"bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, "magic"},
-		{"flip-version", func(b []byte) []byte { b[9] ^= 1; return b }, "checksum"},
+		{"flip-version", func(b []byte) []byte { b[9] ^= 1; return b }, "codec version"},
 		{"flip-payload-bit", func(b []byte) []byte { b[headerLen+3] ^= 0x10; return b }, "checksum"},
 		{"flip-checksum-bit", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, "checksum"},
 		{"empty", func(b []byte) []byte { return nil }, "too short"},
@@ -185,26 +184,30 @@ func TestEnvelopeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// A file written under an earlier codec version — here version 2, whose
-// churn section listed every arrival and every Palm cycle — is refused
-// with the version error, not misread under the current layout. The
-// envelope is otherwise intact: its checksum covers the old version.
+// A genuine version-3 file — payload length in the header, FNV-1a 64
+// trailer — is refused with the version error, not reported as corrupt:
+// magic and version are read before the checksum, at offsets every
+// version shares.
 func TestReadFileRefusesOlderVersion(t *testing.T) {
-	b := Encode(7, []byte("an older snapshot"))
-	binary.LittleEndian.PutUint32(b[8:], 2)
-	body := b[:len(b)-trailerLen]
+	payload := []byte("an older snapshot")
+	var w Writer
+	put(&w, magic)
+	w.U32(3)
+	w.U64(7)
+	w.U64(uint64(len(payload)))
+	put(&w, payload)
 	h := fnv.New64a()
-	h.Write(body)
-	binary.LittleEndian.PutUint64(b[len(body):], h.Sum64())
+	h.Write(w.Bytes())
+	w.U64(h.Sum64())
 	path := filepath.Join(t.TempDir(), "old.ckpt")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := os.WriteFile(path, w.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := ReadFile(path)
 	if err == nil {
-		t.Fatal("a version-2 snapshot was read without error")
+		t.Fatal("a version-3 snapshot was read without error")
 	}
-	if want := fmt.Sprintf("codec version 2, this binary reads version %d", CodecVersion); !strings.Contains(err.Error(), want) {
+	if want := fmt.Sprintf("codec version 3, this binary reads version %d", CodecVersion); !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not say %q", err, want)
 	}
 }

@@ -1,11 +1,15 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // CodecVersion is the container format version. Readers refuse files
@@ -13,91 +17,159 @@ import (
 // Version 2: every run saves its network's per-domain sections and the
 // cluster's handoff section, at any shard count. Version 3: the churn
 // section holds the live transfers and the running Palm sums only.
-const CodecVersion = 3
+// Version 4: the payload length moves to the trailer and the checksum
+// is CRC-32C, so a save can stream the payload.
+const CodecVersion = 4
 
 // magic identifies a checkpoint file. Eight bytes, fixed.
 const magic = "EBRCCKP1"
 
-// envelope layout:
+// envelope layout (magic and version sit at the same offsets in every
+// version, so a reader names the version of a file it cannot read):
 //
 //	[8]  magic
 //	[4]  codec version (LE)
 //	[8]  config digest (LE)
-//	[8]  payload length (LE)
 //	[n]  payload
-//	[8]  FNV-1a 64 checksum of everything above (LE)
-const headerLen = 8 + 4 + 8 + 8
-const trailerLen = 8
+//	[8]  payload length n (LE)
+//	[4]  CRC-32C (Castagnoli) of everything above (LE)
+const (
+	versionEnd = 8 + 4
+	headerLen  = versionEnd + 8
+	trailerLen = 8 + 4
+)
+
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the
+// CPU's CRC instructions on amd64 and arm64.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// chunkLen is the size of the one chunk a streamed save writes through.
+const chunkLen = 32 << 10
+
+// chunks recycles save chunks across snapshots and concurrent jobs.
+var chunks = sync.Pool{New: func() any { return new([chunkLen]byte) }}
+
+// header writes the envelope's magic, codec version and config digest.
+func (w *Writer) header(digest uint64) {
+	put(w, magic)
+	w.U32(CodecVersion)
+	w.U64(digest)
+}
 
 // Encode wraps a payload in the versioned, checksummed envelope.
 func Encode(digest uint64, payload []byte) []byte {
-	var w Writer
-	w.buf = make([]byte, 0, headerLen+len(payload)+trailerLen)
-	w.buf = append(w.buf, magic...)
-	w.U32(CodecVersion)
-	w.U64(digest)
+	w := Writer{buf: make([]byte, 0, headerLen+len(payload)+trailerLen)}
+	w.header(digest)
+	put(&w, payload)
 	w.U64(uint64(len(payload)))
-	w.buf = append(w.buf, payload...)
-	h := fnv.New64a()
-	h.Write(w.buf)
-	w.U64(h.Sum64())
+	w.U32(crc32.Checksum(w.buf, castagnoli))
 	return w.buf
 }
 
-// Decode validates the envelope — magic, version, lengths, checksum —
-// and returns the config digest and payload. Any corruption (a
+// crcSink forwards flushed chunks to w and folds each into a running
+// CRC-32C, counting the bytes it has passed on.
+type crcSink struct {
+	w   io.Writer
+	sum uint32
+	n   int
+}
+
+func (s *crcSink) Write(p []byte) (int, error) {
+	s.sum = crc32.Update(s.sum, castagnoli, p)
+	s.n += len(p)
+	return s.w.Write(p)
+}
+
+// stream writes one envelope to dst through chunk, whose capacity must
+// hold the widest field (8 bytes): fill writes the payload, and the
+// bytes dst receives equal Encode of the same digest and payload.
+func stream(dst io.Writer, chunk []byte, digest uint64, fill func(*Writer)) error {
+	s := crcSink{w: dst}
+	w := Writer{buf: chunk[:0], sink: &s}
+	w.header(digest)
+	fill(&w)
+	w.U64(uint64(s.n + len(w.buf) - headerLen))
+	w.U32(crc32.Update(s.sum, castagnoli, w.buf))
+	return w.flush()
+}
+
+// StreamFile atomically writes a snapshot whose payload fill writes:
+// the envelope streams into a temporary file in the target directory
+// through one pooled chunk, and the file is renamed over path only
+// once it is complete, so a crash mid-write — or an abandoned goroutine
+// still flushing after its job was retried — can never leave a
+// half-written file where a resume would find it. The directory must
+// exist.
+func StreamFile(path string, digest uint64, fill func(*Writer)) error {
+	chunk := chunks.Get().(*[chunkLen]byte)
+	defer chunks.Put(chunk)
+	return replace(path, func(f io.Writer) error {
+		return stream(f, chunk[:], digest, fill)
+	})
+}
+
+// WriteFile atomically writes an encoded snapshot of an in-memory
+// payload, as StreamFile does.
+func WriteFile(path string, digest uint64, payload []byte) error {
+	return StreamFile(path, digest, func(w *Writer) { put(w, payload) })
+}
+
+// replace runs write on a new temporary file next to path and renames
+// it over path once write and Close succeed. On any failure, a panic
+// inside write included, the temporary file is removed and path keeps
+// its previous contents.
+func replace(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	done := false
+	defer func() {
+		if !done {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err := write(tmp); err != nil {
+		return fmt.Errorf("checkpoint: writing %s: %w", path, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	done = true
+	return nil
+}
+
+// Decode validates the envelope — magic and version first, so a file of
+// another codec version is refused by name, then the checksum, then the
+// length — and returns the config digest and payload. Any corruption (a
 // truncated file, a flipped bit anywhere) is an error, never a
 // partially decoded snapshot.
 func Decode(b []byte) (digest uint64, payload []byte, err error) {
-	if len(b) < headerLen+trailerLen {
+	if len(b) < versionEnd {
 		return 0, nil, fmt.Errorf("checkpoint: file too short (%d bytes)", len(b))
 	}
 	if string(b[:8]) != magic {
 		return 0, nil, fmt.Errorf("checkpoint: bad magic %q", b[:8])
 	}
-	body, trailer := b[:len(b)-trailerLen], b[len(b)-trailerLen:]
-	h := fnv.New64a()
-	h.Write(body)
-	r := NewReader(trailer)
-	if sum := r.U64(); sum != h.Sum64() {
-		return 0, nil, fmt.Errorf("checkpoint: checksum mismatch (file %016x, computed %016x): file is corrupt", sum, h.Sum64())
-	}
-	r = NewReader(body[8:])
-	if v := r.U32(); v != CodecVersion {
+	if v := binary.LittleEndian.Uint32(b[len(magic):]); v != CodecVersion {
 		return 0, nil, fmt.Errorf("checkpoint: codec version %d, this binary reads version %d", v, CodecVersion)
 	}
-	digest = r.U64()
-	n := r.U64()
-	if uint64(r.Remaining()) != n {
-		return 0, nil, fmt.Errorf("checkpoint: payload length %d does not match header %d", r.Remaining(), n)
+	if len(b) < headerLen+trailerLen {
+		return 0, nil, fmt.Errorf("checkpoint: file too short (%d bytes)", len(b))
 	}
-	payload = body[headerLen:]
-	return digest, payload, nil
-}
-
-// WriteFile atomically writes an encoded snapshot: the bytes land in a
-// temporary file in the target directory first and are renamed over the
-// destination, so a crash mid-write — or an abandoned goroutine still
-// flushing after its job was retried — can never leave a half-written
-// file where a resume would find it.
-func WriteFile(path string, digest uint64, payload []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+	body, end := b[:len(b)-4], len(b)-trailerLen
+	if sum, got := binary.LittleEndian.Uint32(b[len(body):]), crc32.Checksum(body, castagnoli); sum != got {
+		return 0, nil, fmt.Errorf("checkpoint: checksum mismatch (file %08x, computed %08x): file is corrupt", sum, got)
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
+	payload = b[headerLen:end]
+	if n := binary.LittleEndian.Uint64(b[end:]); uint64(len(payload)) != n {
+		return 0, nil, fmt.Errorf("checkpoint: payload length %d does not match trailer %d", len(payload), n)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(Encode(digest, payload)); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return binary.LittleEndian.Uint64(b[versionEnd:]), payload, nil
 }
 
 // ReadFile reads and validates a snapshot file.

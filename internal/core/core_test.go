@@ -253,6 +253,47 @@ func TestClaim2Audio(t *testing.T) {
 	}
 }
 
+// Palm inversion on the rate-coupled controls: the time-average rate is
+// λ·E0[X·S] with λ = 1/E0[S], and X_n·S_n = θ_n, so x̄ = E0[θ]/E0[S] =
+// 1/(p·E0[S]) to rounding — the identity behind Proposition 1.
+func TestPalmInversionIdentity(t *testing.T) {
+	t.Parallel()
+	params := formula.DefaultParams()
+	for i, f := range []formula.Formula{formula.NewSQRT(params), formula.NewPFTKSimplified(params)} {
+		proc := lossmodel.DesignShiftedExp(0.05, 0.7, rng.New(uint64(80+i)))
+		for _, res := range []Result{
+			RunBasic(basicCfg(f, 8, proc, 5000)),
+			RunComprehensive(basicCfg(f, 8, proc, 5000)),
+		} {
+			want := 1 / (res.LossEventRate * res.MeanInterLossTime)
+			if math.Abs(res.Throughput-want) > 1e-12*want {
+				t.Errorf("%s: throughput %v, Palm inversion gives %v", f.Name(), res.Throughput, want)
+			}
+		}
+	}
+}
+
+// The basic control through Theorem 2's lens: the rate f(1/θ̂) held
+// over S = θ/f(1/θ̂) is negatively correlated with the cycle length, so
+// the time average E[X] = E0[X] + cov0[X,S]/E0[S] sits below the event
+// average E0[X], and under Theorem 1's hypotheses both stay at or below
+// f(p) — E0[X] by Jensen on the concave f(1/x) of SQRT.
+func TestTheorem2ViewpointOnBasicControl(t *testing.T) {
+	t.Parallel()
+	f := formula.NewSQRT(formula.DefaultParams())
+	proc := lossmodel.DesignShiftedExp(0.1, 0.9, rng.New(3))
+	res := RunBasic(basicCfg(f, 8, proc, 50000))
+	if res.CovXS >= 0 {
+		t.Fatalf("cov[X0,S0] = %v, want negative (E[X] < E0[X])", res.CovXS)
+	}
+	if res.Throughput > res.FormulaRate {
+		t.Fatalf("time mean %v above f(p) %v", res.Throughput, res.FormulaRate)
+	}
+	if palm := res.Throughput - res.CovXS/res.MeanInterLossTime; palm > res.FormulaRate*1.01 {
+		t.Fatalf("Palm mean %v above f(p) %v", palm, res.FormulaRate)
+	}
+}
+
 // Eq. (10): the bound holds against measured throughput when (C1) holds.
 func TestTheorem1BoundHolds(t *testing.T) {
 	t.Parallel()

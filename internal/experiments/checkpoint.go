@@ -243,15 +243,14 @@ func (d *topoCkpt) instants() []instant {
 }
 
 // saveAt snapshots the full simulation state at the current (phase-
-// aligned) instant and atomically replaces the job's snapshot file.
+// aligned) instant, streaming it into the job's snapshot file, which it
+// replaces atomically.
 func (d *topoCkpt) saveAt(t float64) {
 	if !d.saving {
 		return
 	}
-	var w checkpoint.Writer
-	d.save(&w)
 	path := checkpoint.PathFor(Checkpoint.Dir, d.cfg.Label)
-	if err := checkpoint.WriteFile(path, d.digest, w.Bytes()); err != nil {
+	if err := checkpoint.StreamFile(path, d.digest, d.save); err != nil {
 		panic(fmt.Sprintf("experiments: writing checkpoint %s at t=%g: %v", path, t, err))
 	}
 }

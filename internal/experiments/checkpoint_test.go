@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/netsim"
 	"repro/internal/runner"
 	"repro/internal/shard"
@@ -214,5 +217,40 @@ func TestUnboundedSamplesMonotone(t *testing.T) {
 			t.Fatalf("sample %d: hw %v + headroom %v != cap %d",
 				i, o.uhw[i], o.headroom[i], netsim.DefaultUnboundedCap)
 		}
+	}
+}
+
+// Saves stream through the checkpoint package's fixed chunk: a run that
+// snapshots every simulated second allocates less than a quarter of one
+// snapshot's size per save beyond the same run without snapshots (about
+// 5% at this size). A save that built the payload in memory first would
+// allocate several payloads per save.
+func TestCheckpointSavesStream(t *testing.T) {
+	cfg := parkingLotBase(Sizing{})
+	cfg.Hops, cfg.NTFRC, cfg.NTCP, cfg.CrossPerHop = 4, 32, 32, 1
+	cfg.Warmup, cfg.Duration = 2, 20
+	cfg.Seed = 29
+	cfg.Label = "stream"
+	dir := t.TempDir()
+	allocated := func(ck CheckpointOptions) uint64 {
+		var before, after runtime.MemStats
+		withCheckpoint(t, ck, ObserveOptions{}, func() {
+			RunTopoSim(cfg) // sizes the run arena
+			runtime.ReadMemStats(&before)
+			RunTopoSim(cfg)
+			runtime.ReadMemStats(&after)
+		})
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	plain := allocated(CheckpointOptions{})
+	saved := allocated(CheckpointOptions{Every: 1, Dir: dir})
+	st, err := os.Stat(checkpoint.PathFor(dir, cfg.Label))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const saves = 20 // at warmup's end, then every second inside the window
+	if extra := int64(saved) - int64(plain); extra > saves*st.Size()/4 {
+		t.Errorf("%d saves of a %d-byte snapshot allocated %d bytes beyond the plain run, want <= %d",
+			saves, st.Size(), extra, saves*st.Size()/4)
 	}
 }
