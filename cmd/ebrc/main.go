@@ -45,8 +45,12 @@
 // one. -resume D continues each simulation from its snapshot in D —
 // byte-identical to the uninterrupted run; a missing snapshot degrades
 // to a from-scratch run, and a snapshot whose config digest does not
-// match fails loudly naming both digests. Checkpointing is incompatible
-// with -trace (the bounded trace rings are not part of a snapshot).
+// match fails loudly naming both digests. Both apply to every
+// packet-level scenario (fig5, fig7-fig19 and the multi-hop,
+// routed-reverse, scale-out, fault and churn families); the Monte Carlo
+// and analytic scenarios have no simulation to snapshot and ignore
+// them. Checkpointing is incompatible with -trace (the bounded trace
+// rings are not part of a snapshot).
 //
 // The observability flags ride on internal/obs and are zero-cost when
 // absent. -metrics appends a "# metrics <scenario>" TSV block after
@@ -144,9 +148,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	progress := fs.Bool("progress", false, "report per-job progress on stderr")
 	deadline := fs.Duration("deadline", 0, "per-job watchdog deadline (hardened mode: partial results + failure manifest; 0 = off)")
 	retries := fs.Int("retries", 0, "extra attempts for failed jobs, with exponential backoff (hardened mode; resumes from checkpoints when -checkpoint-every is on)")
-	ckptEvery := fs.Float64("checkpoint-every", 0, "write a deterministic snapshot of every simulation each N simulated seconds (needs -checkpoint-dir)")
+	ckptEvery := fs.Float64("checkpoint-every", 0, "write a deterministic snapshot of every simulation each N simulated seconds (needs -checkpoint-dir; packet-level scenarios: fig5, fig7-fig19, parkinglot, hetrtt, multibneck, revcross, ackshare, asymrev, scalechain, linkflap, burstloss, capdrop, flashcrowd, webmice, surge; the others ignore it)")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for -checkpoint-every snapshots (one file per job, atomically replaced)")
-	resumeDir := fs.String("resume", "", "resume each simulation from its snapshot in this directory (missing snapshot = from-scratch run; config mismatch = hard error)")
+	resumeDir := fs.String("resume", "", "resume each simulation from its snapshot in this directory (missing snapshot = from-scratch run; config mismatch = hard error; the packet-level scenarios -checkpoint-every names)")
 	seedOnly := fs.Uint64("seed", 0, "run only the jobs with this deterministic seed (0 = all)")
 	metrics := fs.Bool("metrics", false, "append each scenario's deterministic metrics table (byte-identical across executors)")
 	epochs := fs.Int("epochs", 0, "split each run's measured window into N epochs and append per-epoch telemetry")

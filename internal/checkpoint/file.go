@@ -18,8 +18,11 @@ import (
 // cluster's handoff section, at any shard count. Version 3: the churn
 // section holds the live transfers and the running Palm sums only.
 // Version 4: the payload length moves to the trailer and the checksum
-// is CRC-32C, so a save can stream the payload.
-const CodecVersion = 4
+// is CRC-32C, so a save can stream the payload. Version 5: one run
+// driver saves every stateful component behind a count, in construction
+// order — capture, fault plan, each flow's endpoints and watcher,
+// probe and cross-traffic sources with their start timers, churn.
+const CodecVersion = 5
 
 // magic identifies a checkpoint file. Eight bytes, fixed.
 const magic = "EBRCCKP1"

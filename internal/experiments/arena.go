@@ -7,15 +7,17 @@ import (
 	"repro/internal/shard"
 )
 
-// Every packet-level run — RunSim, RunTopoSim and RunRevSim, serial or
-// sharded — executes on a shard.Cluster drawn from one pool: the
-// cluster's network is the run's topology.Network, Partition(1) makes
-// it the serial engine and Partition(K) splits it into K scheduling
-// domains. A run draws a cluster, builds its graph in place, and returns
-// it — so a replication pays for its protocol state only, not for the
-// simulator substrate: the schedulers (wheel buckets, slot tables,
-// freelists), the domains' packet, delivery and flow-state pools and the
-// shards' bundle buffers all carry their capacity across runs. Idle
+// Every packet-level run — each spec the one run driver builds (see
+// run.go), serial or sharded — executes on a shard.Cluster drawn from
+// one pool: the cluster's network is the run's topology.Network,
+// Partition(1) makes it the serial engine and Partition(K) splits it
+// into K scheduling domains. The driver validates the spec first, so a
+// bad config never draws a cluster. A run draws a cluster, builds its
+// graph in place, and returns it — so a replication pays for its
+// protocol state only, not for the simulator substrate: the schedulers
+// (wheel buckets, slot tables, freelists), the domains' packet,
+// delivery and flow-state pools and the shards' bundle buffers all
+// carry their capacity across runs. Idle
 // clusters wait on a free list: a sweep keeps as many as it has runs in
 // flight, and every later run starts warm.
 //
@@ -85,8 +87,8 @@ func getCluster(shards int) (c *shard.Cluster, liveKey string) {
 }
 
 // putCluster resets and recycles the cluster once the run's results
-// have been copied out — nothing returned by a Run* function may alias
-// it — unless a stall detector tripped on it: a poisoned cluster may
+// have been copied out — nothing a run's result mapping returns may
+// alias it — unless a stall detector tripped on it: a poisoned cluster may
 // still be referenced by an abandoned shard driver, so it is leaked
 // rather than pooled (Reset would panic on it anyway).
 func putCluster(c *shard.Cluster, liveKey string) {

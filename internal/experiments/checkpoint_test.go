@@ -53,6 +53,10 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 		{"shards2-metrics-epochs", "parkinglot", 2, ObserveOptions{Metrics: true, Epochs: 4}},
 		{"faults-watch", "linkflap", 0, ObserveOptions{}},
 		{"churn", "surge", 0, ObserveOptions{}},
+		{"red-probe", "fig7", 0, ObserveOptions{}},
+		{"dumbbell-cross", "fig11", 0, ObserveOptions{}},
+		{"routed-reverse-cross", "revcross", 0, ObserveOptions{}},
+		{"routed-reverse-cross-shards2", "revcross", 2, ObserveOptions{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,6 +86,59 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 	}
 }
 
+// The build starts the Poisson probe and the cross-traffic source at a
+// seed-drawn instant in [0, 1) s, so with a short warmup both are still
+// waiting to start when the warmup snapshot is taken. Their start
+// timers are part of the snapshot: a resume from it matches the
+// uninterrupted run.
+func TestCheckpointResumeBeforeSourceStart(t *testing.T) {
+	cfg := NS2Profile().Scale(0.02, 0).Config(1, 8, 41)
+	cfg.ProbeRate, cfg.CrossLoad, cfg.Warmup = 10, 0.1, 0.05
+	run := func(ck CheckpointOptions) SimResult {
+		var res SimResult
+		withCheckpoint(t, ck, ObserveOptions{}, func() {
+			job := packetJob("early-sources", cfg.spec(), cfg.result)
+			out, err := runner.Serial{}.Execute(context.Background(), []runner.Job{job})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = out[0].(SimResult)
+		})
+		return res
+	}
+	want := run(CheckpointOptions{})
+	dir := t.TempDir()
+	// Every exceeds the window: the one snapshot is the warmup's.
+	if got := run(CheckpointOptions{Every: 1e6, Dir: dir}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshotting changed the run:\n%+v\n%+v", got.Poisson, want.Poisson)
+	}
+	if got := run(CheckpointOptions{Resume: dir}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("run resumed before its sources started differs:\n%+v\n%+v", got.Poisson, want.Poisson)
+	}
+}
+
+// Every packet-level job snapshots into the file its name maps to, so
+// two jobs of the registry sharing a file would overwrite each other's
+// snapshots under -parallel. Job names must map to distinct files
+// across the whole registry, at both the quick and the full sizing.
+func TestRegistryJobsSnapshotToDistinctFiles(t *testing.T) {
+	t.Parallel()
+	for _, sz := range []Sizing{Quick, Full} {
+		owner := map[string]string{}
+		for _, s := range Scenarios() {
+			jobs, _ := s.Plan(sz)
+			for _, j := range jobs {
+				path := checkpoint.PathFor("ckpt", j.Name)
+				if prev, dup := owner[path]; dup {
+					t.Errorf("sizing %+v: jobs %q and %q share snapshot file %s", sz, prev, j.Name, path)
+				}
+				owner[path] = j.Name
+			}
+		}
+		t.Logf("sizing %+v: %d jobs, all distinct", sz, len(owner))
+	}
+}
+
 // A resume pointed at a directory with no snapshot for the job degrades
 // to a from-scratch run with identical output — the self-healing pool
 // relies on this when a job dies before its first save.
@@ -107,7 +164,7 @@ func TestCheckpointDigestMismatch(t *testing.T) {
 	withCheckpoint(t, CheckpointOptions{Every: 1, Dir: dir}, ObserveOptions{}, func() {
 		RunTopoSim(cfg)
 	})
-	snapDigest := configDigest(&cfg, 1, 0)
+	snapDigest := cfg.spec().digest(0)
 
 	cases := []struct {
 		name string
@@ -124,7 +181,7 @@ func TestCheckpointDigestMismatch(t *testing.T) {
 			bad := cfg
 			tc.mut(&bad)
 			bad.Resume = dir
-			runDigest := configDigest(&bad, 1, 0)
+			runDigest := bad.spec().digest(0)
 			if runDigest == snapDigest {
 				t.Fatal("mutation did not change the config digest")
 			}
@@ -162,7 +219,7 @@ func TestRetriedJobResumesToSameResult(t *testing.T) {
 	want := RunTopoSim(plain)
 
 	withCheckpoint(t, CheckpointOptions{Every: 2, Dir: t.TempDir()}, ObserveOptions{}, func() {
-		job := topoJob("retry", cfg)
+		job := packetJob("retry", cfg.spec(), cfg.result)
 		inner := job.Run
 		job.Run = func(ctx context.Context) any {
 			v := inner(ctx)

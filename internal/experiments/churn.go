@@ -117,8 +117,8 @@ func planFlashcrowd(sz Sizing) ([]runner.Job, FoldFunc) {
 			Stop: end, MaxArrivals: 12000, Seed: 7102,
 		},
 	}
-	cells := []topoCell{{name: "flashcrowd", cfg: cfg, hops: cfg.Hops, L: cfg.L}}
-	return topoGridPlan(t, cells, func(c topoCell, res TopoSimResult) [][]float64 {
+	cells := []cell[TopoSimConfig]{{name: "flashcrowd", cfg: cfg}}
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
 		return churnRows(res)
 	})
 }
@@ -156,8 +156,8 @@ func planWebmice(sz Sizing) ([]runner.Job, FoldFunc) {
 			Size: size, Stop: end, MaxArrivals: 16000, Seed: 7202,
 		},
 	}
-	cells := []topoCell{{name: "webmice", cfg: cfg, hops: cfg.Hops, L: cfg.L}}
-	return topoGridPlan(t, cells, func(c topoCell, res TopoSimResult) [][]float64 {
+	cells := []cell[TopoSimConfig]{{name: "webmice", cfg: cfg}}
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
 		return churnRows(res)
 	})
 }
@@ -202,8 +202,8 @@ func planSurge(sz Sizing) ([]runner.Job, FoldFunc) {
 			Start: surgeStart, Stop: surgeStop, MaxArrivals: 12000, Seed: 7303,
 		},
 	}
-	cells := []topoCell{{name: "surge", cfg: cfg, hops: cfg.Hops, L: cfg.L}}
-	return topoGridPlan(t, cells, func(c topoCell, res TopoSimResult) [][]float64 {
+	cells := []cell[TopoSimConfig]{{name: "surge", cfg: cfg}}
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
 		return churnRows(res)
 	})
 }

@@ -54,19 +54,6 @@ func faultBase(sz Sizing, hops int) TopoSimConfig {
 	return cfg
 }
 
-// faultCell pairs one faulted run with the metadata columns of its row.
-type faultCell struct {
-	name string
-	cfg  TopoSimConfig
-	meta []float64
-}
-
-// faultGridPlan instantiates gridPlan for the fault family.
-func faultGridPlan(t *Table, cells []faultCell,
-	rows func(c faultCell, res TopoSimResult) [][]float64) ([]runner.Job, FoldFunc) {
-	return gridPlan(t, cells, func(c faultCell) runner.Job { return topoJob(c.name, c.cfg) }, rows)
-}
-
 // tfrcNorm is the conservativeness figure of merit: class throughput
 // over the PFTK rate at the class's own measured loss and RTT (the
 // multibneck normalization), 0 when the run produced no basis.
@@ -128,7 +115,7 @@ func planLinkFlap(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"hops", "flush", "outage_s", "x_tfrc", "norm",
 			"halvings", "min_rate", "recovery_s"},
 	}
-	var cells []faultCell
+	var cells []cell[TopoSimConfig]
 	seed := uint64(7040)
 	for _, hops := range []int{1, 8} {
 		for _, pol := range []fault.Policy{fault.Drain, fault.Flush} {
@@ -145,16 +132,15 @@ func planLinkFlap(sz Sizing) ([]runner.Job, FoldFunc) {
 			if pol == fault.Flush {
 				flush = 1
 			}
-			cells = append(cells, faultCell{
+			cells = append(cells, cell[TopoSimConfig]{
 				name: fmt.Sprintf("linkflap hops=%d policy=%s", hops, pol),
 				cfg:  cfg,
 				meta: []float64{float64(hops), flush, up - down},
 			})
 		}
 	}
-	return faultGridPlan(t, cells, func(c faultCell, res TopoSimResult) [][]float64 {
-		return [][]float64{append(c.meta,
-			res.TFRC.Throughput, tfrcNorm(res.TFRC), tfrcHalvings(res),
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
+		return [][]float64{c.row(res.TFRC.Throughput, tfrcNorm(res.TFRC), tfrcHalvings(res),
 			tfrcMinRate(res), worstRecovery(res))}
 	})
 }
@@ -172,7 +158,7 @@ func planBurstLoss(sz Sizing) ([]runner.Job, FoldFunc) {
 			"x_tfrc", "norm", "halvings"},
 	}
 	type geParams struct{ meanGood, meanBad, lossBad float64 }
-	var cells []faultCell
+	var cells []cell[TopoSimConfig]
 	seed := uint64(7140)
 	for _, hops := range []int{1, 8} {
 		for _, g := range []geParams{
@@ -184,20 +170,19 @@ func planBurstLoss(sz Sizing) ([]runner.Job, FoldFunc) {
 			cfg.Seed = seed
 			cfg.Faults = (&fault.Plan{Seed: seed}).Burst(0, g.meanGood, g.meanBad, g.lossBad)
 			pi := cfg.Faults.Losses[0].StationaryLoss()
-			cells = append(cells, faultCell{
+			cells = append(cells, cell[TopoSimConfig]{
 				name: fmt.Sprintf("burstloss hops=%d pi=%.4f", hops, pi),
 				cfg:  cfg,
 				meta: []float64{float64(hops), pi},
 			})
 		}
 	}
-	return faultGridPlan(t, cells, func(c faultCell, res TopoSimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
 		obs := 0.0
 		if res.FaultOffered > 0 {
 			obs = float64(res.FaultDrops) / float64(res.FaultOffered)
 		}
-		return [][]float64{append(c.meta, obs,
-			res.TFRC.LossEventRate, res.TFRC.Throughput,
+		return [][]float64{c.row(obs, res.TFRC.LossEventRate, res.TFRC.Throughput,
 			tfrcNorm(res.TFRC), tfrcHalvings(res))}
 	})
 }
@@ -214,7 +199,7 @@ func planCapDrop(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"hops", "factor", "x_tfrc", "halvings",
 			"min_rate", "recovery_s", "rev_highwater"},
 	}
-	var cells []faultCell
+	var cells []cell[TopoSimConfig]
 	seed := uint64(7240)
 	for _, hops := range []int{1, 8} {
 		for _, factor := range []float64{0.02, 0.005} {
@@ -229,16 +214,15 @@ func planCapDrop(sz Sizing) ([]runner.Job, FoldFunc) {
 				factor*cfg.Capacity, cfg.Capacity)
 			cfg.Watch = &RecoveryWatch{Down: from, Up: until, Frac: 0.5,
 				Interval: cfg.Duration / 400}
-			cells = append(cells, faultCell{
+			cells = append(cells, cell[TopoSimConfig]{
 				name: fmt.Sprintf("capdrop hops=%d factor=%g", hops, factor),
 				cfg:  cfg,
 				meta: []float64{float64(hops), factor},
 			})
 		}
 	}
-	return faultGridPlan(t, cells, func(c faultCell, res TopoSimResult) [][]float64 {
-		return [][]float64{append(c.meta,
-			res.TFRC.Throughput, tfrcHalvings(res), tfrcMinRate(res),
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
+		return [][]float64{c.row(res.TFRC.Throughput, tfrcHalvings(res), tfrcMinRate(res),
 			worstRecovery(res), float64(res.UnboundedHighWater))}
 	})
 }

@@ -322,9 +322,9 @@ func Fig4(p float64, sz Sizing) *Table {
 
 // lpCells expands the ns-2-style L × pairs sweep shared by Figures 5,
 // 7 and 8, assigning seeds in row-major order from seed0+1.
-func lpCells(figure string, sz Sizing, seed0 uint64, mut func(*SimConfig)) []simCell {
+func lpCells(figure string, sz Sizing, seed0 uint64, mut func(*SimConfig)) []cell[SimConfig] {
 	pr := NS2Profile().Scale(sz.SimFactor, 0)
-	var cells []simCell
+	var cells []cell[SimConfig]
 	seed := seed0
 	for _, L := range []int{2, 4, 8, 16} {
 		for _, pairs := range sz.Pairs {
@@ -333,9 +333,9 @@ func lpCells(figure string, sz Sizing, seed0 uint64, mut func(*SimConfig)) []sim
 			if mut != nil {
 				mut(&cfg)
 			}
-			cells = append(cells, simCell{
+			cells = append(cells, cell[SimConfig]{
 				name: fmt.Sprintf("%s L=%d pairs=%d", figure, L, pairs),
-				cfg:  cfg, L: L, pairs: pairs,
+				cfg:  cfg, meta: []float64{float64(L), float64(pairs)},
 			})
 		}
 	}
@@ -344,16 +344,16 @@ func lpCells(figure string, sz Sizing, seed0 uint64, mut func(*SimConfig)) []sim
 
 // profileCells expands the per-profile pair sweep shared by Figures
 // 10, 11, 16 and the breakdowns (window L = 8 throughout).
-func profileCells(figure string, profiles []Profile, sz Sizing, seed0 uint64) []simCell {
-	var cells []simCell
+func profileCells(figure string, profiles []Profile, sz Sizing, seed0 uint64) []cell[SimConfig] {
+	var cells []cell[SimConfig]
 	seed := seed0
 	for pi, pr := range profiles {
 		pr = pr.Scale(sz.SimFactor, sz.PairsCap)
 		for _, pairs := range pr.Pairs {
 			seed++
-			cells = append(cells, simCell{
+			cells = append(cells, cell[SimConfig]{
 				name: fmt.Sprintf("%s %s pairs=%d", figure, pr.Name, pairs),
-				cfg:  pr.Config(pairs, 8, seed), profile: pi, pairs: pairs,
+				cfg:  pr.Config(pairs, 8, seed), meta: []float64{float64(pi), float64(pairs)},
 			})
 		}
 	}
@@ -370,16 +370,15 @@ func planFig5(sz Sizing) ([]runner.Job, FoldFunc) {
 		Note:    "TFRC normalized throughput and cov[θ,θ̂]p² vs p (ns-2-style RED)",
 		Columns: []string{"L", "pairs", "p", "normalized", "covnorm"},
 	}
-	return simGridPlan(t, lpCells("fig5", sz, 340, nil),
-		func(c simCell, res SimResult) [][]float64 {
+	return gridPlan(t, lpCells("fig5", sz, 340, nil),
+		func(c cell[SimConfig], res SimResult) [][]float64 {
 			cls := res.TFRC
 			if cls.Events == 0 || cls.MeanRTT <= 0 {
 				return nil
 			}
 			f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
 			norm := cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
-			return [][]float64{{float64(c.L), float64(c.pairs),
-				cls.LossEventRate, norm, cls.CovNorm}}
+			return [][]float64{c.row(cls.LossEventRate, norm, cls.CovNorm)}
 		})
 }
 
@@ -446,10 +445,10 @@ func planFig7(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"L", "pairs", "p_tfrc", "p_tcp", "p_poisson"},
 	}
 	probe := func(cfg *SimConfig) { cfg.ProbeRate = 10 } // light Poisson probe
-	return simGridPlan(t, lpCells("fig7", sz, 540, probe),
-		func(c simCell, res SimResult) [][]float64 {
-			return [][]float64{{float64(c.L), float64(c.pairs),
-				res.TFRC.LossEventRate, res.TCP.LossEventRate, res.Poisson.LossEventRate}}
+	return gridPlan(t, lpCells("fig7", sz, 540, probe),
+		func(c cell[SimConfig], res SimResult) [][]float64 {
+			return [][]float64{c.row(res.TFRC.LossEventRate, res.TCP.LossEventRate,
+				res.Poisson.LossEventRate)}
 		})
 }
 
@@ -464,13 +463,12 @@ func planFig8(sz Sizing) ([]runner.Job, FoldFunc) {
 		Note:    "TFRC/TCP throughput ratio vs number of connections",
 		Columns: []string{"L", "pairs", "ratio"},
 	}
-	return simGridPlan(t, lpCells("fig8", sz, 640, nil),
-		func(c simCell, res SimResult) [][]float64 {
+	return gridPlan(t, lpCells("fig8", sz, 640, nil),
+		func(c cell[SimConfig], res SimResult) [][]float64 {
 			if res.TCP.Throughput <= 0 {
 				return nil
 			}
-			return [][]float64{{float64(c.L), float64(c.pairs),
-				res.TFRC.Throughput / res.TCP.Throughput}}
+			return [][]float64{c.row(res.TFRC.Throughput / res.TCP.Throughput)}
 		})
 }
 
@@ -483,13 +481,13 @@ func Fig8(sz Sizing) *Table { return runPlan(planFig8, sz)[0] }
 // throughputs (few connections).
 func planFig9(sz Sizing) ([]runner.Job, FoldFunc) {
 	pr := NS2Profile().Scale(sz.SimFactor, 0)
-	var cells []simCell
+	var cells []cell[SimConfig]
 	seed := uint64(740)
 	for _, pairs := range sz.Pairs {
 		seed++
-		cells = append(cells, simCell{
+		cells = append(cells, cell[SimConfig]{
 			name: fmt.Sprintf("fig9 pairs=%d", pairs),
-			cfg:  pr.Config(pairs, 8, seed), pairs: pairs,
+			cfg:  pr.Config(pairs, 8, seed), meta: []float64{float64(pairs)},
 		})
 	}
 	t := &Table{
@@ -497,14 +495,14 @@ func planFig9(sz Sizing) ([]runner.Job, FoldFunc) {
 		Note:    "TCP throughput vs PFTK-standard prediction, per flow",
 		Columns: []string{"pairs", "predicted", "measured"},
 	}
-	return simGridPlan(t, cells, func(c simCell, res SimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[SimConfig], res SimResult) [][]float64 {
 		var rows [][]float64
 		for _, st := range res.TCPPerFlow {
 			if st.LossEventRate <= 0 || st.MeanRTT <= 0 {
 				continue
 			}
 			f := formula.NewPFTKStandard(formula.ParamsForRTT(st.MeanRTT))
-			rows = append(rows, []float64{float64(c.pairs), f.Rate(st.LossEventRate), st.Throughput})
+			rows = append(rows, c.row(f.Rate(st.LossEventRate), st.Throughput))
 		}
 		return rows
 	})
@@ -524,11 +522,11 @@ func planFig10(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"profile", "pairs", "covnorm"},
 	}
 	cells := profileCells("fig10", append(LabProfiles(), WANProfiles()...), sz, 840)
-	return simGridPlan(t, cells, func(c simCell, res SimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[SimConfig], res SimResult) [][]float64 {
 		if res.TFRC.Events < 10 {
 			return nil
 		}
-		return [][]float64{{float64(c.profile), float64(c.pairs), res.TFRC.CovNorm}}
+		return [][]float64{c.row(res.TFRC.CovNorm)}
 	})
 }
 
@@ -545,12 +543,11 @@ func planFriendliness(name string, profiles func() []Profile) PlanFunc {
 			Columns: []string{"profile", "pairs", "p", "ratio"},
 		}
 		cells := profileCells(name, profiles(), sz, 940)
-		return simGridPlan(t, cells, func(c simCell, res SimResult) [][]float64 {
+		return gridPlan(t, cells, func(c cell[SimConfig], res SimResult) [][]float64 {
 			if res.TCP.Throughput <= 0 {
 				return nil
 			}
-			return [][]float64{{float64(c.profile), float64(c.pairs),
-				res.TFRC.LossEventRate, res.TFRC.Throughput / res.TCP.Throughput}}
+			return [][]float64{c.row(res.TFRC.LossEventRate, res.TFRC.Throughput/res.TCP.Throughput)}
 		})
 	}
 }
@@ -585,18 +582,18 @@ func planBreakdown(name string, profiles func() []Profile) PlanFunc {
 			Columns: []string{"profile", "pairs", "p", "norm_tfrc", "p_ratio", "rtt_ratio", "norm_tcp"},
 		}
 		cells := profileCells(name, profiles(), sz, 1040)
-		return simGridPlan(t, cells, func(c simCell, res SimResult) [][]float64 {
+		return gridPlan(t, cells, func(c cell[SimConfig], res SimResult) [][]float64 {
 			tf, tc := res.TFRC, res.TCP
 			if tf.Events == 0 || tc.Events == 0 || tf.MeanRTT <= 0 || tc.MeanRTT <= 0 {
 				return nil
 			}
 			ftf := formula.NewPFTKStandard(formula.ParamsForRTT(tf.MeanRTT))
 			ftc := formula.NewPFTKStandard(formula.ParamsForRTT(tc.MeanRTT))
-			return [][]float64{{float64(c.profile), float64(c.pairs), tf.LossEventRate,
-				tf.Throughput / ftf.Rate(math.Max(tf.LossEventRate, 1e-9)),
-				tc.LossEventRate / tf.LossEventRate,
-				tc.MeanRTT / tf.MeanRTT,
-				tc.Throughput / ftc.Rate(math.Max(tc.LossEventRate, 1e-9))}}
+			return [][]float64{c.row(tf.LossEventRate,
+				tf.Throughput/ftf.Rate(math.Max(tf.LossEventRate, 1e-9)),
+				tc.LossEventRate/tf.LossEventRate,
+				tc.MeanRTT/tf.MeanRTT,
+				tc.Throughput/ftc.Rate(math.Max(tc.LossEventRate, 1e-9)))}
 		})
 	}
 }
@@ -638,16 +635,16 @@ func planFig17(sz Sizing) ([]runner.Job, FoldFunc) {
 		cfgT := base.Config(1, 8, seed)
 		cfgT.Buffer = buf
 		cfgT.NTCP = 0
-		jobs = append(jobs, simJob(fmt.Sprintf("fig17 buf=%d tfrc-alone", buf), cfgT))
+		jobs = append(jobs, packetJob(fmt.Sprintf("fig17 buf=%d tfrc-alone", buf), cfgT.spec(), cfgT.result))
 
 		cfgC := base.Config(1, 8, seed+1)
 		cfgC.Buffer = buf
 		cfgC.NTFRC = 0
-		jobs = append(jobs, simJob(fmt.Sprintf("fig17 buf=%d tcp-alone", buf), cfgC))
+		jobs = append(jobs, packetJob(fmt.Sprintf("fig17 buf=%d tcp-alone", buf), cfgC.spec(), cfgC.result))
 
 		cfgBoth := base.Config(1, 8, seed+2)
 		cfgBoth.Buffer = buf
-		jobs = append(jobs, simJob(fmt.Sprintf("fig17 buf=%d competing", buf), cfgBoth))
+		jobs = append(jobs, packetJob(fmt.Sprintf("fig17 buf=%d competing", buf), cfgBoth.spec(), cfgBoth.result))
 	}
 	fold := func(results []any) []*Table {
 		t := &Table{

@@ -20,7 +20,7 @@ func runSims(t *testing.T, cfgs ...SimConfig) []SimResult {
 	t.Helper()
 	jobs := make([]runner.Job, len(cfgs))
 	for i, cfg := range cfgs {
-		jobs[i] = simJob("integration", cfg)
+		jobs[i] = packetJob("integration", cfg.spec(), cfg.result)
 	}
 	results, err := runner.NewPool(0).Execute(context.Background(), jobs)
 	if err != nil {

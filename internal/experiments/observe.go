@@ -212,33 +212,6 @@ func unboundedDepth(eng *shard.Cluster) (hw, head int, any bool) {
 	return hw, head, any
 }
 
-// runMeasured advances the engine from the end of warmup (time from) to
-// the end of the run (time to) via run (the cluster's Run),
-// sampling epoch boundaries when epoch logging is on. With
-// observability off (nil receiver) or no epochs it is exactly run(to) —
-// one call, identical trajectory. The boundary times are pure float
-// arithmetic from (from, to, n), so every executor steps through the
-// same instants.
-func (o *obsRun) runMeasured(run func(t float64), from, to float64) {
-	if o == nil || o.epochs <= 1 {
-		run(to)
-		return
-	}
-	o.begin()
-	n := o.epochs
-	w := (to - from) / float64(n)
-	start := from
-	for i := 0; i < n; i++ {
-		end := from + w*float64(i+1)
-		if i == n-1 {
-			end = to
-		}
-		run(end)
-		o.boundary(i, start, end)
-		start = end
-	}
-}
-
 // lossIntervalBounds buckets the loss-interval histograms in packet
 // counts, one bucket per doubling — the scale the TFRC estimator's
 // window arithmetic lives on.
@@ -246,8 +219,8 @@ var lossIntervalBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 
 
 // collect builds the run's capture: the metrics registry from the
 // engine totals and the protocol classes' measurement windows, the
-// epoch log accumulated by runMeasured, and the merged trace. Safe on a
-// nil receiver (returns nil — observability off).
+// epoch log accumulated at the run's epoch boundaries, and the merged
+// trace. Safe on a nil receiver (returns nil — observability off).
 func (o *obsRun) collect(tf []tfrc.Stats, tc []tcp.Stats) *RunObs {
 	if o == nil {
 		return nil

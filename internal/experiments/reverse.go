@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
+	"repro/internal/arrivals"
 	"repro/internal/formula"
 	"repro/internal/netsim"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
@@ -107,142 +106,77 @@ type RevSimResult struct {
 // RunRevSim executes the configured routed-reverse simulation and
 // returns the per-class aggregates. It is fully deterministic in
 // cfg.Seed.
-func RunRevSim(cfg RevSimConfig) RevSimResult {
-	if cfg.Capacity <= 0 || cfg.Buffer < 1 || cfg.RevBuffer < 1 ||
-		cfg.Duration <= 0 || cfg.Warmup < 0 || cfg.L < 1 {
-		panic("experiments: invalid reverse sim config")
-	}
-	if len(cfg.RevCapacities) == 0 {
-		panic("experiments: reverse sim needs at least one reverse hop")
-	}
-	for _, c := range cfg.RevCapacities {
-		if c <= 0 {
-			panic("experiments: non-positive reverse capacity")
-		}
-	}
-	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
-		panic("experiments: need at least one primary flow")
-	}
-	if cfg.BackTCP < 0 || cfg.RevCrossLoad < 0 {
-		panic("experiments: invalid reverse load")
-	}
-	// Build the bidirectional graph inside a pooled cluster (see
-	// arena.go): one shard — the serial engine — for Shards <= 1,
-	// space-parallel otherwise. Either way wheels, packet pools and
-	// flow-state records are reused across replications.
-	env, liveKey := getCluster(cfg.Shards)
-	defer putCluster(env, liveKey)
-	seedRNG := rng.New(cfg.Seed)
+func RunRevSim(cfg RevSimConfig) RevSimResult { return simulate(cfg.spec(), cfg.result) }
 
-	src := env.AddNode("src")
-	dst := env.AddNode("dst")
-	fwd := env.AddLink(src, dst, cfg.Capacity, cfg.FwdDelay, netsim.NewDropTail(cfg.Buffer))
-	// Reverse chain dst → … → src, one link per configured capacity.
-	revNodes := make([]topology.NodeID, 0, len(cfg.RevCapacities)+1)
-	revNodes = append(revNodes, dst)
-	for i := 1; i < len(cfg.RevCapacities); i++ {
-		revNodes = append(revNodes, env.AddNode(fmt.Sprintf("rev%d", i)))
-	}
-	revNodes = append(revNodes, src)
-	rev := make([]topology.LinkID, len(cfg.RevCapacities))
+// spec declares the bidirectional graph: the forward bottleneck src →
+// dst, and the reverse chain dst → … → src, one link per configured
+// capacity, as every primary flow's routed reverse path. Opposing-
+// direction flows send their data over the reverse chain and their ACKs
+// over the forward bottleneck; reverse cross traffic sinks at the
+// chain's end.
+func (cfg RevSimConfig) spec() *runSpec {
+	sp := &runSpec{seed: cfg.Seed, shards: cfg.Shards, warmup: cfg.Warmup,
+		duration: cfg.Duration, jitter: cfg.RevJitter}
+	src, dst := sp.node("src"), sp.node("dst")
+	fwd := sp.link(linkSpec{from: src, to: dst, rate: cfg.Capacity, delay: cfg.FwdDelay,
+		queue: DropTail, buffer: cfg.Buffer})
+	sp.fwd = []topology.LinkID{fwd}
+	sp.rev = make([]topology.LinkID, len(cfg.RevCapacities))
+	from := dst
 	for i, c := range cfg.RevCapacities {
-		rev[i] = env.AddLink(revNodes[i], revNodes[i+1], c, cfg.RevHopDelay,
-			netsim.NewDropTail(cfg.RevBuffer))
+		to := src
+		if i < len(cfg.RevCapacities)-1 {
+			to = sp.node(fmt.Sprintf("rev%d", i+1))
+		}
+		sp.rev[i] = sp.link(linkSpec{from: from, to: to, rate: c, delay: cfg.RevHopDelay,
+			queue: DropTail, buffer: cfg.RevBuffer})
+		from = to
 	}
-	env.SetDefaultRoute(fwd)
-	env.SetDefaultReverseRoute(rev...)
-	if cfg.RevJitter > 0 {
-		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
+	tc := tfrc.DefaultConfig()
+	tc.Window = cfg.L
+	tc.Comprehensive = cfg.Comprehensive
+	sp.groups = []flowGroup{
+		{name: "NTFRC", proto: arrivals.TFRC, count: cfg.NTFRC, primary: true, tfrc: tc,
+			fwdExtra: cfg.AccessDelay, revDelay: cfg.RevExtra},
+		{name: "NTCP", proto: arrivals.TCP, count: cfg.NTCP, primary: true,
+			fwdExtra: cfg.AccessDelay, revDelay: cfg.RevExtra},
 	}
-	env.Partition(cfg.Shards)
-	// Tracer attach precedes endpoint construction (see RunTopoSim).
-	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, 0)
-
-	tfrcCfg := tfrc.DefaultConfig()
-	tfrcCfg.Window = cfg.L
-	tfrcCfg.Comprehensive = cfg.Comprehensive
-
-	flowID := 0
-	tfrcSenders := make([]*tfrc.Sender, 0, cfg.NTFRC)
-	for i := 0; i < cfg.NTFRC; i++ {
-		c := tfrcCfg
-		c.Seed = seedRNG.Uint64()
-		ss, rs := env.FlowEnv(flowID)
-		snd, _ := tfrc.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, c,
-			cfg.AccessDelay, cfg.RevExtra)
-		tfrcSenders = append(tfrcSenders, snd)
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		flowID++
+	if cfg.BackTCP != 0 {
+		sp.groups = append(sp.groups, flowGroup{name: "BackTCP", proto: arrivals.TCP,
+			count: cfg.BackTCP, route: sp.rev, revRoute: sp.fwd,
+			fwdExtra: cfg.AccessDelay, revDelay: cfg.RevExtra})
 	}
-	tcpSenders := make([]*tcp.Sender, 0, cfg.NTCP)
-	for i := 0; i < cfg.NTCP; i++ {
-		ss, rs := env.FlowEnv(flowID)
-		snd, _ := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
-			cfg.AccessDelay, cfg.RevExtra)
-		tcpSenders = append(tcpSenders, snd)
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	// Opposing-direction flows: data over the reverse chain, ACKs over
-	// the forward bottleneck.
-	backSenders := make([]*tcp.Sender, 0, cfg.BackTCP)
-	for i := 0; i < cfg.BackTCP; i++ {
-		env.SetRoute(flowID, rev...)
-		env.SetReverseRoute(flowID, fwd)
-		ss, rs := env.FlowEnv(flowID)
-		snd, _ := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
-			cfg.AccessDelay, cfg.RevExtra)
-		backSenders = append(backSenders, snd)
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	if cfg.RevCrossLoad > 0 {
-		minCap := cfg.RevCapacities[0]
-		for _, c := range cfg.RevCapacities[1:] {
+	if cfg.RevCrossLoad != 0 {
+		// The source offers RevCrossLoad of the tightest reverse hop,
+		// bursting at that hop's full rate.
+		minCap := math.Inf(1)
+		for _, c := range cfg.RevCapacities {
 			minCap = math.Min(minCap, c)
 		}
-		// Size the on/off source so its mean rate offers RevCrossLoad of
-		// the tightest reverse hop: bursts at that hop's full rate, mean
-		// 20 packets, off time solved from the load.
-		const meanBurst, pktSize = 20.0, 1000.0
-		burstBytes := meanBurst * pktSize
-		burstTime := burstBytes / minCap
-		target := cfg.RevCrossLoad * minCap
-		meanOff := burstBytes/target - burstTime
-		if meanOff <= 0 {
-			meanOff = 1e-3
-		}
-		env.AttachSink(flowID, rev...)
-		cs := env.SinkEnv(rev...)
-		ct := netsim.NewCrossTraffic(cs.Sched(), cs, flowID, minCap, meanBurst, 1.5,
-			meanOff, int(pktSize), seedRNG.Uint64())
-		cs.Sched().At(seedRNG.Float64(), ct.Start)
-		flowID++
+		sp.cross = []crossSpec{{route: sp.rev, capacity: minCap, peak: minCap, load: cfg.RevCrossLoad}}
 	}
+	return sp
+}
 
-	env.Run(cfg.Warmup)
-	resetStats(tfrcSenders)
-	resetStats(tcpSenders)
-	resetStats(backSenders)
-	ob.runMeasured(env.Run, cfg.Warmup, cfg.Warmup+cfg.Duration)
-
+// result maps a finished routed-reverse run to its per-class aggregates
+// and the reverse chain's telemetry.
+func (cfg RevSimConfig) result(r *run) RevSimResult {
 	var res RevSimResult
-	res.TFRCPerFlow = tfrcStats(tfrcSenders)
-	res.TCPPerFlow = tcpStats(tcpSenders)
+	res.TFRCPerFlow = collectStats(r.groups[0].tfrc, (*tfrc.Sender).Stats)
+	res.TCPPerFlow = collectStats(r.groups[1].tcp, (*tcp.Sender).Stats)
 	res.TFRC = aggregateTFRC(res.TFRCPerFlow, cfg.L)
 	res.TCP = aggregateTCP(res.TCPPerFlow)
-	res.Back = aggregateTCP(tcpStats(backSenders))
+	res.Back = aggregateTCP(collectStats(tcpSenders(r.groups[2:]), (*tcp.Sender).Stats))
 	// Flow 0 is always a primary flow and all primaries share terminal
 	// delays, so its base RTT represents the class.
-	res.BaseRTT = env.BaseRTT(0)
-	for _, id := range rev {
-		res.RevDrops += env.Link(id).Queue().(*netsim.DropTail).Drops
+	res.BaseRTT = r.env.BaseRTT(0)
+	for _, id := range r.sp.rev {
+		res.RevDrops += r.env.Link(id).Queue().(*netsim.DropTail).Drops
 	}
 	// All reverse-chain traffic enters at the first hop, so the packets
 	// offered to the chain are that hop's forwards plus its own drops;
 	// drops at later hops already count among the first hop's forwards.
-	first := env.Link(rev[0])
+	first := r.env.Link(r.sp.rev[0])
 	if offered := first.Forwarded + first.Queue().(*netsim.DropTail).Drops; offered > 0 {
 		res.RevDropRate = float64(res.RevDrops) / float64(offered)
 	}
@@ -257,13 +191,8 @@ func RunRevSim(cfg RevSimConfig) RevSimResult {
 	if pkts > 0 {
 		res.AcksPerPacket = float64(acks) / float64(pkts)
 	}
-	res.EventsFired = env.Fired()
-	res.Obs = ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
-	if LeakCheck {
-		if err := env.CheckLeaks(); err != nil {
-			panic(err)
-		}
-	}
+	res.EventsFired = r.env.Fired()
+	res.Obs = r.ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
 	return res
 }
 
@@ -297,29 +226,6 @@ func reverseBase(sz Sizing) RevSimConfig {
 	return cfg
 }
 
-// revCell pairs one routed-reverse run with the sweep metadata its
-// table rows need.
-type revCell struct {
-	name string
-	cfg  RevSimConfig
-	x    float64 // the swept parameter (load, back flows, or ratio)
-}
-
-// revJob wraps one routed-reverse run as a runner job.
-func revJob(name string, cfg RevSimConfig) runner.Job {
-	return runner.Job{
-		Name: name,
-		Seed: cfg.Seed,
-		Run:  func(context.Context) any { return RunRevSim(cfg) },
-	}
-}
-
-// revGridPlan instantiates gridPlan for routed-reverse sweeps.
-func revGridPlan(t *Table, cells []revCell,
-	rows func(c revCell, res RevSimResult) [][]float64) ([]runner.Job, FoldFunc) {
-	return gridPlan(t, cells, func(c revCell) runner.Job { return revJob(c.name, c.cfg) }, rows)
-}
-
 // planRevCross sweeps unresponsive cross-traffic load on a tight
 // reverse bottleneck (1/20 of the forward capacity): as the reverse
 // link saturates, feedback reports and ACKs are queued and dropped, the
@@ -333,7 +239,7 @@ func planRevCross(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"rev_load", "fb_drop", "nf_halvings", "p_tfrc",
 			"x_tfrc", "x_tcp", "ratio", "acks_per_pkt"},
 	}
-	var cells []revCell
+	var cells []cell[RevSimConfig]
 	seed := uint64(3040)
 	for _, load := range []float64{0, 0.5, 0.9, 1.2} {
 		seed++
@@ -341,18 +247,18 @@ func planRevCross(sz Sizing) ([]runner.Job, FoldFunc) {
 		cfg.RevCapacities = []float64{cfg.Capacity / 20}
 		cfg.RevCrossLoad = load
 		cfg.Seed = seed
-		cells = append(cells, revCell{
+		cells = append(cells, cell[RevSimConfig]{
 			name: fmt.Sprintf("revcross load=%.1f", load),
-			cfg:  cfg, x: load,
+			cfg:  cfg, meta: []float64{load},
 		})
 	}
-	return revGridPlan(t, cells, func(c revCell, res RevSimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[RevSimConfig], res RevSimResult) [][]float64 {
 		if res.TCP.Throughput <= 0 {
 			return nil
 		}
-		return [][]float64{{c.x, res.RevDropRate, float64(res.NoFeedbackHalvings),
+		return [][]float64{c.row(res.RevDropRate, float64(res.NoFeedbackHalvings),
 			res.TFRC.LossEventRate, res.TFRC.Throughput, res.TCP.Throughput,
-			res.TFRC.Throughput / res.TCP.Throughput, res.AcksPerPacket}}
+			res.TFRC.Throughput/res.TCP.Throughput, res.AcksPerPacket)}
 	})
 }
 
@@ -369,25 +275,25 @@ func planAckShare(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"back_flows", "x_tfrc", "x_tcp", "x_back",
 			"rev_drop", "acks_per_pkt", "ratio"},
 	}
-	var cells []revCell
+	var cells []cell[RevSimConfig]
 	seed := uint64(3140)
 	for _, back := range []int{0, 1, 2, 4} {
 		seed++
 		cfg := reverseBase(sz)
 		cfg.BackTCP = back
 		cfg.Seed = seed
-		cells = append(cells, revCell{
+		cells = append(cells, cell[RevSimConfig]{
 			name: fmt.Sprintf("ackshare back=%d", back),
-			cfg:  cfg, x: float64(back),
+			cfg:  cfg, meta: []float64{float64(back)},
 		})
 	}
-	return revGridPlan(t, cells, func(c revCell, res RevSimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[RevSimConfig], res RevSimResult) [][]float64 {
 		if res.TCP.Throughput <= 0 {
 			return nil
 		}
-		return [][]float64{{c.x, res.TFRC.Throughput, res.TCP.Throughput,
+		return [][]float64{c.row(res.TFRC.Throughput, res.TCP.Throughput,
 			res.Back.Throughput, res.RevDropRate, res.AcksPerPacket,
-			res.TFRC.Throughput / res.TCP.Throughput}}
+			res.TFRC.Throughput/res.TCP.Throughput)}
 	})
 }
 
@@ -404,7 +310,7 @@ func planAsymRev(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"rev_hops", "rev_ratio", "fb_drop", "p_tfrc",
 			"x_tfrc", "normalized"},
 	}
-	var cells []revCell
+	var cells []cell[RevSimConfig]
 	seed := uint64(3240)
 	for _, hops := range []int{1, 2} {
 		for _, ratio := range []float64{0.5, 0.1, 0.02} {
@@ -418,21 +324,20 @@ func planAsymRev(sz Sizing) ([]runner.Job, FoldFunc) {
 			}
 			cfg.RevCapacities = caps
 			cfg.Seed = seed
-			cells = append(cells, revCell{
+			cells = append(cells, cell[RevSimConfig]{
 				name: fmt.Sprintf("asymrev hops=%d ratio=%.2f", hops, ratio),
-				cfg:  cfg, x: ratio,
+				cfg:  cfg, meta: []float64{float64(hops), ratio},
 			})
 		}
 	}
-	return revGridPlan(t, cells, func(c revCell, res RevSimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[RevSimConfig], res RevSimResult) [][]float64 {
 		cls := res.TFRC
 		if cls.Events == 0 || cls.MeanRTT <= 0 {
 			return nil
 		}
 		f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
 		norm := cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
-		return [][]float64{{float64(len(c.cfg.RevCapacities)), c.x,
-			res.RevDropRate, cls.LossEventRate, cls.Throughput, norm}}
+		return [][]float64{c.row(res.RevDropRate, cls.LossEventRate, cls.Throughput, norm)}
 	})
 }
 

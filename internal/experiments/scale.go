@@ -53,7 +53,7 @@ func planScaleChain(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"hops", "flows", "p_tfrc", "p_tcp",
 			"x_tfrc", "x_tcp", "ratio", "x_cross", "events"},
 	}
-	var cells []topoCell
+	var cells []cell[TopoSimConfig]
 	seed := uint64(4040)
 	for _, hops := range []int{8, 12, 16} {
 		for _, flows := range []int{64, 256, 512} {
@@ -66,21 +66,20 @@ func planScaleChain(sz Sizing) ([]runner.Job, FoldFunc) {
 			// keeps the same nominal share at every sweep point.
 			cfg.Capacity *= float64(flows) / 64
 			cfg.Seed = seed
-			cells = append(cells, topoCell{
+			cells = append(cells, cell[TopoSimConfig]{
 				name: fmt.Sprintf("scalechain hops=%d flows=%d", hops, flows),
-				cfg:  cfg, hops: hops, L: cfg.L,
+				cfg:  cfg, meta: []float64{float64(hops), float64(flows)},
 			})
 		}
 	}
-	return topoGridPlan(t, cells, func(c topoCell, res TopoSimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
 		if res.TCP.Throughput <= 0 {
 			return nil
 		}
-		return [][]float64{{float64(c.hops), float64(c.cfg.NTFRC + c.cfg.NTCP),
-			res.TFRC.LossEventRate, res.TCP.LossEventRate,
+		return [][]float64{c.row(res.TFRC.LossEventRate, res.TCP.LossEventRate,
 			res.TFRC.Throughput, res.TCP.Throughput,
-			res.TFRC.Throughput / res.TCP.Throughput,
-			res.Cross.Throughput, float64(res.EventsFired)}}
+			res.TFRC.Throughput/res.TCP.Throughput,
+			res.Cross.Throughput, float64(res.EventsFired))}
 	})
 }
 

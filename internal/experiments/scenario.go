@@ -151,51 +151,3 @@ func tablePlan(name string, build func(sz Sizing) *Table) PlanFunc {
 		return jobs, fold
 	}
 }
-
-// simJob wraps one packet-level dumbbell run as a runner job.
-func simJob(name string, cfg SimConfig) runner.Job {
-	return runner.Job{
-		Name: name,
-		Seed: cfg.Seed,
-		Run:  func(context.Context) any { return RunSim(cfg) },
-	}
-}
-
-// simCell pairs one dumbbell run with the sweep metadata its table
-// rows need.
-type simCell struct {
-	name       string
-	cfg        SimConfig
-	profile, L int
-	pairs      int
-}
-
-// gridPlan is the shared shape of the packet-level figures: one job per
-// sweep cell, each completed run folded into zero or more rows of t.
-func gridPlan[C, R any](t *Table, cells []C, job func(c C) runner.Job,
-	rows func(c C, res R) [][]float64) ([]runner.Job, FoldFunc) {
-	jobs := make([]runner.Job, len(cells))
-	for i, c := range cells {
-		jobs[i] = job(c)
-	}
-	fold := func(results []any) []*Table {
-		for i, r := range results {
-			if r == nil {
-				// The cell's job died under a hardened executor (see
-				// runner.Manifest): its rows are absent, the rest fold.
-				continue
-			}
-			for _, row := range rows(cells[i], r.(R)) {
-				t.AddRow(row...)
-			}
-		}
-		return []*Table{t}
-	}
-	return jobs, fold
-}
-
-// simGridPlan instantiates gridPlan for dumbbell sweeps.
-func simGridPlan(t *Table, cells []simCell,
-	rows func(c simCell, res SimResult) [][]float64) ([]runner.Job, FoldFunc) {
-	return gridPlan(t, cells, func(c simCell) runner.Job { return simJob(c.name, c.cfg) }, rows)
-}

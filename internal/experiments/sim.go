@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"math"
-
-	"repro/internal/cbr"
-	"repro/internal/des"
+	"repro/internal/arrivals"
 	"repro/internal/estimator"
-	"repro/internal/netsim"
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
+	"repro/internal/topology"
 )
 
 // QueueKind selects the bottleneck queue discipline.
@@ -22,6 +18,9 @@ const (
 	DropTail QueueKind = iota
 	// RED is random early detection with the paper's parameters.
 	RED
+	// unbounded is the lossless FIFO of mirrored reverse chains; run
+	// specs declare it, configs do not select it.
+	unbounded
 )
 
 // SimConfig describes one dumbbell simulation: the bottleneck, the flow
@@ -96,160 +95,53 @@ type SimResult struct {
 	Obs *RunObs
 }
 
-// staggeredStart schedules a sender's Start at a seed-drawn offset
-// inside the first half of the warmup (capped at 5 s), breaking phase
-// locking between flows that would otherwise start simultaneously.
-func staggeredStart(sched *des.Scheduler, seedRNG *rng.RNG, warmup float64, start des.Event) {
-	sched.At(seedRNG.Float64()*math.Min(warmup/2, 5), start)
-}
-
-// resetStats restarts every sender's measurement window (warmup ends).
-func resetStats[S interface{ ResetStats() }](senders []S) {
-	for _, s := range senders {
-		s.ResetStats()
-	}
-}
-
-// collectStats gathers each sender's measurement-window summary in
-// attachment order.
-func collectStats[S any, St any](senders []S, stats func(S) St) []St {
-	out := make([]St, 0, len(senders))
-	for _, s := range senders {
-		out = append(out, stats(s))
-	}
-	return out
-}
-
-func tfrcStats(senders []*tfrc.Sender) []tfrc.Stats {
-	return collectStats(senders, (*tfrc.Sender).Stats)
-}
-
-func tcpStats(senders []*tcp.Sender) []tcp.Stats {
-	return collectStats(senders, (*tcp.Sender).Stats)
-}
-
 // RunSim executes the configured dumbbell simulation and returns the
 // per-class aggregates. It is fully deterministic in cfg.Seed.
-func RunSim(cfg SimConfig) SimResult {
-	if cfg.Capacity <= 0 || cfg.Duration <= 0 || cfg.Warmup < 0 || cfg.L < 1 {
-		panic("experiments: invalid sim config")
-	}
-	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
-		panic("experiments: need at least one flow")
-	}
-	// The run rebuilds its simulation state inside a pooled one-shard
-	// cluster (see arena.go): the scheduler's wheels and the network's
-	// packet/flow pools carry their capacity across replications instead
-	// of being reallocated.
-	env, liveKey := getCluster(1)
-	defer putCluster(env, liveKey)
-	seedRNG := rng.New(cfg.Seed)
+func RunSim(cfg SimConfig) SimResult { return simulate(cfg.spec(), cfg.result) }
 
-	var queue netsim.Queue
-	switch cfg.Queue {
-	case DropTail:
-		if cfg.Buffer < 1 {
-			panic("experiments: DropTail needs a buffer size")
-		}
-		queue = netsim.NewDropTail(cfg.Buffer)
-	case RED:
-		queue = netsim.NewRED(netsim.PaperRED(cfg.BDPPackets), cfg.Capacity, seedRNG.Split())
-	default:
-		panic("experiments: unknown queue kind")
+// spec declares the dumbbell: every forward packet crosses the one
+// bottleneck (the default route, which also sinks the unattached cross
+// traffic) and the reverse path is a pure per-flow delay.
+func (cfg SimConfig) spec() *runSpec {
+	sp := &runSpec{seed: cfg.Seed, warmup: cfg.Warmup, duration: cfg.Duration, jitter: cfg.RevJitter}
+	ingress, egress := sp.node("ingress"), sp.node("egress")
+	sp.fwd = []topology.LinkID{sp.link(linkSpec{from: ingress, to: egress,
+		rate: cfg.Capacity, delay: cfg.BaseDelay,
+		queue: cfg.Queue, buffer: cfg.Buffer, bdp: cfg.BDPPackets})}
+	tc := tfrc.DefaultConfig()
+	tc.Window = cfg.L
+	tc.Comprehensive = cfg.Comprehensive
+	tc.HistoryDiscounting = cfg.HistoryDiscounting
+	tc.Formula = cfg.TFRCFormula
+	sp.groups = []flowGroup{
+		{name: "NTFRC", proto: arrivals.TFRC, count: cfg.NTFRC, primary: true, tfrc: tc, revDelay: cfg.RevDelay},
+		{name: "NTCP", proto: arrivals.TCP, count: cfg.NTCP, primary: true, revDelay: cfg.RevDelay},
 	}
-	// The dumbbell: every forward packet crosses the one bottleneck (the
-	// default route, which also sinks unattached cross traffic) and the
-	// reverse path is a pure per-flow delay.
-	ingress, egress := env.AddNode("ingress"), env.AddNode("egress")
-	env.SetDefaultRoute(env.AddLink(ingress, egress, cfg.Capacity, cfg.BaseDelay, queue))
-	if cfg.RevJitter > 0 {
-		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
-	}
-	env.Partition(1)
-	net := env.Shard(0)
-	sched := net.Sched()
-	// Tracer attach precedes endpoint construction: senders and
-	// receivers resolve their domain's tracer once, when built. With
-	// tracing off the tracer stays nil and every hook is a nil-sink.
-	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, 0)
-
-	tfrcCfg := tfrc.DefaultConfig()
-	tfrcCfg.Window = cfg.L
-	tfrcCfg.Comprehensive = cfg.Comprehensive
-	tfrcCfg.HistoryDiscounting = cfg.HistoryDiscounting
-	tfrcCfg.Formula = cfg.TFRCFormula
-
-	flowID := 0
-	tfrcSenders := make([]*tfrc.Sender, 0, cfg.NTFRC)
-	for i := 0; i < cfg.NTFRC; i++ {
-		c := tfrcCfg
-		c.Seed = seedRNG.Uint64()
-		snd, _ := tfrc.NewFlow(sched, net, flowID, c, 0, cfg.RevDelay)
-		tfrcSenders = append(tfrcSenders, snd)
-		staggeredStart(sched, seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	tcpSenders := make([]*tcp.Sender, 0, cfg.NTCP)
-	for i := 0; i < cfg.NTCP; i++ {
-		snd, _ := tcp.NewFlow(sched, net, flowID, tcp.DefaultConfig(), 0, cfg.RevDelay)
-		tcpSenders = append(tcpSenders, snd)
-		staggeredStart(sched, seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	var probe *cbr.Probe
 	if cfg.ProbeRate > 0 {
-		rttGuess := 2*cfg.BaseDelay + cfg.RevDelay
-		probe = cbr.NewProbe(sched, net, flowID, 1000, cfg.ProbeRate, true, rttGuess,
-			seedRNG.Uint64(), 0, cfg.RevDelay)
-		sched.At(seedRNG.Float64(), probe.Start)
-		flowID++
+		sp.probe = probeSpec{rate: cfg.ProbeRate, rtt: 2*cfg.BaseDelay + cfg.RevDelay, revDelay: cfg.RevDelay}
 	}
 	if cfg.CrossLoad > 0 {
-		// Size the on/off source so its mean rate offers CrossLoad of
-		// the capacity: bursts at half the link rate, mean 20 packets,
-		// off time solved from the load.
-		const meanBurst, pktSize = 20.0, 1000.0
-		peak := cfg.Capacity / 2
-		burstBytes := meanBurst * pktSize
-		burstTime := burstBytes / peak
-		target := cfg.CrossLoad * cfg.Capacity
-		meanOff := burstBytes/target - burstTime
-		if meanOff <= 0 {
-			meanOff = 1e-3
-		}
-		ct := netsim.NewCrossTraffic(sched, net, flowID, peak, meanBurst, 1.5,
-			meanOff, int(pktSize), seedRNG.Uint64())
-		sched.At(seedRNG.Float64(), ct.Start)
+		sp.cross = []crossSpec{{capacity: cfg.Capacity, peak: cfg.Capacity / 2, load: cfg.CrossLoad}}
 	}
+	return sp
+}
 
-	env.Run(cfg.Warmup)
-	resetStats(tfrcSenders)
-	resetStats(tcpSenders)
-	if probe != nil {
-		probe.ResetStats()
-	}
-	ob.runMeasured(env.Run, cfg.Warmup, cfg.Warmup+cfg.Duration)
-
+// result maps a finished dumbbell run to its per-class aggregates.
+func (cfg SimConfig) result(r *run) SimResult {
 	var res SimResult
-	res.TFRCPerFlow = tfrcStats(tfrcSenders)
-	res.TCPPerFlow = tcpStats(tcpSenders)
+	res.TFRCPerFlow = collectStats(r.groups[0].tfrc, (*tfrc.Sender).Stats)
+	res.TCPPerFlow = collectStats(r.groups[1].tcp, (*tcp.Sender).Stats)
 	res.TFRC = aggregateTFRC(res.TFRCPerFlow, cfg.L)
 	res.TCP = aggregateTCP(res.TCPPerFlow)
-	if probe != nil {
-		st := probe.Stats()
+	if r.probe != nil {
+		st := r.probe.Stats()
 		res.Poisson = ClassStats{Flows: 1, Events: st.LossEvents, LossEventRate: st.LossEventRate}
 		if st.Duration > 0 {
 			res.Poisson.Throughput = float64(st.PacketsSent) / st.Duration
 		}
 	}
-	res.EventsFired = env.Fired()
-	res.Obs = ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
-	if LeakCheck {
-		if err := env.CheckLeaks(); err != nil {
-			panic(err)
-		}
-	}
+	res.EventsFired = r.env.Fired()
+	res.Obs = r.ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
 	return res
 }
 

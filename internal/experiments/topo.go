@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -10,18 +9,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/formula"
 	"repro/internal/netsim"
-	"repro/internal/rng"
 	"repro/internal/runner"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
 	"repro/internal/topology"
 )
-
-// LeakCheck, when set (the experiments test harness turns it on),
-// verifies the packet-freelist leak invariant at the end of every
-// packet-level run and panics on a violation. It stays off in
-// production runs to keep the hot path assertion-free.
-var LeakCheck bool
 
 // TopoSimConfig describes one multi-hop simulation on a chain of
 // bottleneck links (the "parking lot" of the multi-bottleneck
@@ -225,219 +217,91 @@ type TopoSimResult struct {
 
 // RunTopoSim executes the configured multi-hop simulation and returns
 // the per-class aggregates. It is fully deterministic in cfg.Seed.
-func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
-	if cfg.Hops < 1 || cfg.Capacity <= 0 || cfg.Buffer < 1 || cfg.Duration <= 0 ||
-		cfg.Warmup < 0 || cfg.L < 1 {
-		panic("experiments: invalid topo sim config")
-	}
-	if cfg.NTFRC < 0 || cfg.NTCP < 0 || cfg.NTFRC+cfg.NTCP == 0 {
-		panic("experiments: need at least one long flow")
-	}
-	// Build the chain inside a pooled cluster (see arena.go): one shard
-	// — the serial engine — for Shards <= 1, space-parallel otherwise.
-	// Either way wheels, packet pools and flow-state records are reused
-	// across replications.
-	env, liveKey := getCluster(cfg.Shards)
-	defer putCluster(env, liveKey)
-	seedRNG := rng.New(cfg.Seed)
+func RunTopoSim(cfg TopoSimConfig) TopoSimResult { return simulate(cfg.spec(), cfg.result) }
 
-	nodes := make([]topology.NodeID, cfg.Hops+1)
-	for i := range nodes {
-		nodes[i] = env.AddNode(fmt.Sprintf("n%d", i))
+// spec declares the chain n0 → … → nHops as the default route, the
+// mirrored reverse chain (links Hops..2·Hops-1) under MirrorRev, the
+// long flows over the whole chain, CrossPerHop crossing flows per hop,
+// and the churn classes.
+func (cfg TopoSimConfig) spec() *runSpec {
+	hops := max(cfg.Hops, 0)
+	sp := &runSpec{label: cfg.Label, resume: cfg.Resume, seed: cfg.Seed, shards: cfg.Shards,
+		warmup: cfg.Warmup, duration: cfg.Duration, forceEpochs: cfg.ForceEpochs,
+		nodes: make([]string, 0, hops+1), links: make([]linkSpec, 0, 2*hops),
+		fwd: make([]topology.LinkID, 0, hops), jitter: cfg.RevJitter, faults: cfg.Faults,
+		groups: make([]flowGroup, 0, 2+hops), churn: make([]arrivals.Class, 0, len(cfg.Churn))}
+	nodes := make([]topology.NodeID, 0, hops+1)
+	for i := 0; i <= cfg.Hops; i++ {
+		nodes = append(nodes, sp.node(fmt.Sprintf("n%d", i)))
 	}
-	route := make([]topology.LinkID, cfg.Hops)
 	for i := 0; i < cfg.Hops; i++ {
-		route[i] = env.AddLink(nodes[i], nodes[i+1], cfg.Capacity, cfg.HopDelay,
-			netsim.NewDropTail(cfg.Buffer))
+		sp.fwd = append(sp.fwd, sp.link(linkSpec{from: nodes[i], to: nodes[i+1],
+			rate: cfg.Capacity, delay: cfg.HopDelay, queue: DropTail, buffer: cfg.Buffer}))
 	}
-	env.SetDefaultRoute(route...)
-	// The mirrored reverse chain must be declared before Partition (a
-	// graph split into several shards takes no further links). Its links
-	// get IDs Hops..2·Hops-1, last forward node back to the first.
 	var revRoute []topology.LinkID
 	if cfg.MirrorRev {
-		revRoute = make([]topology.LinkID, cfg.Hops)
+		revRoute = make([]topology.LinkID, 0, hops)
 		for i := 0; i < cfg.Hops; i++ {
-			revRoute[i] = env.AddLink(nodes[cfg.Hops-i], nodes[cfg.Hops-i-1],
-				cfg.Capacity, cfg.HopDelay, netsim.NewUnbounded())
+			revRoute = append(revRoute, sp.link(linkSpec{from: nodes[cfg.Hops-i], to: nodes[cfg.Hops-i-1],
+				rate: cfg.Capacity, delay: cfg.HopDelay, queue: unbounded}))
 		}
 	}
-	if cfg.RevJitter > 0 {
-		env.SetReverseJitter(cfg.RevJitter, seedRNG.Uint64())
+	tc := tfrc.DefaultConfig()
+	tc.Window = cfg.L
+	tc.Comprehensive = cfg.Comprehensive
+	sp.groups = append(sp.groups,
+		flowGroup{name: "NTFRC", proto: arrivals.TFRC, count: cfg.NTFRC, primary: true, tfrc: tc,
+			revRoute: revRoute, fwdExtra: cfg.AccessDelay, revDelay: cfg.RevDelay,
+			spread: cfg.RTTSpread, watch: cfg.Watch},
+		flowGroup{name: "NTCP", proto: arrivals.TCP, count: cfg.NTCP, primary: true,
+			revRoute: revRoute, fwdExtra: cfg.AccessDelay, revDelay: cfg.RevDelay,
+			spread: cfg.RTTSpread})
+	for i := range sp.fwd {
+		if cfg.CrossPerHop != 0 {
+			sp.groups = append(sp.groups, flowGroup{name: "CrossPerHop", proto: arrivals.TCP,
+				count: cfg.CrossPerHop, route: sp.fwd[i : i+1 : i+1], revDelay: cfg.CrossRevDelay})
+		}
 	}
-	env.Partition(cfg.Shards)
-	// Tracer attach sits between the partition (shards exist, links are
-	// owned) and both the fault arming and endpoint construction, which
-	// each resolve their domain's tracer once. Cap <= 0 (tracing off)
-	// leaves every tracer nil.
-	env.AttachTracers(Observe.TraceCap)
-	ob := newObsRun(env, cfg.ForceEpochs)
-	// Arm the fault plan right after the partition: every timed transition
-	// is scheduled at declaration time, in plan order, on the scheduler
-	// that owns its link — the same (time, arming-key, seq) order on the
-	// serial and sharded engines. A nil plan arms nothing and consumes
-	// no randomness, so fault-free runs are byte-identical to builds
-	// that predate the fault layer.
-	armed, err := fault.Arm(env, cfg.Faults)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: invalid fault plan: %v", err))
+	baseRTT := 2*(float64(cfg.Hops)*cfg.HopDelay+cfg.AccessDelay) + cfg.RevDelay
+	for _, cs := range cfg.Churn {
+		cl := arrivals.Class{Spec: cs, FwdHops: sp.fwd, FwdExtra: cfg.AccessDelay, RevDelay: cfg.RevDelay}
+		if cs.Reverse {
+			cl.FwdHops = revRoute
+		}
+		switch cs.Proto {
+		case arrivals.TFRC:
+			cl.TFRC = tc
+			// Two silent feedback intervals retire a departed receiver's
+			// clock; fresh data re-arms it.
+			cl.TFRC.IdleStop = 2
+		case arrivals.TCP:
+			cl.TCP = tcp.DefaultConfig()
+		case arrivals.CBR:
+			cl.CBRSize = 1000
+			cl.CBRRTT = baseRTT
+		}
+		sp.churn = append(sp.churn, cl)
 	}
+	return sp
+}
 
-	spread := func(i, n int) float64 {
-		if cfg.RTTSpread <= 0 || n <= 1 {
-			return 1
-		}
-		return 1 + cfg.RTTSpread*float64(i)/float64(n-1)
-	}
-
-	tfrcCfg := tfrc.DefaultConfig()
-	tfrcCfg.Window = cfg.L
-	tfrcCfg.Comprehensive = cfg.Comprehensive
-
-	end := cfg.Warmup + cfg.Duration
-	flowID := 0
-	tfrcSenders := make([]*tfrc.Sender, 0, cfg.NTFRC)
-	tfrcReceivers := make([]*tfrc.Receiver, 0, cfg.NTFRC)
-	watchers := make([]*rateWatch, 0, cfg.NTFRC)
-	baseRTTs := make([]float64, 0, cfg.NTFRC)
-	for i := 0; i < cfg.NTFRC; i++ {
-		c := tfrcCfg
-		c.Seed = seedRNG.Uint64()
-		k := spread(i, cfg.NTFRC)
-		if cfg.MirrorRev {
-			env.SetReverseRoute(flowID, revRoute...)
-		}
-		ss, rs := env.FlowEnv(flowID)
-		snd, rcv := tfrc.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, c,
-			cfg.AccessDelay*k, cfg.RevDelay*k)
-		tfrcSenders = append(tfrcSenders, snd)
-		tfrcReceivers = append(tfrcReceivers, rcv)
-		baseRTTs = append(baseRTTs, env.BaseRTT(flowID))
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		if cfg.Watch != nil {
-			watchers = append(watchers, newRateWatch(ss.Sched(), snd.Rate, *cfg.Watch, end))
-		}
-		flowID++
-	}
-	tcpSenders := make([]*tcp.Sender, 0, cfg.NTCP)
-	tcpReceivers := make([]*tcp.Receiver, 0, cfg.NTCP)
-	for i := 0; i < cfg.NTCP; i++ {
-		k := spread(i, cfg.NTCP)
-		if cfg.MirrorRev {
-			env.SetReverseRoute(flowID, revRoute...)
-		}
-		ss, rs := env.FlowEnv(flowID)
-		snd, rcv := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
-			cfg.AccessDelay*k, cfg.RevDelay*k)
-		tcpSenders = append(tcpSenders, snd)
-		tcpReceivers = append(tcpReceivers, rcv)
-		staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-		flowID++
-	}
-	crossSenders := make([]*tcp.Sender, 0, cfg.Hops*cfg.CrossPerHop)
-	crossReceivers := make([]*tcp.Receiver, 0, cfg.Hops*cfg.CrossPerHop)
-	for h := 0; h < cfg.Hops; h++ {
-		for i := 0; i < cfg.CrossPerHop; i++ {
-			env.SetRoute(flowID, route[h])
-			ss, rs := env.FlowEnv(flowID)
-			snd, rcv := tcp.NewFlowOn(ss.Sched(), ss, rs.Sched(), rs, flowID, tcp.DefaultConfig(),
-				0, cfg.CrossRevDelay)
-			crossSenders = append(crossSenders, snd)
-			crossReceivers = append(crossReceivers, rcv)
-			staggeredStart(ss.Sched(), seedRNG, cfg.Warmup, snd.Start)
-			flowID++
-		}
-	}
-
-	// Churn classes arm after every static flow (their id block starts at
-	// flowID) and before the first Run: the flow table must be sized and
-	// the cross-shard pure-delay reverse channels declared while the
-	// cluster is still unsealed.
-	var churn *arrivals.Engine
-	if len(cfg.Churn) > 0 {
-		baseRTT := 2*(float64(cfg.Hops)*cfg.HopDelay+cfg.AccessDelay) + cfg.RevDelay
-		classes := make([]arrivals.Class, len(cfg.Churn))
-		for i, sp := range cfg.Churn {
-			cl := arrivals.Class{Spec: sp}
-			if sp.Reverse {
-				if !cfg.MirrorRev {
-					panic("experiments: reverse churn class needs MirrorRev")
-				}
-				cl.FwdHops = revRoute
-			} else {
-				cl.FwdHops = route
-			}
-			cl.FwdExtra = cfg.AccessDelay
-			cl.RevDelay = cfg.RevDelay
-			switch sp.Proto {
-			case arrivals.TFRC:
-				c := tfrcCfg
-				// Two silent feedback intervals retire a departed
-				// receiver's clock; fresh data re-arms it.
-				c.IdleStop = 2
-				cl.TFRC = c
-			case arrivals.TCP:
-				cl.TCP = tcp.DefaultConfig()
-			case arrivals.CBR:
-				cl.CBRSize = 1000
-				cl.CBRRTT = baseRTT
-			}
-			classes[i] = cl
-		}
-		churn = arrivals.NewEngine(env, flowID, classes)
-		lo, count := churn.FlowRange()
-		env.ReserveFlows(lo + count)
-		for _, cl := range classes {
-			env.DeclareReverseChannel(cl.FwdHops, cl.RevDelay)
-		}
-		churn.Arm()
-	}
-
-	// Checkpoint-off runs take the exact pre-checkpoint path: two Run
-	// calls (plus epoch boundaries), no capture, no extra branches. With
-	// snapshotting or resuming requested the driver below sequences the
-	// same warmup/reset/measure steps around the save and restore hooks.
-	ckptOn := Checkpoint.Every > 0 && Checkpoint.Dir != "" && cfg.Label != ""
-	resuming := cfg.Resume != "" && cfg.Label != ""
-	if ckptOn || resuming {
-		if Observe.TraceCap > 0 {
-			panic("experiments: checkpoint/resume is incompatible with event tracing (-trace): the bounded trace rings are not part of a snapshot")
-		}
-		shards := 1
-		if cfg.Shards > 1 {
-			shards = cfg.Shards
-		}
-		obEpochs := 0
-		if ob != nil {
-			obEpochs = ob.epochs
-		}
-		d := &topoCkpt{
-			cfg: &cfg, env: env, ob: ob, armed: armed, churn: churn, watchers: watchers,
-			tfrcSnd: tfrcSenders, tfrcRcv: tfrcReceivers,
-			tcpSnd: tcpSenders, tcpRcv: tcpReceivers,
-			crossSnd: crossSenders, crossRcv: crossReceivers,
-			end: end, saving: ckptOn, resume: cfg.Resume,
-			digest: configDigest(&cfg, shards, obEpochs),
-		}
-		d.run()
-	} else {
-		env.Run(cfg.Warmup)
-		resetStats(tfrcSenders)
-		resetStats(tcpSenders)
-		resetStats(crossSenders)
-		ob.runMeasured(env.Run, cfg.Warmup, end)
-	}
-
+// result maps a finished multi-hop run to its per-class aggregates.
+func (cfg TopoSimConfig) result(r *run) TopoSimResult {
 	var res TopoSimResult
-	res.TFRCPerFlow = tfrcStats(tfrcSenders)
-	res.TCPPerFlow = tcpStats(tcpSenders)
+	res.TFRCPerFlow = collectStats(r.groups[0].tfrc, (*tfrc.Sender).Stats)
+	res.TCPPerFlow = collectStats(r.groups[1].tcp, (*tcp.Sender).Stats)
 	res.TFRC = aggregateTFRC(res.TFRCPerFlow, cfg.L)
 	res.TCP = aggregateTCP(res.TCPPerFlow)
-	res.Cross = aggregateTCP(tcpStats(crossSenders))
-	res.BaseRTT = baseRTTs
-	res.EventsFired = env.Fired()
-	for id := 0; id < env.Links(); id++ {
-		l := env.Link(topology.LinkID(id))
+	res.Cross = aggregateTCP(collectStats(tcpSenders(r.groups[2:]), (*tcp.Sender).Stats))
+	// The long TFRC flows are the first group: flow ids 0..NTFRC-1.
+	long := r.groups[0]
+	res.BaseRTT = make([]float64, len(long.tfrc))
+	for i := range res.BaseRTT {
+		res.BaseRTT[i] = r.env.BaseRTT(i)
+	}
+	res.EventsFired = r.env.Fired()
+	for id := 0; id < r.env.Links(); id++ {
+		l := r.env.Link(topology.LinkID(id))
 		if l.Fault != nil || l.FaultDrops > 0 {
 			res.FaultDrops += l.FaultDrops
 			// Accepted, not InFlight: the propagation stage's accounting
@@ -451,20 +315,15 @@ func RunTopoSim(cfg TopoSimConfig) TopoSimResult {
 		}
 	}
 	if cfg.Watch != nil {
-		res.Recovery = make([]float64, len(watchers))
-		for i, rw := range watchers {
+		res.Recovery = make([]float64, len(long.watch))
+		for i, rw := range long.watch {
 			res.Recovery[i] = rw.recovery()
 		}
 	}
-	if churn != nil {
-		res.Churn = churn.Results(end)
+	if r.churn != nil {
+		res.Churn = r.churn.Results(r.end)
 	}
-	res.Obs = ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
-	if LeakCheck {
-		if err := env.CheckLeaks(); err != nil {
-			panic(err)
-		}
-	}
+	res.Obs = r.ob.collect(res.TFRCPerFlow, res.TCPPerFlow)
 	return res
 }
 
@@ -499,42 +358,6 @@ func parkingLotBase(sz Sizing) TopoSimConfig {
 	return cfg
 }
 
-// topoCell pairs one multi-hop run with the sweep metadata its table
-// rows need.
-type topoCell struct {
-	name    string
-	cfg     TopoSimConfig
-	hops, L int
-}
-
-// topoJob wraps one multi-hop run as a runner job. The job name becomes
-// the run's checkpoint label; a retry attempt (the self-healing pool
-// re-dispatching a deadline-abandoned or panicked job) resumes from the
-// job's own last snapshot when checkpointing is on, and an explicit
-// Checkpoint.Resume directory applies to first attempts too.
-func topoJob(name string, cfg TopoSimConfig) runner.Job {
-	return runner.Job{
-		Name: name,
-		Seed: cfg.Seed,
-		Run: func(ctx context.Context) any {
-			c := cfg
-			c.Label = name
-			c.Resume = Checkpoint.Resume
-			if c.Resume == "" && runner.Attempt(ctx) > 1 &&
-				Checkpoint.Every > 0 && Checkpoint.Dir != "" {
-				c.Resume = Checkpoint.Dir
-			}
-			return RunTopoSim(c)
-		},
-	}
-}
-
-// topoGridPlan instantiates gridPlan for multi-hop sweeps.
-func topoGridPlan(t *Table, cells []topoCell,
-	rows func(c topoCell, res TopoSimResult) [][]float64) ([]runner.Job, FoldFunc) {
-	return gridPlan(t, cells, func(c topoCell) runner.Job { return topoJob(c.name, c.cfg) }, rows)
-}
-
 // planParkingLot sweeps the number of bottlenecks and the crossing load
 // on a parking-lot chain: long TFRC and TCP flows over every hop
 // against short TCP flows crossing one hop each. The long flows' loss
@@ -547,7 +370,7 @@ func planParkingLot(sz Sizing) ([]runner.Job, FoldFunc) {
 		Columns: []string{"hops", "cross_per_hop", "p_tfrc", "p_tcp",
 			"x_tfrc", "x_tcp", "ratio", "x_cross"},
 	}
-	var cells []topoCell
+	var cells []cell[TopoSimConfig]
 	seed := uint64(2040)
 	for _, hops := range []int{1, 2, 3} {
 		for _, cross := range []int{1, 2} {
@@ -556,21 +379,20 @@ func planParkingLot(sz Sizing) ([]runner.Job, FoldFunc) {
 			cfg.Hops = hops
 			cfg.CrossPerHop = cross
 			cfg.Seed = seed
-			cells = append(cells, topoCell{
+			cells = append(cells, cell[TopoSimConfig]{
 				name: fmt.Sprintf("parkinglot hops=%d cross=%d", hops, cross),
-				cfg:  cfg, hops: hops, L: cfg.L,
+				cfg:  cfg, meta: []float64{float64(hops), float64(cross)},
 			})
 		}
 	}
-	return topoGridPlan(t, cells, func(c topoCell, res TopoSimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
 		if res.TCP.Throughput <= 0 {
 			return nil
 		}
-		return [][]float64{{float64(c.hops), float64(c.cfg.CrossPerHop),
-			res.TFRC.LossEventRate, res.TCP.LossEventRate,
+		return [][]float64{c.row(res.TFRC.LossEventRate, res.TCP.LossEventRate,
 			res.TFRC.Throughput, res.TCP.Throughput,
-			res.TFRC.Throughput / res.TCP.Throughput,
-			res.Cross.Throughput}}
+			res.TFRC.Throughput/res.TCP.Throughput,
+			res.Cross.Throughput)}
 	})
 }
 
@@ -590,8 +412,8 @@ func planHetRTT(sz Sizing) ([]runner.Job, FoldFunc) {
 	cfg.CrossPerHop = 0
 	cfg.RTTSpread = 3 // flow 3 gets 4x the terminal delays of flow 0
 	cfg.Seed = 2140
-	cells := []topoCell{{name: "hetrtt", cfg: cfg, hops: 1, L: cfg.L}}
-	return topoGridPlan(t, cells, func(c topoCell, res TopoSimResult) [][]float64 {
+	cells := []cell[TopoSimConfig]{{name: "hetrtt", cfg: cfg}}
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
 		var rows [][]float64
 		for i, st := range res.TFRCPerFlow {
 			if i >= len(res.TCPPerFlow) {
@@ -620,7 +442,7 @@ func planMultiBneck(sz Sizing) ([]runner.Job, FoldFunc) {
 		Note:    "conservativeness over k congested hops: x̄/f(p,r) of a long TFRC flow",
 		Columns: []string{"hops", "L", "p", "normalized", "covnorm"},
 	}
-	var cells []topoCell
+	var cells []cell[TopoSimConfig]
 	seed := uint64(2240)
 	for _, hops := range []int{1, 2, 3} {
 		for _, L := range []int{2, 8} {
@@ -632,21 +454,20 @@ func planMultiBneck(sz Sizing) ([]runner.Job, FoldFunc) {
 			cfg.CrossPerHop = 2
 			cfg.L = L
 			cfg.Seed = seed
-			cells = append(cells, topoCell{
+			cells = append(cells, cell[TopoSimConfig]{
 				name: fmt.Sprintf("multibneck hops=%d L=%d", hops, L),
-				cfg:  cfg, hops: hops, L: L,
+				cfg:  cfg, meta: []float64{float64(hops), float64(L)},
 			})
 		}
 	}
-	return topoGridPlan(t, cells, func(c topoCell, res TopoSimResult) [][]float64 {
+	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
 		cls := res.TFRC
 		if cls.Events == 0 || cls.MeanRTT <= 0 {
 			return nil
 		}
 		f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
 		norm := cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
-		return [][]float64{{float64(c.hops), float64(c.L),
-			cls.LossEventRate, norm, cls.CovNorm}}
+		return [][]float64{c.row(cls.LossEventRate, norm, cls.CovNorm)}
 	})
 }
 

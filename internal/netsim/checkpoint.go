@@ -255,3 +255,47 @@ func (c *LossEventCounter) Restore(r *checkpoint.Reader) {
 		c.Intervals = append(c.Intervals, r.F64())
 	}
 }
+
+// Save writes the cross-traffic source's run-time state: its RNG
+// stream, the burst and sequence counters, and the pending timer tagged
+// with the callback it fires. Rates, sizes and the flow id come from
+// the rebuild; the flow id is written to check the pairing.
+func (c *CrossTraffic) Save(w *checkpoint.Writer) {
+	w.Int(c.Flow)
+	for _, word := range c.random.State() {
+		w.U64(word)
+	}
+	w.Int(c.remaining)
+	w.I64(c.seq)
+	w.I64(c.PacketsSent)
+	w.Bool(c.started)
+	w.Bool(c.stepping)
+	w.Timer(c.tm.State())
+}
+
+// Restore overlays state saved by Save onto a freshly built source for
+// the same flow and re-arms its pending timer on the callback it was
+// saved with.
+func (c *CrossTraffic) Restore(r *checkpoint.Reader) {
+	if flow := r.Int(); flow != c.Flow {
+		r.Fail("cross-traffic snapshot is for flow %d, rebuilt flow %d", flow, c.Flow)
+		return
+	}
+	var st [4]uint64
+	for i := range st {
+		st[i] = r.U64()
+	}
+	c.remaining = r.Int()
+	c.seq = r.I64()
+	c.PacketsSent = r.I64()
+	c.started = r.Bool()
+	c.stepping = r.Bool()
+	fn := c.startBurstFn
+	if c.stepping {
+		fn = c.burstStepFn
+	}
+	c.tm = c.sched.RestoreTimer(r.Timer(), fn)
+	if r.Err() == nil {
+		c.random.SetState(st)
+	}
+}

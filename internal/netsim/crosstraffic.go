@@ -41,6 +41,11 @@ type CrossTraffic struct {
 	// without capturing closures.
 	startBurstFn des.Event
 	burstStepFn  des.Event
+	// tm is the pending timer, retained so a snapshot can save and
+	// re-arm it with its original identity; stepping records which of
+	// the two callbacks it fires (burstStepFn when set).
+	tm       des.Timer
+	stepping bool
 }
 
 // NewCrossTraffic builds a cross-traffic source on the network.
@@ -86,7 +91,8 @@ func (c *CrossTraffic) MeanRate() float64 {
 
 func (c *CrossTraffic) scheduleOff() {
 	off := c.random.Exp(1 / c.MeanOff)
-	c.sched.After(off, c.startBurstFn)
+	c.tm = c.sched.After(off, c.startBurstFn)
+	c.stepping = false
 }
 
 func (c *CrossTraffic) startBurst() {
@@ -116,5 +122,6 @@ func (c *CrossTraffic) burstStep() {
 	c.net.SendForward(p)
 	c.seq++
 	gap := float64(c.PacketSize) / c.PeakRate
-	c.sched.After(gap, c.burstStepFn)
+	c.tm = c.sched.After(gap, c.burstStepFn)
+	c.stepping = true
 }
