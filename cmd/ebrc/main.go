@@ -19,8 +19,8 @@
 // fig11 fig12-15 fig16 fig17 fig18-19 tableI claim3 claim4, the
 // multi-hop topology family parkinglot hetrtt multibneck, the
 // routed-reverse-path family revcross ackshare asymrev, the scale-out
-// family scalechain, and the fault-injection family linkflap burstloss
-// capdrop.
+// family scalechain, the fault-injection family linkflap burstloss
+// capdrop, and the session-churn family flashcrowd webmice surge.
 //
 // -parallel distributes a scenario's independent jobs across workers;
 // -shards K instead splits each single simulation across K domains of

@@ -485,12 +485,12 @@ func TestSnapshotSectionFlatInArrivals(t *testing.T) {
 	section := func(until float64) (arrivals, live, rest int) {
 		sched.RunUntil(until)
 		var w checkpoint.Writer
-		eng.Save(&w)
+		eng.Checkpoint(w.Codec())
 		rest = w.Len()
 		for i := 0; i < cs.next; i++ {
 			if tr := cs.transfer(i); tr != nil {
 				var one checkpoint.Writer
-				cs.saveTransfer(&one, i, tr)
+				cs.checkpointTransfer(one.Codec(), i-1)
 				rest -= one.Len()
 				live++
 			}
@@ -530,7 +530,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 			sched, eng := build()
 			sched.RunUntil(12)
 			var w checkpoint.Writer
-			eng.Save(&w)
+			eng.Checkpoint(w.Codec())
 			cs := eng.classes[0]
 			if len(cs.live)-len(cs.free) == 0 || cs.reclaimed == 0 {
 				t.Fatalf("snapshot with %d live transfers and %d reclaimed; the test exercises nothing",
@@ -541,7 +541,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 			sched2.Reset()
 			sched2.RestoreClock(sched.Now(), sched.Seq(), sched.Fired(), sched.Cascaded())
 			r := checkpoint.NewReader(w.Bytes())
-			eng2.Restore(r)
+			eng2.Checkpoint(r.Codec())
 			if err := r.Err(); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
@@ -549,7 +549,7 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 				t.Fatalf("restore left %d bytes unread", r.Remaining())
 			}
 			var w2 checkpoint.Writer
-			eng2.Save(&w2)
+			eng2.Checkpoint(w2.Codec())
 			if string(w2.Bytes()) != string(w.Bytes()) {
 				t.Fatalf("restored engine saves %d bytes that differ from the %d it was restored from", w2.Len(), w.Len())
 			}
@@ -571,12 +571,12 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	eng := armEngine(host, net, route, []Spec{sp})
 	sched.RunUntil(5)
 	var w checkpoint.Writer
-	eng.Save(&w)
+	eng.Checkpoint(w.Codec())
 
 	restore := func(name string, into *Engine) {
 		t.Helper()
 		r := checkpoint.NewReader(w.Bytes())
-		into.Restore(r)
+		into.Checkpoint(r.Codec())
 		if r.Err() == nil {
 			t.Errorf("%s: restore succeeded", name)
 		}

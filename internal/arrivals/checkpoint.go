@@ -2,175 +2,140 @@ package arrivals
 
 import "repro/internal/checkpoint"
 
-// Save writes the engine's run-time state in class declaration order:
-// the class RNG and arrival cursor, the pending next-arrival timer, the
-// population and running Palm sums, and the live transfers in arrival
-// order, each with its protocol state inline. Reclaimed transfers leave
-// nothing behind, so the section follows the live population, not the
-// number of arrivals served.
-func (e *Engine) Save(w *checkpoint.Writer) {
-	w.Int(len(e.classes))
-	for _, cs := range e.classes {
-		cs.save(w)
-	}
-}
-
-// Restore overlays state saved by Save onto a freshly armed engine built
-// from the same class list. Live transfers are re-attached with freshly
+// Checkpoint walks the engine's run-time state through c in class
+// declaration order: the class RNG and arrival cursor, the pending
+// next-arrival timer, the population and running Palm sums, and the
+// live transfers in arrival order, each with its protocol state inline.
+// Reclaimed transfers leave nothing behind, so the section follows the
+// live population, not the number of arrivals served.
+//
+// A restore overlays the state onto a freshly armed engine built from
+// the same class list. Live transfers are re-attached with freshly
 // built endpoint pairs (the protocol Renew contract makes a fresh pair
-// and a recycled one indistinguishable) and their protocol state is then
-// overlaid; the recycling pools are refilled to their saved depths so
-// the construction ledger stays on the uninterrupted run's trajectory.
-// Run it after the schedulers have been reset and their clocks restored,
-// and before the network's flow overlay, which validates the re-attached
-// population.
-func (e *Engine) Restore(r *checkpoint.Reader) {
-	if !e.armed {
-		r.Fail("arrivals engine restored before Arm")
+// and a recycled one indistinguishable) and their protocol state is
+// then overlaid; the recycling pools are refilled to their saved depths
+// so the construction ledger stays on the uninterrupted run's
+// trajectory. Run it after the schedulers have been reset and their
+// clocks restored, and before the network's flow overlay, which
+// validates the re-attached population.
+func (e *Engine) Checkpoint(c checkpoint.Codec) {
+	if !e.armed && !c.Saving() {
+		c.Fail("arrivals engine restored before Arm")
 		return
 	}
-	if n := r.Count(); n != len(e.classes) {
-		r.Fail("arrivals snapshot has %d classes, rebuilt engine has %d", n, len(e.classes))
+	if !c.Same(len(e.classes), "arrivals class count") {
 		return
 	}
 	for _, cs := range e.classes {
-		if r.Err() != nil {
+		if c.Err() != nil {
 			return
 		}
-		cs.restore(r)
+		cs.checkpoint(c)
 	}
 }
 
-func (cs *classState) save(w *checkpoint.Writer) {
-	for _, word := range cs.random.State() {
-		w.U64(word)
+func (cs *classState) checkpoint(c checkpoint.Codec) {
+	cs.random.Checkpoint(c)
+	if c.Int(&cs.next); cs.next < 0 || cs.next > cs.MaxArrivals {
+		c.Fail("arrivals class %s snapshot has %d arrivals, cap is %d", cs.Name, cs.next, cs.MaxArrivals)
+		return
 	}
-	w.Int(cs.next)
-	w.Timer(cs.arriveTm.State())
+	cs.sndSched.CheckpointTimer(c, &cs.arriveTm, cs.arriveFn)
+	pool := len(cs.tfrcPool) + len(cs.tcpPool) + len(cs.cbrPool)
+	if c.Int(&pool); pool < 0 || pool > cs.MaxArrivals {
+		c.Fail("arrivals class %s snapshot has implausible pool depth %d", cs.Name, pool)
+		return
+	}
+	c.I64(&cs.constructions)
+	c.I64(&cs.reclaimed)
+	c.I64(&cs.completions)
+	c.F64(&cs.durSum)
+	c.Int(&cs.pop)
+	c.Int(&cs.peak)
+	c.F64(&cs.popIntegral)
+	c.F64(&cs.lastChange)
+	c.F64(&cs.palmSum)
+	c.Int(&cs.palmN)
+	c.F64(&cs.lastArrivalAt)
+	c.F64(&cs.lastPop)
+	c.Bool(&cs.openCycle)
+	live := c.Len(len(cs.live) - len(cs.free))
+	for j, i := 0, -1; j < live && c.Err() == nil; j++ {
+		i = cs.checkpointTransfer(c, i)
+	}
+	if !c.Saving() && c.Err() == nil {
+		cs.refill(pool)
+	}
+}
+
+// checkpointTransfer walks the record of the first live transfer after
+// arrival prev through c — its arrival index, start time, completion
+// flag and protocol state — and returns the index. A restore reads the
+// index, which must follow prev within the arrivals served, and
+// re-attaches that arrival on a freshly built endpoint pair before
+// overlaying its state.
+func (cs *classState) checkpointTransfer(c checkpoint.Codec, prev int) int {
+	i := prev + 1
+	for c.Saving() && cs.transfer(i) == nil {
+		i++
+	}
+	if c.Int(&i); c.Err() != nil {
+		return i
+	}
+	if i <= prev || i >= cs.next {
+		c.Fail("arrivals class %s snapshot lists live transfer %d after %d of %d arrivals", cs.Name, i, prev, cs.next)
+		return i
+	}
+	t := cs.transfer(i)
+	if !c.Saving() {
+		t = cs.reattach(i)
+	}
+	c.F64(&t.startedAt)
+	c.Bool(&t.done)
 	switch cs.Proto {
 	case TFRC:
-		w.Int(len(cs.tfrcPool))
+		t.tfrcSnd.Checkpoint(c)
+		t.tfrcRcv.Checkpoint(c)
 	case TCP:
-		w.Int(len(cs.tcpPool))
+		t.tcpSnd.Checkpoint(c)
+		t.tcpRcv.Checkpoint(c)
 	case CBR:
-		w.Int(len(cs.cbrPool))
+		t.probe.Checkpoint(c)
 	}
-	w.I64(cs.constructions)
-	w.I64(cs.reclaimed)
-	w.I64(cs.completions)
-	w.F64(cs.durSum)
-	w.Int(cs.pop)
-	w.Int(cs.peak)
-	w.F64(cs.popIntegral)
-	w.F64(cs.lastChange)
-	w.F64(cs.palmSum)
-	w.Int(cs.palmN)
-	w.F64(cs.lastArrivalAt)
-	w.F64(cs.lastPop)
-	w.Bool(cs.openCycle)
-	w.Int(len(cs.live) - len(cs.free))
-	for i := 0; i < cs.next; i++ {
-		if t := cs.transfer(i); t != nil {
-			cs.saveTransfer(w, i, t)
-		}
-	}
+	return i
 }
 
-// saveTransfer writes live transfer i: its arrival index, start time,
-// completion flag and protocol state.
-func (cs *classState) saveTransfer(w *checkpoint.Writer, i int, t *transfer) {
-	w.Int(i)
-	w.F64(t.startedAt)
-	w.Bool(t.done)
+// reattach files arrival i in the live table on a freshly built endpoint
+// pair and attaches it, for a restore to overlay its saved state.
+func (cs *classState) reattach(i int) *transfer {
+	t := cs.admit(i)
+	flow := cs.firstFlow + i
+	seed := FlowSeed(cs.Seed, i)
 	switch cs.Proto {
 	case TFRC:
-		t.tfrcSnd.Save(w)
-		t.tfrcRcv.Save(w)
+		cfg := cs.TFRC
+		cfg.Seed = seed
+		t.tfrcSnd, t.tfrcRcv = cs.newTFRC(flow, cfg)
+		cs.eng.host.AttachLive(flow, t.tfrcSnd, t.tfrcRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
 	case TCP:
-		t.tcpSnd.Save(w)
-		t.tcpRcv.Save(w)
+		t.tcpSnd, t.tcpRcv = cs.newTCP(flow, cs.TCP)
+		cs.eng.host.AttachLive(flow, t.tcpSnd, t.tcpRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
 	case CBR:
-		t.probe.Save(w)
+		t.probe = cs.probe(flow, seed)
+		snd, rcv := t.probe.Endpoints()
+		cs.eng.host.AttachLive(flow, snd, rcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
 	}
+	return t
 }
 
-func (cs *classState) restore(r *checkpoint.Reader) {
-	var st [4]uint64
-	for i := range st {
-		st[i] = r.U64()
-	}
-	next := r.Int()
-	if next < 0 || next > cs.MaxArrivals {
-		r.Fail("arrivals class %s snapshot has %d arrivals, cap is %d", cs.Name, next, cs.MaxArrivals)
-		return
-	}
-	cs.next = next
-	cs.arriveTm = cs.sndSched.RestoreTimer(r.Timer(), cs.arriveFn)
-	pool := r.Int()
-	if pool < 0 || pool > cs.MaxArrivals {
-		r.Fail("arrivals class %s snapshot has implausible pool depth %d", cs.Name, pool)
-		return
-	}
-	cs.constructions = r.I64()
-	cs.reclaimed = r.I64()
-	cs.completions = r.I64()
-	cs.durSum = r.F64()
-	cs.pop = r.Int()
-	cs.peak = r.Int()
-	cs.popIntegral = r.F64()
-	cs.lastChange = r.F64()
-	cs.palmSum = r.F64()
-	cs.palmN = r.Int()
-	cs.lastArrivalAt = r.F64()
-	cs.lastPop = r.F64()
-	cs.openCycle = r.Bool()
-	n := r.Count()
-	prev := -1
-	for j := 0; j < n; j++ {
-		i := r.Int()
-		if r.Err() != nil {
-			return
-		}
-		if i <= prev || i >= cs.next {
-			r.Fail("arrivals class %s snapshot lists live transfer %d after %d of %d arrivals", cs.Name, i, prev, cs.next)
-			return
-		}
-		prev = i
-		t := cs.admit(i)
-		t.startedAt = r.F64()
-		t.done = r.Bool()
-		flow := cs.firstFlow + i
-		seed := FlowSeed(cs.Seed, i)
-		switch cs.Proto {
-		case TFRC:
-			cfg := cs.TFRC
-			cfg.Seed = seed
-			t.tfrcSnd, t.tfrcRcv = cs.newTFRC(flow, cfg)
-			cs.eng.host.AttachLive(flow, t.tfrcSnd, t.tfrcRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-			t.tfrcSnd.Restore(r)
-			t.tfrcRcv.Restore(r)
-		case TCP:
-			t.tcpSnd, t.tcpRcv = cs.newTCP(flow, cs.TCP)
-			cs.eng.host.AttachLive(flow, t.tcpSnd, t.tcpRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-			t.tcpSnd.Restore(r)
-			t.tcpRcv.Restore(r)
-		case CBR:
-			t.probe = cs.probe(flow, seed)
-			snd, rcv := t.probe.Endpoints()
-			cs.eng.host.AttachLive(flow, snd, rcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-			t.probe.Restore(r)
-		}
-	}
-	// Refill the recycling pool to its saved depth with fresh pairs: pool
-	// entries carry no live state (Renew reseeds them on reuse), so depth
-	// is the only thing that matters — it keeps the construction ledger on
-	// the uninterrupted run's trajectory. The fresh senders are Retired
-	// because Renew demands a quiescent (completed) pair — the only kind
-	// the running engine ever pools.
-	if r.Err() != nil {
-		return
-	}
-	for j := 0; j < pool; j++ {
+// refill refills the recycling pool to its saved depth with fresh pairs:
+// pool entries carry no live state (Renew reseeds them on reuse), so
+// depth is the only thing that matters — it keeps the construction
+// ledger on the uninterrupted run's trajectory. The fresh senders are
+// Retired because Renew demands a quiescent (completed) pair — the only
+// kind the running engine ever pools.
+func (cs *classState) refill(depth int) {
+	for j := 0; j < depth; j++ {
 		switch cs.Proto {
 		case TFRC:
 			cfg := cs.TFRC
@@ -185,8 +150,5 @@ func (cs *classState) restore(r *checkpoint.Reader) {
 		case CBR:
 			cs.cbrPool = append(cs.cbrPool, cs.probe(cs.firstFlow, FlowSeed(cs.Seed, 0)))
 		}
-	}
-	if r.Err() == nil {
-		cs.random.SetState(st)
 	}
 }

@@ -1,14 +1,16 @@
 // Package checkpoint provides the codec and container format for
 // deterministic simulation snapshots: a sequential fixed-width binary
-// writer/reader pair, a versioned and checksummed file envelope, and a
-// config-digest helper.
+// writer/reader pair, the two-direction Codec over them, a versioned and
+// checksummed file envelope, and a config-digest helper.
 //
 // The package deliberately imports nothing but the standard library, so
 // every simulation layer (des, netsim, topology, the protocol packages,
 // shard, experiments) can depend on it without cycles. A snapshot is a
-// flat byte stream: each component writes its numeric state in a fixed
-// field order on save and consumes the same order on restore — no field
-// names, no reflection, no pointers. A save streams: StreamFile hands
+// flat byte stream of numeric state in a fixed field order — no field
+// names, no reflection, no pointers. A component lists its snapshot
+// fields once, in one method over a Codec: a save writes each field, a
+// restore overwrites each with the value read back, so the two
+// directions cannot drift out of step. A save streams: StreamFile hands
 // the components a Writer over one fixed-size chunk that is flushed to
 // the snapshot's temporary file whenever it fills, folding each flushed
 // chunk into the envelope's CRC-32C, so no save holds the whole payload.
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // TimerState is the portable identity of one pending DES timer: its
@@ -244,3 +247,134 @@ func (r *Reader) Count() int {
 	}
 	return n
 }
+
+// Codec walks a component's snapshot fields in one direction, so the
+// component lists them once: over a Writer (a save) each field method
+// writes the value its pointer holds, over a Reader (a restore) it
+// overwrites that value with the one read back. A Codec is two pointers
+// and is passed by value; its errors are the sticky errors of the
+// Writer or Reader below it.
+type Codec struct {
+	w *Writer
+	r *Reader
+}
+
+// Codec returns a saving codec over w.
+func (w *Writer) Codec() Codec { return Codec{w: w} }
+
+// Codec returns a restoring codec over r.
+func (r *Reader) Codec() Codec { return Codec{r: r} }
+
+// Saving reports whether the codec writes (a save) rather than reads.
+func (c Codec) Saving() bool { return c.w != nil }
+
+// Err returns the first error: a sink error or Fail on a save, the
+// decoding or validation error on a restore.
+func (c Codec) Err() error {
+	if c.w != nil {
+		return c.w.err
+	}
+	return c.r.err
+}
+
+// Fail records a validation error: a restore fails as on a truncation,
+// and a save stops flushing and reports the error when it completes.
+func (c Codec) Fail(format string, args ...any) {
+	if c.w == nil {
+		c.r.Fail(format, args...)
+	} else if c.w.err == nil {
+		c.w.err = fmt.Errorf("checkpoint: "+format, args...)
+	}
+}
+
+// U8 saves or restores one byte.
+func (c Codec) U8(v *uint8) {
+	if c.w != nil {
+		c.w.U8(*v)
+	} else {
+		*v = c.r.U8()
+	}
+}
+
+// Bool saves or restores a boolean.
+func (c Codec) Bool(v *bool) {
+	if c.w != nil {
+		c.w.Bool(*v)
+	} else {
+		*v = c.r.Bool()
+	}
+}
+
+// U64 saves or restores a uint64.
+func (c Codec) U64(v *uint64) {
+	if c.w != nil {
+		c.w.U64(*v)
+	} else {
+		*v = c.r.U64()
+	}
+}
+
+// I64 saves or restores an int64.
+func (c Codec) I64(v *int64) {
+	if c.w != nil {
+		c.w.I64(*v)
+	} else {
+		*v = c.r.I64()
+	}
+}
+
+// Int saves or restores an int as an int64.
+func (c Codec) Int(v *int) {
+	if c.w != nil {
+		c.w.Int(*v)
+	} else {
+		*v = c.r.Int()
+	}
+}
+
+// F64 saves or restores a float64 by its IEEE-754 bits.
+func (c Codec) F64(v *float64) {
+	if c.w != nil {
+		c.w.F64(*v)
+	} else {
+		*v = c.r.F64()
+	}
+}
+
+// Timer saves or restores a TimerState.
+func (c Codec) Timer(t *TimerState) {
+	if c.w != nil {
+		c.w.Timer(*t)
+	} else {
+		*t = c.r.Timer()
+	}
+}
+
+// Same pairs a saved value with the rebuilt one: a save writes v, a
+// restore reads the saved value and fails, naming what, unless it
+// equals v. It reports whether the codec is still error-free.
+func (c Codec) Same(v int, what string) bool {
+	if c.w != nil {
+		c.w.Int(v)
+		return c.w.err == nil
+	}
+	if got := c.r.Int(); c.r.err == nil && got != v {
+		c.r.Fail("%s: snapshot has %d, rebuilt has %d", what, got, v)
+	}
+	return c.r.err == nil
+}
+
+// Len saves the element count n and returns it, or on a restore reads
+// a count bounded as Reader.Count bounds it.
+func (c Codec) Len(n int) int {
+	if c.w != nil {
+		c.w.Int(n)
+		return n
+	}
+	return c.r.Count()
+}
+
+// Resize returns s with n elements for a field walk: a save passes
+// len(s) and gets s back, and a restore reuses s's array when it holds
+// n. The elements are left for the walk to fill.
+func Resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }

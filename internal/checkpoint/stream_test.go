@@ -31,7 +31,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 }
 
 // pattern returns a fill that writes n bytes (a multiple of 8) through
-// U64, as a component's Save writes its fields.
+// U64, as a component's Checkpoint walk saves its fields.
 func pattern(n int) func(*Writer) {
 	return func(w *Writer) {
 		for i := 0; i < n/8; i++ {
@@ -41,8 +41,8 @@ func pattern(n int) func(*Writer) {
 }
 
 // A save that fails mid-payload — its sink erroring, or a component's
-// Save panicking — reports the failure, keeps the previous snapshot
-// readable and leaves no temporary file behind.
+// Checkpoint walk panicking — reports the failure, keeps the previous
+// snapshot readable and leaves no temporary file behind.
 func TestTornWriteKeepsPreviousSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "job.ckpt")

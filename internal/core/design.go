@@ -50,24 +50,23 @@ func AnalyzeFormula(f formula.Formula, xlo, xhi float64, n int) FormulaReport {
 	rep.GConvexEverywhere = numerics.IsConvexOnGrid(formula.G(f), grid, 1e-9)
 	rep.Prop4Ratio, rep.Prop4ArgMax = formula.DeviationFromConvexity(f, xlo, xhi, n)
 
-	// Find the concave-above threshold: the smallest x such that f(1/x)
-	// is concave on [x, xhi]. Bisection over grid indices using the
-	// monotone structure of the PFTK-family inflection (a single sign
-	// change); for general f this is a conservative scan.
-	fx := formula.F1x(f)
+	// ConcaveAbove is the smallest grid x such that f(1/x) is concave on
+	// [x, xhi], and ConvexBelow the largest such that it is convex on
+	// [xlo, x], each side keeping at least 17 grid points. A point's
+	// second difference does not depend on the slice around it, so one
+	// pass over the grid finds both: the suffix from the last concavity
+	// break on, the prefix up to the first convexity break.
+	nonConvex, nonConcave := numerics.CurvatureBreaks(formula.F1x(f), grid, 1e-9)
 	rep.ConcaveAbove = rep.RangeHi
-	for i := 0; i+16 < len(grid); i++ {
-		if numerics.IsConcaveOnGrid(fx, grid[i:], 1e-9) {
-			rep.ConcaveAbove = grid[i]
-			break
-		}
+	if i := max(0, nonConcave); i+16 < n {
+		rep.ConcaveAbove = grid[i]
 	}
-	rep.ConvexBelow = 0
-	for i := len(grid) - 1; i >= 16; i-- {
-		if numerics.IsConvexOnGrid(fx, grid[:i+1], 1e-9) {
-			rep.ConvexBelow = grid[i]
-			break
-		}
+	i := n - 1
+	if nonConvex >= 0 {
+		i = nonConvex
+	}
+	if i >= 16 {
+		rep.ConvexBelow = grid[i]
 	}
 	return rep
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/formula"
+	"repro/internal/numerics"
 )
 
 func TestAnalyzeSQRT(t *testing.T) {
@@ -96,5 +97,55 @@ func TestAnalyzePanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// scanThresholds is the reference the one-pass thresholds replace: it
+// checks every suffix and prefix of the grid for concavity and
+// convexity, which is quadratic in the grid size.
+func scanThresholds(f formula.Formula, xlo, xhi float64, n int) (concaveAbove, convexBelow float64) {
+	grid := numerics.Grid(xlo, xhi, n)
+	fx := formula.F1x(f)
+	concaveAbove = xhi
+	for i := 0; i+16 < len(grid); i++ {
+		if numerics.IsConcaveOnGrid(fx, grid[i:], 1e-9) {
+			concaveAbove = grid[i]
+			break
+		}
+	}
+	for i := len(grid) - 1; i >= 16; i-- {
+		if numerics.IsConvexOnGrid(fx, grid[:i+1], 1e-9) {
+			convexBelow = grid[i]
+			break
+		}
+	}
+	return concaveAbove, convexBelow
+}
+
+// AnalyzeFormula's one pass over the grid finds the same ConcaveAbove
+// and ConvexBelow thresholds, bit for bit, as a scan of every suffix
+// and prefix.
+func TestAnalyzeThresholdsMatchScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quadratic reference scan skipped in -short mode")
+	}
+	t.Parallel()
+	cases := []struct {
+		f        formula.Formula
+		xlo, xhi float64
+		n        int
+	}{
+		{formula.NewSQRT(formula.DefaultParams()), 1.01, 100, 2000},
+		{formula.NewPFTKSimplified(formula.DefaultParams()), 1.01, 100, 4000},
+		{formula.NewPFTKStandard(formula.Params{R: 1, Q: 4, B: 1}), 1.01, 50, 4000},
+		{formula.NewPFTKStandard(formula.DefaultParams()), 1.01, 100, 3000},
+	}
+	for _, tc := range cases {
+		rep := AnalyzeFormula(tc.f, tc.xlo, tc.xhi, tc.n)
+		above, below := scanThresholds(tc.f, tc.xlo, tc.xhi, tc.n)
+		if rep.ConcaveAbove != above || rep.ConvexBelow != below {
+			t.Errorf("%s on [%g, %g], n=%d: concave above %v, convex below %v; scan gives %v, %v",
+				tc.f.Name(), tc.xlo, tc.xhi, tc.n, rep.ConcaveAbove, rep.ConvexBelow, above, below)
+		}
 	}
 }

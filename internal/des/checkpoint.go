@@ -72,3 +72,23 @@ func (s *Scheduler) RestoreTimer(st checkpoint.TimerState, fn Event) Timer {
 	}
 	return s.RestoreAt(st.At, st.Key, st.Seq, fn)
 }
+
+// CheckpointTimer walks a timer through c: a save writes tm's state, and
+// a restore re-arms tm on fn under the saved identity, leaving it alone
+// once the read has failed. It reports whether the timer is live: active
+// at the save, or saved live and read back without error.
+func (s *Scheduler) CheckpointTimer(c checkpoint.Codec, tm *Timer, fn Event) bool {
+	var st checkpoint.TimerState
+	if c.Saving() {
+		st = tm.State()
+	}
+	c.Timer(&st)
+	if c.Saving() {
+		return st.OK
+	}
+	if c.Err() != nil {
+		return false
+	}
+	*tm = s.RestoreTimer(st, fn)
+	return st.OK
+}

@@ -2,38 +2,24 @@ package estimator
 
 import "repro/internal/checkpoint"
 
-// Save writes the observed interval history. The weight vector is
-// configuration and comes from the rebuild.
-func (e *LossIntervalEstimator) Save(w *checkpoint.Writer) {
-	w.Int(len(e.history))
-	for _, v := range e.history {
-		w.F64(v)
-	}
-}
-
-// Restore overlays a history saved by Save onto a freshly built
-// estimator with the same window.
-func (e *LossIntervalEstimator) Restore(r *checkpoint.Reader) {
-	n := r.Count()
+// Checkpoint walks the observed interval history through c. The weight
+// vector is configuration and comes from the rebuild, so a restore
+// refuses a history longer than its window.
+func (e *LossIntervalEstimator) Checkpoint(c checkpoint.Codec) {
+	n := c.Len(len(e.history))
 	if n > len(e.weights) {
-		r.Fail("loss-interval history of %d exceeds window %d", n, len(e.weights))
+		c.Fail("loss-interval history of %d exceeds window %d", n, len(e.weights))
 		return
 	}
-	e.history = e.history[:0]
-	for i := 0; i < n; i++ {
-		e.history = append(e.history, r.F64())
+	e.history = checkpoint.Resize(e.history, n)
+	for i := range e.history {
+		c.F64(&e.history[i])
 	}
 }
 
-// Save writes the smoothed value and readiness. The smoothing constant
-// is configuration and comes from the rebuild.
-func (rt *RTT) Save(w *checkpoint.Writer) {
-	w.F64(rt.value)
-	w.Bool(rt.ready)
-}
-
-// Restore overlays state saved by Save.
-func (rt *RTT) Restore(r *checkpoint.Reader) {
-	rt.value = r.F64()
-	rt.ready = r.Bool()
+// Checkpoint walks the smoothed value and readiness through c. The
+// smoothing constant is configuration and comes from the rebuild.
+func (rt *RTT) Checkpoint(c checkpoint.Codec) {
+	c.F64(&rt.value)
+	c.Bool(&rt.ready)
 }

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"math"
-
 	"repro/internal/arrivals"
-	"repro/internal/formula"
 	"repro/internal/runner"
 )
 
@@ -45,23 +42,14 @@ func peakEpochDropRate(res TopoSimResult) float64 {
 	return peak
 }
 
-// tfrcNormalized evaluates the persistent TFRC class's x̄/f(p, r) at
-// its own measured loss-event rate and RTT (the multibneck arithmetic).
-// Returns 0 when the class saw no loss events.
-func tfrcNormalized(res TopoSimResult) float64 {
-	cls := res.TFRC
-	if cls.Events == 0 || cls.MeanRTT <= 0 {
-		return 0
-	}
-	f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
-	return cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
-}
-
 // churnRows renders one run's per-class rows: the shared run-level
 // columns (normalized TFRC throughput, peak epoch drop rate) repeat on
 // each class row so every row is self-contained.
 func churnRows(res TopoSimResult) [][]float64 {
-	norm := tfrcNormalized(res)
+	norm := 0.0 // the persistent TFRC class's x̄/f(p, r), 0 without loss events
+	if res.TFRC.Events != 0 {
+		norm = pftkNorm(res.TFRC)
+	}
 	peakDrop := peakEpochDropRate(res)
 	var rows [][]float64
 	for i, c := range res.Churn {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/fault"
-	"repro/internal/formula"
 	"repro/internal/runner"
 	"repro/internal/topology"
 )
@@ -52,17 +51,6 @@ func faultBase(sz Sizing, hops int) TopoSimConfig {
 	}
 	cfg.Shards = sz.Shards
 	return cfg
-}
-
-// tfrcNorm is the conservativeness figure of merit: class throughput
-// over the PFTK rate at the class's own measured loss and RTT (the
-// multibneck normalization), 0 when the run produced no basis.
-func tfrcNorm(cls ClassStats) float64 {
-	if cls.MeanRTT <= 0 {
-		return 0
-	}
-	f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
-	return cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
 }
 
 // tfrcHalvings totals the no-feedback halvings over the long TFRC flows.
@@ -140,7 +128,7 @@ func planLinkFlap(sz Sizing) ([]runner.Job, FoldFunc) {
 		}
 	}
 	return gridPlan(t, cells, func(c cell[TopoSimConfig], res TopoSimResult) [][]float64 {
-		return [][]float64{c.row(res.TFRC.Throughput, tfrcNorm(res.TFRC), tfrcHalvings(res),
+		return [][]float64{c.row(res.TFRC.Throughput, pftkNorm(res.TFRC), tfrcHalvings(res),
 			tfrcMinRate(res), worstRecovery(res))}
 	})
 }
@@ -183,7 +171,7 @@ func planBurstLoss(sz Sizing) ([]runner.Job, FoldFunc) {
 			obs = float64(res.FaultDrops) / float64(res.FaultOffered)
 		}
 		return [][]float64{c.row(obs, res.TFRC.LossEventRate, res.TFRC.Throughput,
-			tfrcNorm(res.TFRC), tfrcHalvings(res))}
+			pftkNorm(res.TFRC), tfrcHalvings(res))}
 	})
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/analytic"
 	"repro/internal/cbr"
@@ -376,9 +375,7 @@ func planFig5(sz Sizing) ([]runner.Job, FoldFunc) {
 			if cls.Events == 0 || cls.MeanRTT <= 0 {
 				return nil
 			}
-			f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
-			norm := cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
-			return [][]float64{c.row(cls.LossEventRate, norm, cls.CovNorm)}
+			return [][]float64{c.row(cls.LossEventRate, pftkNorm(cls), cls.CovNorm)}
 		})
 }
 
@@ -587,13 +584,8 @@ func planBreakdown(name string, profiles func() []Profile) PlanFunc {
 			if tf.Events == 0 || tc.Events == 0 || tf.MeanRTT <= 0 || tc.MeanRTT <= 0 {
 				return nil
 			}
-			ftf := formula.NewPFTKStandard(formula.ParamsForRTT(tf.MeanRTT))
-			ftc := formula.NewPFTKStandard(formula.ParamsForRTT(tc.MeanRTT))
-			return [][]float64{c.row(tf.LossEventRate,
-				tf.Throughput/ftf.Rate(math.Max(tf.LossEventRate, 1e-9)),
-				tc.LossEventRate/tf.LossEventRate,
-				tc.MeanRTT/tf.MeanRTT,
-				tc.Throughput/ftc.Rate(math.Max(tc.LossEventRate, 1e-9)))}
+			return [][]float64{c.row(tf.LossEventRate, pftkNorm(tf),
+				tc.LossEventRate/tf.LossEventRate, tc.MeanRTT/tf.MeanRTT, pftkNorm(tc))}
 		})
 	}
 }

@@ -14,8 +14,9 @@ import (
 )
 
 // layoutChurnConfig is a small copy of the benchmark's fault-plus-churn
-// chain: a mirrored reverse chain, a fault plan, and one churn class of
-// each protocol — TFRC among them, which no registry scenario has.
+// chain: a mirrored reverse chain, a fault plan whose flap holds its
+// link down across the last snapshot, and one churn class of each
+// protocol — TFRC among them, which no registry scenario has.
 func layoutChurnConfig() TopoSimConfig {
 	cfg := TopoSimConfig{
 		Hops: 3, Capacity: 1.25e6, Buffer: 32,
@@ -28,7 +29,7 @@ func layoutChurnConfig() TopoSimConfig {
 	}
 	end := cfg.Warmup + cfg.Duration
 	cfg.Faults = (&fault.Plan{Seed: 62}).
-		Flap(1, 3, 4, fault.Flush).
+		Flap(1, 6, 8.5, fault.Flush).
 		Burst(0, 400, 25, 0.6)
 	cfg.Churn = []arrivals.Spec{
 		{
@@ -104,7 +105,8 @@ func foldSums(sums map[string]uint64) uint64 {
 // (fig11), routed reverse with Unbounded queues and pending cross-shard
 // injections (revcross at 2 shards), a fault plan with its recovery
 // watch (linkflap), pooled TCP and CBR churn (surge), the metrics and
-// epoch capture, and a TFRC churn class — write last snapshots whose
+// epoch capture with its Unbounded queue samples (surge), and a TFRC
+// churn class — write last snapshots whose
 // payload checksums match the values recorded before the components'
 // field lists were last rewritten. A refactor of the save and restore
 // code must leave every byte where it was.
@@ -122,8 +124,8 @@ func TestSnapshotLayoutPinned(t *testing.T) {
 		{"routed-reverse-shards2", "revcross", 2, ObserveOptions{}, 0xa2ac3fb282a2f19f},
 		{"faults-watch", "linkflap", 0, ObserveOptions{}, 0x7304d36bd2d23ee7},
 		{"churn", "surge", 0, ObserveOptions{}, 0x7c389ae75cb16734},
-		{"metrics-epochs", "parkinglot", 0, ObserveOptions{Metrics: true, Epochs: 4}, 0x57fe1ceba4015e14},
-		{"tfrc-churn", "", 0, ObserveOptions{}, 0x9f825480afcb5c7c},
+		{"metrics-epochs", "surge", 0, ObserveOptions{Metrics: true, Epochs: 4}, 0x7698d64d914261d4},
+		{"tfrc-churn", "", 0, ObserveOptions{}, 0x9a884b057b769b48},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/arrivals"
-	"repro/internal/formula"
 	"repro/internal/netsim"
 	"repro/internal/runner"
 	"repro/internal/tcp"
@@ -335,9 +334,7 @@ func planAsymRev(sz Sizing) ([]runner.Job, FoldFunc) {
 		if cls.Events == 0 || cls.MeanRTT <= 0 {
 			return nil
 		}
-		f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
-		norm := cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
-		return [][]float64{c.row(res.RevDropRate, cls.LossEventRate, cls.Throughput, norm)}
+		return [][]float64{c.row(res.RevDropRate, cls.LossEventRate, cls.Throughput, pftkNorm(cls))}
 	})
 }
 

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
+
 	"repro/internal/arrivals"
 	"repro/internal/estimator"
+	"repro/internal/formula"
 	"repro/internal/stats"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
@@ -77,6 +80,18 @@ type ClassStats struct {
 	Events int64
 	// Flows is the number of flows in the class.
 	Flows int
+}
+
+// pftkNorm is the class's normalized throughput x̄/f(p, r): its
+// throughput over the PFTK-standard rate at its own measured loss-event
+// rate and RTT, 0 when it has no RTT. Callers that need loss events to
+// stand on check Events themselves.
+func pftkNorm(cls ClassStats) float64 {
+	if cls.MeanRTT <= 0 {
+		return 0
+	}
+	f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
+	return cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
 }
 
 // SimResult holds per-class aggregates of one run.

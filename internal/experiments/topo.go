@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/arrivals"
 	"repro/internal/des"
 	"repro/internal/fault"
-	"repro/internal/formula"
 	"repro/internal/netsim"
 	"repro/internal/runner"
 	"repro/internal/tcp"
@@ -465,9 +463,7 @@ func planMultiBneck(sz Sizing) ([]runner.Job, FoldFunc) {
 		if cls.Events == 0 || cls.MeanRTT <= 0 {
 			return nil
 		}
-		f := formula.NewPFTKStandard(formula.ParamsForRTT(cls.MeanRTT))
-		norm := cls.Throughput / f.Rate(math.Max(cls.LossEventRate, 1e-9))
-		return [][]float64{c.row(cls.LossEventRate, norm, cls.CovNorm)}
+		return [][]float64{c.row(cls.LossEventRate, pftkNorm(cls), cls.CovNorm)}
 	})
 }
 

@@ -216,7 +216,7 @@ func (p *Plan) Validate(links int) error {
 
 // Host is the simulation surface a plan arms against. Both engines
 // satisfy it: *topology.Network directly, *shard.Cluster after
-// Partition (and the experiments executor seam by embedding either).
+// Partition.
 type Host interface {
 	// Links returns the number of links in the topology.
 	Links() int

@@ -48,12 +48,12 @@ func TestCrossTrafficSaveRestoreMidBurst(t *testing.T) {
 	}
 	cut := len(net.sent)
 	var w checkpoint.Writer
-	ct.Save(&w)
+	ct.Checkpoint(w.Codec())
 
 	s2, net2, twin := build()
 	s2.RestoreClock(s.Now(), s.Seq(), s.Fired(), s.Cascaded())
 	r := checkpoint.NewReader(w.Bytes())
-	twin.Restore(r)
+	twin.Checkpoint(r.Codec())
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -163,16 +163,25 @@ func DeviationFromConvexity(g Func, grid []float64) (ratio, argmax float64) {
 // by the local magnitude. A true result on a fine grid is strong evidence
 // of convexity on the interval.
 func IsConvexOnGrid(f Func, grid []float64, tol float64) bool {
-	return secondDifferencesHaveSign(f, grid, tol, +1)
+	nonConvex, _ := CurvatureBreaks(f, grid, tol)
+	return nonConvex < 0
 }
 
 // IsConcaveOnGrid reports whether f has non-positive discrete second
 // differences at every interior grid point, within tolerance.
 func IsConcaveOnGrid(f Func, grid []float64, tol float64) bool {
-	return secondDifferencesHaveSign(f, grid, tol, -1)
+	_, nonConcave := CurvatureBreaks(f, grid, tol)
+	return nonConcave < 0
 }
 
-func secondDifferencesHaveSign(f Func, grid []float64, tol float64, sign int) bool {
+// CurvatureBreaks returns the first interior grid index at which f's
+// discrete second difference is negative and the last at which it is
+// positive, each beyond tolerance tol scaled by the local magnitude, or
+// -1 where there is none. A point's second difference depends only on
+// its two neighbours, so f is convex on grid[:i+1] exactly when i <=
+// nonConvex (or nonConvex < 0), and concave on grid[i:] exactly when
+// i >= nonConcave.
+func CurvatureBreaks(f Func, grid []float64, tol float64) (nonConvex, nonConcave int) {
 	if len(grid) < 3 {
 		panic("numerics: convexity check needs >= 3 grid points")
 	}
@@ -180,24 +189,21 @@ func secondDifferencesHaveSign(f Func, grid []float64, tol float64, sign int) bo
 	for i, x := range grid {
 		ys[i] = f(x)
 	}
+	nonConvex, nonConcave = -1, -1
 	for i := 1; i+1 < len(grid); i++ {
 		h1 := grid[i] - grid[i-1]
 		h2 := grid[i+1] - grid[i]
 		// Divided-difference second derivative estimate.
 		d2 := 2 * (ys[i-1]/(h1*(h1+h2)) - ys[i]/(h1*h2) + ys[i+1]/(h2*(h1+h2)))
 		scale := math.Max(1, math.Abs(ys[i]))
-		switch sign {
-		case +1:
-			if d2 < -tol*scale {
-				return false
-			}
-		case -1:
-			if d2 > tol*scale {
-				return false
-			}
+		if d2 < -tol*scale && nonConvex < 0 {
+			nonConvex = i
+		}
+		if d2 > tol*scale {
+			nonConcave = i
 		}
 	}
-	return true
+	return nonConvex, nonConcave
 }
 
 // ErrNoBracket is returned by Brent when f(a) and f(b) have the same sign.

@@ -8,7 +8,11 @@
 // sub-streams (see New and Split).
 package rng
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/checkpoint"
+)
 
 // RNG is a xoshiro256** pseudo-random number generator.
 // The zero value is not usable; construct with New.
@@ -68,6 +72,18 @@ func (r *RNG) SetState(s [4]uint64) {
 		panic("rng: SetState with all-zero state")
 	}
 	r.s = s
+}
+
+// Checkpoint walks the generator's state through c: a save writes it,
+// and a restore sets it only from an error-free read.
+func (r *RNG) Checkpoint(c checkpoint.Codec) {
+	s := r.s
+	for i := range s {
+		c.U64(&s[i])
+	}
+	if !c.Saving() && c.Err() == nil {
+		r.SetState(s)
+	}
 }
 
 // Split derives an independent generator from r. The derived stream is

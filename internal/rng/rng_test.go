@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/checkpoint"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -292,4 +294,28 @@ func TestSetStateRejectsZero(t *testing.T) {
 		}
 	}()
 	New(1).SetState([4]uint64{})
+}
+
+// Checkpoint round-trips the stream, and a restore whose read fails
+// leaves the generator's state as it was.
+func TestCheckpointSetsStateOnlyFromErrorFreeRead(t *testing.T) {
+	src := New(5)
+	src.Uint64()
+	var w checkpoint.Writer
+	src.Checkpoint(w.Codec())
+
+	dst := New(6)
+	r := checkpoint.NewReader(w.Bytes())
+	dst.Checkpoint(r.Codec())
+	if r.Err() != nil || dst.State() != src.State() {
+		t.Fatalf("restore: err %v, state %x, saved %x", r.Err(), dst.State(), src.State())
+	}
+
+	kept := New(7)
+	before := kept.State()
+	r = checkpoint.NewReader(w.Bytes()[:3*8+4])
+	kept.Checkpoint(r.Codec())
+	if r.Err() == nil || kept.State() != before {
+		t.Fatalf("truncated restore: err %v, state %x, want %x kept", r.Err(), kept.State(), before)
+	}
 }

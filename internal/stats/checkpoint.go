@@ -2,32 +2,17 @@ package stats
 
 import "repro/internal/checkpoint"
 
-// Save writes the accumulator's running state.
-func (w *Welford) Save(cw *checkpoint.Writer) {
-	cw.Int(w.n)
-	cw.F64(w.mean)
-	cw.F64(w.m2)
+// Checkpoint walks the accumulator's running state through c.
+func (w *Welford) Checkpoint(c checkpoint.Codec) {
+	c.Int(&w.n)
+	c.F64(&w.mean)
+	c.F64(&w.m2)
 }
 
-// Restore overlays state saved by Save.
-func (w *Welford) Restore(r *checkpoint.Reader) {
-	w.n = r.Int()
-	w.mean = r.F64()
-	w.m2 = r.F64()
-}
-
-// Save writes the accumulator's running state.
-func (c *Cov) Save(cw *checkpoint.Writer) {
-	cw.Int(c.n)
-	cw.F64(c.mx)
-	cw.F64(c.my)
-	cw.F64(c.cxy)
-}
-
-// Restore overlays state saved by Save.
-func (c *Cov) Restore(r *checkpoint.Reader) {
-	c.n = r.Int()
-	c.mx = r.F64()
-	c.my = r.F64()
-	c.cxy = r.F64()
+// Checkpoint walks the accumulator's running state through c.
+func (cv *Cov) Checkpoint(c checkpoint.Codec) {
+	c.Int(&cv.n)
+	c.F64(&cv.mx)
+	c.F64(&cv.my)
+	c.F64(&cv.cxy)
 }

@@ -1,109 +1,75 @@
 package tcp
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/checkpoint"
 )
 
-// Save writes the sender's run-time state. Configuration comes from the
-// rebuild, except the transfer volume: churn flows draw TotalSegments
-// per arrival, so it rides in the snapshot.
-func (s *Sender) Save(w *checkpoint.Writer) {
-	w.Int(s.flow)
-	w.I64(s.cfg.TotalSegments)
-	w.F64(s.cwnd)
-	w.F64(s.ssthresh)
-	w.I64(s.nextSeq)
-	w.I64(s.highAck)
-	w.Int(s.dupacks)
-	w.I64(s.recover)
-	w.Bool(s.inRec)
-	w.F64(s.inflate)
-	w.F64(s.srtt)
-	w.F64(s.rttvar)
-	w.F64(s.rto)
-	w.Int(s.backoff)
-	w.Timer(s.rtoTimer.State())
-	s.lossEvents.Save(w)
-	w.Bool(s.started)
-	w.Bool(s.done)
-	w.F64(s.measStart)
-	w.I64(s.pktsSent)
-	w.I64(s.acksSeen)
-	w.I64(s.acksBase)
-	w.I64(s.eventsBase)
-	s.rttAcc.Save(w)
-	w.Int(s.intervals0)
-}
-
-// Restore overlays state saved by Save onto a freshly built sender for
-// the same flow and re-arms its retransmission timer.
-func (s *Sender) Restore(r *checkpoint.Reader) {
-	if flow := r.Int(); flow != s.flow {
-		r.Fail("tcp sender snapshot is for flow %d, rebuilt flow %d", flow, s.flow)
+// Checkpoint walks the sender's run-time state through c, re-arming its
+// retransmission timer on a restore into a freshly built sender for the
+// same flow. Configuration comes from the rebuild, except the transfer
+// volume: churn flows draw TotalSegments per arrival, so it rides in the
+// snapshot.
+func (s *Sender) Checkpoint(c checkpoint.Codec) {
+	if !c.Same(s.flow, "tcp sender flow") {
 		return
 	}
-	s.cfg.TotalSegments = r.I64()
-	s.cwnd = r.F64()
-	s.ssthresh = r.F64()
-	s.nextSeq = r.I64()
-	s.highAck = r.I64()
-	s.dupacks = r.Int()
-	s.recover = r.I64()
-	s.inRec = r.Bool()
-	s.inflate = r.F64()
-	s.srtt = r.F64()
-	s.rttvar = r.F64()
-	s.rto = r.F64()
-	s.backoff = r.Int()
-	s.rtoTimer = s.sched.RestoreTimer(r.Timer(), s.onTimeoutFn)
-	s.lossEvents.Restore(r)
-	s.started = r.Bool()
-	s.done = r.Bool()
-	s.measStart = r.F64()
-	s.pktsSent = r.I64()
-	s.acksSeen = r.I64()
-	s.acksBase = r.I64()
-	s.eventsBase = r.I64()
-	s.rttAcc.Restore(r)
-	s.intervals0 = r.Int()
+	c.I64(&s.cfg.TotalSegments)
+	c.F64(&s.cwnd)
+	c.F64(&s.ssthresh)
+	c.I64(&s.nextSeq)
+	c.I64(&s.highAck)
+	c.Int(&s.dupacks)
+	c.I64(&s.recover)
+	c.Bool(&s.inRec)
+	c.F64(&s.inflate)
+	c.F64(&s.srtt)
+	c.F64(&s.rttvar)
+	c.F64(&s.rto)
+	c.Int(&s.backoff)
+	s.sched.CheckpointTimer(c, &s.rtoTimer, s.onTimeoutFn)
+	s.lossEvents.Checkpoint(c)
+	c.Bool(&s.started)
+	c.Bool(&s.done)
+	c.F64(&s.measStart)
+	c.I64(&s.pktsSent)
+	c.I64(&s.acksSeen)
+	c.I64(&s.acksBase)
+	c.I64(&s.eventsBase)
+	s.rttAcc.Checkpoint(c)
+	c.Int(&s.intervals0)
 }
 
-// Save writes the receiver's run-time state. The out-of-order set is
-// serialized in ascending sequence order so the encoding is canonical
-// regardless of map iteration order.
-func (rc *Receiver) Save(w *checkpoint.Writer) {
-	w.Int(rc.flow)
-	w.I64(rc.expected)
-	keys := make([]int64, 0, len(rc.ooo))
-	for k := range rc.ooo {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.I64(k)
-	}
-	w.Int(rc.unacked)
-	w.I64(rc.PacketsReceived)
-}
-
-// Restore overlays state saved by Save onto a freshly built receiver
-// for the same flow.
-func (rc *Receiver) Restore(r *checkpoint.Reader) {
-	if flow := r.Int(); flow != rc.flow {
-		r.Fail("tcp receiver snapshot is for flow %d, rebuilt flow %d", flow, rc.flow)
+// Checkpoint walks the receiver's run-time state through c onto a
+// freshly built receiver for the same flow. The out-of-order set goes
+// out in ascending sequence order, so the encoding is canonical
+// whatever the map's iteration order, and a restore rebuilds the set.
+func (rc *Receiver) Checkpoint(c checkpoint.Codec) {
+	if !c.Same(rc.flow, "tcp receiver flow") {
 		return
 	}
-	rc.expected = r.I64()
-	n := r.Count()
-	clear(rc.ooo)
-	for i := 0; i < n; i++ {
-		rc.ooo[r.I64()] = true
+	c.I64(&rc.expected)
+	var ooo []int64
+	if c.Saving() {
+		ooo = make([]int64, 0, len(rc.ooo))
+		for k := range rc.ooo {
+			ooo = append(ooo, k)
+		}
+		slices.Sort(ooo)
 	}
-	rc.unacked = r.Int()
-	rc.PacketsReceived = r.I64()
+	ooo = checkpoint.Resize(ooo, c.Len(len(ooo)))
+	for i := range ooo {
+		c.I64(&ooo[i])
+	}
+	if !c.Saving() {
+		clear(rc.ooo)
+		for _, k := range ooo {
+			rc.ooo[k] = true
+		}
+	}
+	c.Int(&rc.unacked)
+	c.I64(&rc.PacketsReceived)
 }
 
 // Retire marks a never-started sender as completed so it can sit in a

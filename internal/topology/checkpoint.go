@@ -5,168 +5,115 @@ import (
 	"repro/internal/netsim"
 )
 
-// The network's snapshot surface is split into sections the restore
-// orchestrator (internal/experiments) sequences explicitly, because
-// their restore points differ: links restore right after the rebuild,
-// flow overlays only after every flow — including churn arrivals — has
-// been re-attached, deliveries after the endpoints they target exist,
-// and the freelist ledgers last of all so the leak invariant holds the
+// The network's snapshot surface is split into sections, each one walk
+// over a checkpoint.Codec that lists its fields once. The run driver
+// (internal/experiments) sequences them explicitly, because their
+// restore points differ: links restore right after the rebuild, flow
+// overlays only after every flow — including churn arrivals — has been
+// re-attached, deliveries after the endpoints they target exist, and
+// the freelist ledgers last of all so the leak invariant holds the
 // moment the restore completes.
 
-// SaveLinks writes every link's state in link-id order.
-func (n *Network) SaveLinks(w *checkpoint.Writer) {
-	w.Int(len(n.links))
-	for _, l := range n.links {
-		l.Save(w)
-	}
-}
-
-// RestoreLinks overlays saved state onto the rebuilt links. Each link's
-// packets are drawn from its owning domain's freelist.
-func (n *Network) RestoreLinks(r *checkpoint.Reader) {
-	if c := r.Count(); c != len(n.links) {
-		r.Fail("snapshot has %d links, rebuilt graph has %d", c, len(n.links))
+// CheckpointLinks walks every link's state through c in link-id order.
+// A restore draws each link's packets from its owning domain's
+// freelist.
+func (n *Network) CheckpointLinks(c checkpoint.Codec) {
+	if !c.Same(len(n.links), "link count") {
 		return
 	}
 	for id, l := range n.links {
-		if r.Err() != nil {
+		if c.Err() != nil {
 			return
 		}
-		l.Restore(r, n.owner(LinkID(id)).GetPacket)
+		l.Checkpoint(c, n.owner(LinkID(id)).GetPacket)
 	}
 }
 
-// SaveFlows writes the per-flow mutable overlay — delivery counter and,
-// when reverse jitter is on, the flow's private jitter stream — for
-// every attached flow in id order.
-func (n *Network) SaveFlows(w *checkpoint.Writer) {
-	w.Int(n.attached())
-	for id, fs := range n.flows {
-		if fs == nil {
-			continue
-		}
-		w.Int(id)
-		w.I64(fs.delivered)
-		if n.ReverseJitter > 0 {
-			for _, word := range fs.jitter.State() {
-				w.U64(word)
-			}
-		}
-	}
-}
-
-// RestoreFlows overlays per-flow state saved by SaveFlows. Every saved
-// flow must already be re-attached (static flows by the rebuild, churn
-// flows by the arrivals restore) with the same id.
-func (n *Network) RestoreFlows(r *checkpoint.Reader) {
-	c := r.Count()
-	if have := n.attached(); c != have {
-		r.Fail("snapshot has %d attached flows, rebuilt network has %d", c, have)
+// CheckpointFlows walks the per-flow mutable overlay — delivery counter
+// and, when reverse jitter is on, the flow's private jitter stream — of
+// every attached flow in id order. On a restore every saved flow must
+// already be re-attached (static flows by the rebuild, churn flows by
+// the arrivals restore) with the same id.
+func (n *Network) CheckpointFlows(c checkpoint.Codec) {
+	count := n.attached()
+	if !c.Same(count, "attached flow count") {
 		return
 	}
-	for i := 0; i < c; i++ {
-		if r.Err() != nil {
-			return
+	id := -1
+	for i := 0; i < count && c.Err() == nil; i++ {
+		if c.Saving() { // advance to the next attached flow
+			for id++; n.flows[id] == nil; id++ {
+			}
 		}
-		id := r.Int()
+		c.Int(&id)
 		fs := n.flowAt(id)
 		if fs == nil {
-			r.Fail("saved flow %d is not attached in the rebuilt network", id)
+			c.Fail("saved flow %d is not attached in the rebuilt network", id)
 			return
 		}
-		fs.delivered = r.I64()
+		c.I64(&fs.delivered)
 		if n.ReverseJitter > 0 {
-			var st [4]uint64
-			for j := range st {
-				st[j] = r.U64()
+			fs.jitter.Checkpoint(c)
+		}
+	}
+}
+
+// CheckpointDeliveries walks every domain's pending pure-delay hand-offs
+// in domain order: which endpoint of its flow each targets, the packet,
+// and the hand-off timer. A restore re-creates each against the
+// re-attached flows and re-arms it under its original timer identity.
+func (n *Network) CheckpointDeliveries(c checkpoint.Codec) {
+	for _, d := range n.doms {
+		count := c.Len(len(d.liveDel))
+		for i := 0; i < count && c.Err() == nil; i++ {
+			var dv *delivery
+			var toSender bool
+			var p *netsim.Packet
+			if c.Saving() {
+				dv = d.liveDel[i]
+				toSender, p = dv.toSender, dv.p
 			}
-			if r.Err() == nil {
-				fs.jitter.SetState(st)
+			c.Bool(&toSender)
+			p = netsim.CheckpointPacket(c, p, d.GetPacket)
+			if !c.Saving() {
+				fs := n.flowAt(p.Flow)
+				if fs == nil {
+					c.Fail("domain %d: pending delivery for unattached flow %d", d.id, p.Flow)
+					return
+				}
+				to := fs.receiver
+				if toSender {
+					to = fs.sender
+				}
+				if to == nil {
+					c.Fail("domain %d: pending delivery for flow %d targets a nil endpoint", d.id, p.Flow)
+					return
+				}
+				dv = d.getDelivery(to, p, toSender)
+			}
+			if !d.sched.CheckpointTimer(c, &dv.tm, dv.run) && !c.Saving() {
+				c.Fail("domain %d: pending delivery saved without a live timer", d.id)
 			}
 		}
 	}
 }
 
-// SaveDeliveries writes every domain's pending pure-delay hand-offs in
-// domain order: the packet, which endpoint of its flow it targets, and
-// the hand-off timer.
-func (n *Network) SaveDeliveries(w *checkpoint.Writer) {
+// CheckpointLedger walks every domain's freelist issue/return counters
+// and the watched per-flow in-network accounts. It runs last in the
+// restore sequence: every restore step before it drew its packets
+// through GetPacket (inflating issued), and this overlay settles the
+// ledgers back to the snapshot's truth so CheckLeaks holds immediately.
+func (n *Network) CheckpointLedger(c checkpoint.Codec) {
 	for _, d := range n.doms {
-		w.Int(len(d.liveDel))
-		for _, dv := range d.liveDel {
-			w.Bool(dv.toSender)
-			netsim.SavePacket(w, dv.p)
-			w.Timer(dv.tm.State())
-		}
+		c.I64(&d.issued)
+		c.I64(&d.returned)
 	}
-}
-
-// RestoreDeliveries re-creates each domain's pending hand-offs against
-// the re-attached flows, re-arming each with its original timer
-// identity.
-func (n *Network) RestoreDeliveries(r *checkpoint.Reader) {
-	for _, d := range n.doms {
-		c := r.Count()
-		for i := 0; i < c; i++ {
-			if r.Err() != nil {
-				return
-			}
-			toSender := r.Bool()
-			p := d.GetPacket()
-			netsim.RestorePacket(r, p)
-			st := r.Timer()
-			if !st.OK {
-				r.Fail("domain %d: pending delivery saved without a live timer", d.id)
-				return
-			}
-			fs := n.flowAt(p.Flow)
-			if fs == nil {
-				r.Fail("domain %d: pending delivery for unattached flow %d", d.id, p.Flow)
-				return
-			}
-			to := fs.receiver
-			if toSender {
-				to = fs.sender
-			}
-			if to == nil {
-				r.Fail("domain %d: pending delivery for flow %d targets a nil endpoint", d.id, p.Flow)
-				return
-			}
-			dv := d.getDelivery(to, p, toSender)
-			dv.tm = d.sched.RestoreTimer(st, dv.run)
-		}
-	}
-}
-
-// SaveLedger writes every domain's freelist issue/return counters and
-// the watched per-flow in-network accounts.
-func (n *Network) SaveLedger(w *checkpoint.Writer) {
-	for _, d := range n.doms {
-		w.I64(d.issued)
-		w.I64(d.returned)
-	}
-	w.Int(len(n.lcCount))
-	for _, v := range n.lcCount {
-		w.I64(int64(v))
-	}
-}
-
-// RestoreLedger overlays the counters saved by SaveLedger. It runs last
-// in the restore sequence: every restore step before it drew its
-// packets through GetPacket (inflating issued), and this overlay
-// settles the ledgers back to the snapshot's truth so CheckLeaks holds
-// immediately.
-func (n *Network) RestoreLedger(r *checkpoint.Reader) {
-	for _, d := range n.doms {
-		d.issued = r.I64()
-		d.returned = r.I64()
-	}
-	c := r.Count()
-	if c != len(n.lcCount) {
-		r.Fail("snapshot watches %d flows, rebuilt network watches %d", c, len(n.lcCount))
+	if !c.Same(len(n.lcCount), "watched flow count") {
 		return
 	}
-	for i := 0; i < c; i++ {
-		n.lcCount[i] = int32(r.I64())
+	for i := range n.lcCount {
+		v := int64(n.lcCount[i])
+		c.I64(&v)
+		n.lcCount[i] = int32(v)
 	}
 }
