@@ -8,11 +8,3 @@ func (w *Welford) Checkpoint(c checkpoint.Codec) {
 	c.F64(&w.mean)
 	c.F64(&w.m2)
 }
-
-// Checkpoint walks the accumulator's running state through c.
-func (cv *Cov) Checkpoint(c checkpoint.Codec) {
-	c.Int(&cv.n)
-	c.F64(&cv.mx)
-	c.F64(&cv.my)
-	c.F64(&cv.cxy)
-}
