@@ -22,7 +22,11 @@ import (
 // driver saves every stateful component behind a count, in construction
 // order — capture, fault plan, each flow's endpoints and watcher,
 // probe and cross-traffic sources with their start timers, churn.
-const CodecVersion = 5
+// Version 6: a packet crossing shards is saved as a pending delivery of
+// its destination domain, whose kind byte widens the to-sender flag;
+// the handoff section keeps only the per-shard counters; cross traffic
+// saves one packet counter.
+const CodecVersion = 6
 
 // magic identifies a checkpoint file. Eight bytes, fixed.
 const magic = "EBRCCKP1"

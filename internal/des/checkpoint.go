@@ -75,8 +75,11 @@ func (s *Scheduler) RestoreTimer(st checkpoint.TimerState, fn Event) Timer {
 
 // CheckpointTimer walks a timer through c: a save writes tm's state, and
 // a restore re-arms tm on fn under the saved identity, leaving it alone
-// once the read has failed. It reports whether the timer is live: active
-// at the save, or saved live and read back without error.
+// once the read has failed. A saved identity that does not fit the
+// restored clock — a time in the past, a causal key after its time, or
+// a seq the clock has not yet handed out — fails the read instead. It
+// reports whether the timer is live: active at the save, or saved live
+// and read back without error.
 func (s *Scheduler) CheckpointTimer(c checkpoint.Codec, tm *Timer, fn Event) bool {
 	var st checkpoint.TimerState
 	if c.Saving() {
@@ -87,6 +90,11 @@ func (s *Scheduler) CheckpointTimer(c checkpoint.Codec, tm *Timer, fn Event) boo
 		return st.OK
 	}
 	if c.Err() != nil {
+		return false
+	}
+	if st.OK && (st.At < s.now || st.Key > st.At || st.Seq >= s.seq) {
+		c.Fail("timer (at %v, key %v, seq %d) does not fit the restored clock (now %v, next seq %d)",
+			st.At, st.Key, st.Seq, s.now, s.seq)
 		return false
 	}
 	*tm = s.RestoreTimer(st, fn)

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -132,6 +133,37 @@ func TestRestoreAtValidation(t *testing.T) {
 	s2 := &Scheduler{}
 	s2.At(1, func() {})
 	mustPanic("pending events", func() { s2.RestoreClock(0, 0, 0, 0) })
+}
+
+// A timer walk whose saved identity does not fit the restored clock
+// fails the read with an error naming the values, and never reaches
+// RestoreAt's panics.
+func TestCheckpointTimerRejectsMisfit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		st   checkpoint.TimerState
+	}{
+		{"seq at the next seq", checkpoint.TimerState{OK: true, At: 11, Key: 11, Seq: 5}},
+		{"seq beyond the next seq", checkpoint.TimerState{OK: true, At: 11, Key: 11, Seq: 9}},
+		{"time in the past", checkpoint.TimerState{OK: true, At: 9, Key: 9, Seq: 1}},
+		{"key after time", checkpoint.TimerState{OK: true, At: 11, Key: 12, Seq: 1}},
+	} {
+		var w checkpoint.Writer
+		w.Timer(tc.st)
+		s := &Scheduler{}
+		s.RestoreClock(10, 5, 4, 0)
+		r := checkpoint.NewReader(w.Bytes())
+		var tm Timer
+		if s.CheckpointTimer(r.Codec(), &tm, func() {}) {
+			t.Errorf("%s: reported live", tc.name)
+		}
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "does not fit the restored clock (now 10, next seq 5)") {
+			t.Errorf("%s: restore error %v, want one naming the clock", tc.name, err)
+		}
+		if tm.Active() || s.Pending() != 0 {
+			t.Errorf("%s: a misfit timer was armed", tc.name)
+		}
+	}
 }
 
 // TestZeroTimerState pins that the zero Timer, and a handle made stale

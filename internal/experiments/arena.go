@@ -65,12 +65,6 @@ func (f *freeList[T]) put(x T) {
 
 var clusterPool = freeList[*shard.Cluster]{new: shard.New}
 
-// shardForceParallel routes sharded runs through the goroutine-per-
-// shard barrier driver even on a single-CPU host. Tests set it (under
-// -race) to prove the parallel driver produces the same bytes the
-// sequential window loop does.
-var shardForceParallel bool
-
 // getCluster returns a reset cluster ready to host one run of the given
 // shard count. With Observe.Live on, a sharded run's per-shard
 // snapshots are published on the live-introspection surface for as long
@@ -79,7 +73,6 @@ var shardForceParallel bool
 // that registration, "" when there is none.
 func getCluster(shards int) (c *shard.Cluster, liveKey string) {
 	c = clusterPool.get()
-	c.ForceParallel = shardForceParallel
 	if Observe.Live && shards > 1 {
 		liveKey = obs.PublishLive("cluster", func() any { return c.Snapshots() })
 	}

@@ -102,9 +102,9 @@ func (r *run) tryResume() (float64, bool) {
 
 // checkpoint walks the full simulation state through c in a fixed
 // section order: scheduler clocks, link contents, the stateful
-// components in construction order, the per-flow overlay, in-flight
-// hand-offs (pure-delay deliveries, then cross-shard handoffs), and —
-// last — the freelist ledgers.
+// components in construction order, the per-flow overlay, the pending
+// deliveries (cross-shard arrivals included), the handoff counters,
+// and — last — the freelist ledgers.
 //
 // A restore's sequencing constraints are structural: schedulers reset
 // first (so every stale rebuild-time timer dies), the components re-arm

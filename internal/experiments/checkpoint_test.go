@@ -15,6 +15,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/runner"
 	"repro/internal/shard"
+	"repro/internal/topology"
 )
 
 // withCheckpoint runs fn with the process-wide checkpoint and observe
@@ -82,8 +83,30 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 			if !bytes.Equal(base, res) {
 				t.Fatalf("resumed run differs from uninterrupted\nbase:\n%s\nresume:\n%s", base, res)
 			}
+			if tc.scenario == "revcross" && tc.shards > 1 {
+				if n := revCrossNodeDeliveries(t, szk, dir); n == 0 {
+					t.Fatal("the snapshot holds no packet in flight across the shard cut; the case exercises no cross-shard delivery")
+				}
+			}
 		})
 	}
+}
+
+// revCrossNodeDeliveries restores the snapshot revcross's first job left
+// in dir and counts the pending deliveries it holds into the node a cut
+// link ends at.
+func revCrossNodeDeliveries(t *testing.T, sz Sizing, dir string) int {
+	t.Helper()
+	cfg := reverseBase(sz)
+	cfg.RevCapacities = []float64{cfg.Capacity / 20}
+	cfg.Seed = 3041
+	sp := cfg.spec()
+	sp.label, sp.resume = "revcross load=0.0", dir
+	env := shard.New()
+	if _, ok := build(sp, env).tryResume(); !ok {
+		t.Fatalf("no snapshot for %q in %s", sp.label, dir)
+	}
+	return env.Deliveries(topology.ToNode)
 }
 
 // The build starts the Poisson probe and the cross-traffic source at a

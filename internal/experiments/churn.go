@@ -210,13 +210,3 @@ func init() {
 		Plan:    planSurge,
 		Sharded: true})
 }
-
-// Flashcrowd, Webmice and Surge are the serial convenience wrappers of
-// the churn scenario family.
-func Flashcrowd(sz Sizing) *Table { return runPlan(planFlashcrowd, sz)[0] }
-
-// Webmice reproduces the PASTA web-mice comparison.
-func Webmice(sz Sizing) *Table { return runPlan(planWebmice, sz)[0] }
-
-// Surge reproduces the arrival-surge scale run.
-func Surge(sz Sizing) *Table { return runPlan(planSurge, sz)[0] }

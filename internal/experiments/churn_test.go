@@ -94,15 +94,14 @@ func churnSignature(res TopoSimResult) []arrivals.ClassResult {
 
 // The churn engine must not disturb the determinism contract: the same
 // arrivals, completions, populations and Palm statistics — and the same
-// engine event count — on the serial engine and at every shard count,
-// with the goroutine-per-shard driver included.
+// engine event count — on the serial engine and at every shard count.
 func TestChurnShardedDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level determinism check skipped in -short mode")
 	}
 	serial := RunTopoSim(churnTestConfig(0))
 	want := churnSignature(serial)
-	for _, k := range []int{1, 2, 4} {
+	for _, k := range []int{1, 2, 3, 4} {
 		got := RunTopoSim(churnTestConfig(k))
 		if got.EventsFired != serial.EventsFired {
 			t.Fatalf("shards=%d fired %d events, serial %d", k, got.EventsFired, serial.EventsFired)
@@ -120,17 +119,6 @@ func TestChurnShardedDeterminism(t *testing.T) {
 			if c.Reclaimed != 0 || c.Constructions != c.Arrivals {
 				t.Fatalf("shards=%d class %s: cluster must never reclaim (%+v)", k, c.Name, c)
 			}
-		}
-	}
-	shardForceParallel = true
-	got := RunTopoSim(churnTestConfig(3))
-	shardForceParallel = false
-	if got.EventsFired != serial.EventsFired {
-		t.Fatalf("forced-parallel fired %d events, serial %d", got.EventsFired, serial.EventsFired)
-	}
-	for i, g := range churnSignature(got) {
-		if g != want[i] {
-			t.Fatalf("forced-parallel class %s differs:\nserial  %+v\nsharded %+v", g.Name, want[i], g)
 		}
 	}
 }

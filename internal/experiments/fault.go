@@ -229,13 +229,3 @@ func init() {
 		Plan:    planCapDrop,
 		Sharded: true})
 }
-
-// LinkFlap, BurstLoss and CapDrop are the serial convenience wrappers
-// of the fault-injection scenario family.
-func LinkFlap(sz Sizing) *Table { return runPlan(planLinkFlap, sz)[0] }
-
-// BurstLoss reproduces the bursty-loss table.
-func BurstLoss(sz Sizing) *Table { return runPlan(planBurstLoss, sz)[0] }
-
-// CapDrop reproduces the reverse-capacity renegotiation table.
-func CapDrop(sz Sizing) *Table { return runPlan(planCapDrop, sz)[0] }

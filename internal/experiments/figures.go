@@ -379,9 +379,6 @@ func planFig5(sz Sizing) ([]runner.Job, FoldFunc) {
 		})
 }
 
-// Fig5 reproduces Figure 5.
-func Fig5(sz Sizing) *Table { return runPlan(planFig5, sz)[0] }
-
 // planFig6 reproduces Figure 6: the audio sender (fixed 20 ms packet
 // spacing, equation-modulated packet length) through a Bernoulli
 // dropper, L = 4: normalized throughput and squared CV of θ̂ versus p
@@ -549,20 +546,6 @@ func planFriendliness(name string, profiles func() []Profile) PlanFunc {
 	}
 }
 
-// Fig11 reproduces Figure 11: the TFRC/TCP throughput ratio versus p on
-// the WAN profiles; values above 1 at small p show the
-// non-TCP-friendliness the paper reports for INRIA/KTH/UMASS.
-func Fig11(sz Sizing) *Table {
-	return runPlan(planFriendliness("fig11", WANProfiles), sz)[0]
-}
-
-// Fig16 reproduces Figure 16: the same ratio on the lab profiles
-// (DropTail 100 and RED).
-func Fig16(sz Sizing) *Table {
-	return runPlan(planFriendliness("fig16",
-		func() []Profile { return []Profile{LabDT100, LabRED} }), sz)[0]
-}
-
 // planBreakdown reproduces Figures 12-15 (WAN) and 18-19 (lab): for
 // each profile and pair count, the four sub-condition ratios of the
 // TCP-friendliness breakdown:
@@ -594,17 +577,6 @@ func planBreakdown(name string, profiles func() []Profile) PlanFunc {
 // profiles.
 func Breakdown(name string, profiles []Profile, sz Sizing) *Table {
 	return runPlan(planBreakdown(name, func() []Profile { return profiles }), sz)[0]
-}
-
-// Fig12to15 is the WAN breakdown (Figures 12, 13, 14, 15).
-func Fig12to15(sz Sizing) *Table {
-	return runPlan(planBreakdown("fig12-15", WANProfiles), sz)[0]
-}
-
-// Fig18to19 is the lab breakdown (Figures 18 and 19: DropTail 100, RED).
-func Fig18to19(sz Sizing) *Table {
-	return runPlan(planBreakdown("fig18-19",
-		func() []Profile { return []Profile{LabDT100, LabRED} }), sz)[0]
 }
 
 // planFig17 reproduces Figure 17: the ratio p'/p of TCP's to TFRC's

@@ -103,13 +103,13 @@ func foldSums(sums map[string]uint64) uint64 {
 // The snapshot payload is pinned: small jobs that between them hold
 // every stateful component — RED and the probe (fig7), cross traffic
 // (fig11), routed reverse with Unbounded queues and pending cross-shard
-// injections (revcross at 2 shards), a fault plan with its recovery
+// deliveries (revcross at 2 shards), a fault plan with its recovery
 // watch (linkflap), pooled TCP and CBR churn (surge), the metrics and
 // epoch capture with its Unbounded queue samples (surge), and a TFRC
-// churn class — write last snapshots whose
-// payload checksums match the values recorded before the components'
-// field lists were last rewritten. A refactor of the save and restore
-// code must leave every byte where it was.
+// churn class — write last snapshots whose payload checksums match the
+// values recorded when the layout last changed (CodecVersion 6). A
+// refactor of the save and restore code must leave every byte where it
+// was.
 func TestSnapshotLayoutPinned(t *testing.T) {
 	sz := Sizing{Events: 2000, SimFactor: 0.04, Pairs: []int{1}, PairsCap: 1}
 	cases := []struct {
@@ -119,13 +119,13 @@ func TestSnapshotLayoutPinned(t *testing.T) {
 		obs      ObserveOptions
 		want     uint64
 	}{
-		{"red-probe", "fig7", 0, ObserveOptions{}, 0x15a3d2d4873305a5},
-		{"dumbbell-cross", "fig11", 0, ObserveOptions{}, 0x302165e8db62bbf4},
-		{"routed-reverse-shards2", "revcross", 2, ObserveOptions{}, 0xa2ac3fb282a2f19f},
-		{"faults-watch", "linkflap", 0, ObserveOptions{}, 0x7304d36bd2d23ee7},
-		{"churn", "surge", 0, ObserveOptions{}, 0x7c389ae75cb16734},
-		{"metrics-epochs", "surge", 0, ObserveOptions{Metrics: true, Epochs: 4}, 0x7698d64d914261d4},
-		{"tfrc-churn", "", 0, ObserveOptions{}, 0x9a884b057b769b48},
+		{"red-probe", "fig7", 0, ObserveOptions{}, 0x0edd8d70d360805c},
+		{"dumbbell-cross", "fig11", 0, ObserveOptions{}, 0x368c296d36fffc4b},
+		{"routed-reverse-shards2", "revcross", 2, ObserveOptions{}, 0x15f581728edbf917},
+		{"faults-watch", "linkflap", 0, ObserveOptions{}, 0x7585e52b1de6fc7c},
+		{"churn", "surge", 0, ObserveOptions{}, 0x64f2119fadf7bd50},
+		{"metrics-epochs", "surge", 0, ObserveOptions{Metrics: true, Epochs: 4}, 0x43fd4cb4f89beedf},
+		{"tfrc-churn", "", 0, ObserveOptions{}, 0x2442c77124eb7a43},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

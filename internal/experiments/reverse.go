@@ -352,13 +352,3 @@ func init() {
 		Plan:    planAsymRev,
 		Sharded: true})
 }
-
-// RevCross, AckShare and AsymRev are the serial convenience wrappers of
-// the routed-reverse scenario family.
-func RevCross(sz Sizing) *Table { return runPlan(planRevCross, sz)[0] }
-
-// AckShare reproduces the shared forward/reverse bottleneck sweep.
-func AckShare(sz Sizing) *Table { return runPlan(planAckShare, sz)[0] }
-
-// AsymRev reproduces the asymmetric-capacity reverse chain sweep.
-func AsymRev(sz Sizing) *Table { return runPlan(planAsymRev, sz)[0] }

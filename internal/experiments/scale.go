@@ -89,6 +89,3 @@ func init() {
 		Plan:    planScaleChain,
 		Sharded: true})
 }
-
-// ScaleChain is the serial convenience wrapper of the scale-out sweep.
-func ScaleChain(sz Sizing) *Table { return runPlan(planScaleChain, sz)[0] }

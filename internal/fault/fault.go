@@ -130,10 +130,17 @@ type Plan struct {
 	// Losses are the per-link Gilbert–Elliott processes, at most one per
 	// link, active for the whole run.
 	Losses []GE
+
+	// checked is one more than the link count the last Validate accepted
+	// the plan for, 0 when that Validate failed or a builder method has
+	// changed the plan since. Arm validates only a plan not checked for
+	// its host. Edit Events and Losses directly only before validating.
+	checked int
 }
 
 // Flap appends a Down at downAt and the matching Up at upAt.
 func (p *Plan) Flap(link topology.LinkID, downAt, upAt float64, policy Policy) *Plan {
+	p.checked = 0
 	p.Events = append(p.Events,
 		Event{At: downAt, Link: link, Op: Down, Policy: policy},
 		Event{At: upAt, Link: link, Op: Up})
@@ -143,6 +150,7 @@ func (p *Plan) Flap(link topology.LinkID, downAt, upAt float64, policy Policy) *
 // Squeeze appends a SetRate to rate at from and the restoring SetRate
 // back to restore at until.
 func (p *Plan) Squeeze(link topology.LinkID, from, until, rate, restore float64) *Plan {
+	p.checked = 0
 	p.Events = append(p.Events,
 		Event{At: from, Link: link, Op: SetRate, Rate: rate},
 		Event{At: until, Link: link, Op: SetRate, Rate: restore})
@@ -151,6 +159,7 @@ func (p *Plan) Squeeze(link topology.LinkID, from, until, rate, restore float64)
 
 // Burst appends a Gilbert–Elliott loss process on the link.
 func (p *Plan) Burst(link topology.LinkID, meanGood, meanBad, lossBad float64) *Plan {
+	p.checked = 0
 	p.Losses = append(p.Losses, GE{Link: link, MeanGood: meanGood, MeanBad: meanBad, LossBad: lossBad})
 	return p
 }
@@ -162,6 +171,20 @@ func (p *Plan) Burst(link topology.LinkID, meanGood, meanBad, lossBad float64) *
 // delays are immutable by design (see the package comment), so a valid
 // plan can never invalidate the sharded executor's lookahead horizon.
 func (p *Plan) Validate(links int) error {
+	err := p.validate(links)
+	checked := 0
+	if err == nil {
+		checked = links + 1
+	}
+	// Stored only on a change, so runs re-validating a shared plan
+	// concurrently only read it.
+	if p.checked != checked {
+		p.checked = checked
+	}
+	return err
+}
+
+func (p *Plan) validate(links int) error {
 	byLink := map[topology.LinkID][]Event{}
 	for i, ev := range p.Events {
 		if int(ev.Link) >= links || ev.Link < 0 {
@@ -324,7 +347,8 @@ type Armed struct {
 	ctls   []*linkCtl
 }
 
-// Arm validates the plan against the host and schedules every event on
+// Arm validates the plan against the host, unless Validate last
+// accepted it for the host's link count, and schedules every event on
 // the scheduler owning its link, installing Fault hooks on the links
 // that need one (outages and loss processes; pure rate renegotiation
 // does not inspect packets). Call it after the topology is frozen —
@@ -338,8 +362,10 @@ func Arm(h Host, p *Plan) (*Armed, error) {
 	if p == nil {
 		return nil, nil
 	}
-	if err := p.Validate(h.Links()); err != nil {
-		return nil, err
+	if p.checked != h.Links()+1 {
+		if err := p.Validate(h.Links()); err != nil {
+			return nil, err
+		}
 	}
 	th, _ := h.(TracedHost)
 	a := &Armed{}

@@ -160,7 +160,7 @@ func (lc *LossEventCounter) Checkpoint(c checkpoint.Codec) {
 }
 
 // Checkpoint walks the cross-traffic source's run-time state through c:
-// its RNG stream, the burst and sequence counters, and the pending timer
+// its RNG stream, the burst and packet counters, and the pending timer
 // with the callback it fires, which a restore re-arms. Rates, sizes and
 // the flow id come from the rebuild; the flow id is walked to check the
 // pairing.
@@ -170,7 +170,6 @@ func (ct *CrossTraffic) Checkpoint(c checkpoint.Codec) {
 	}
 	ct.random.Checkpoint(c)
 	c.Int(&ct.remaining)
-	c.I64(&ct.seq)
 	c.I64(&ct.PacketsSent)
 	c.Bool(&ct.started)
 	c.Bool(&ct.stepping)

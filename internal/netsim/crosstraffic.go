@@ -32,8 +32,8 @@ type CrossTraffic struct {
 
 	random  *rng.RNG
 	started bool
-	seq     int64
-	// PacketsSent counts emitted packets.
+	// PacketsSent counts emitted packets; it is also the next packet's
+	// sequence number.
 	PacketsSent int64
 
 	remaining int // packets left in the current burst
@@ -112,15 +112,14 @@ func (c *CrossTraffic) burstStep() {
 		return
 	}
 	c.remaining--
-	c.PacketsSent++
 	p := c.net.GetPacket()
 	p.Flow = c.Flow
-	p.Seq = c.seq
+	p.Seq = c.PacketsSent
 	p.Size = c.PacketSize
 	p.SentAt = c.sched.Now()
 	p.Kind = Data
+	c.PacketsSent++
 	c.net.SendForward(p)
-	c.seq++
 	gap := float64(c.PacketSize) / c.PeakRate
 	c.tm = c.sched.After(gap, c.burstStepFn)
 	c.stepping = true

@@ -302,7 +302,7 @@ func ShardedChainBaseline(b *testing.B) { wholeSim(b, topoRun(shardedChainConfig
 // slice of the chain with its own timing-wheel scheduler, synchronized
 // at the cross-shard lookahead horizon. On a multi-core host the shards
 // advance concurrently and this benchmark measures the whole-simulation
-// speedup; on a single-CPU host the sequential window driver runs and
+// speedup; on a single-CPU host the shard goroutines take turns and
 // the ratio to ShardedChainBaseline is the engine's coordination
 // overhead instead. The TSV output (and events/run) is byte-identical
 // to the baseline's either way.

@@ -44,28 +44,20 @@ type Cluster struct {
 	// flow population. seal folds them in exactly like attached flows'.
 	declaredRev []float64
 
-	// ForceParallel selects the goroutine-per-shard driver even on a
-	// single-CPU host (where the sequential window loop is the default).
-	// Both drivers produce bit-identical results; tests set this so the
-	// barrier path runs under -race regardless of the host.
-	ForceParallel bool
-
 	// StallBudget bounds the wall-clock time any shard may spend waiting
-	// at a window barrier under the parallel driver before the stall
-	// detector aborts the run with per-shard diagnostics. Zero applies
-	// DefaultStallBudget; negative disables detection. The sequential
-	// window loop needs no watchdog — a single goroutine cannot wait on
-	// itself.
+	// at a window barrier before the stall detector aborts the run with
+	// per-shard diagnostics. Zero applies DefaultStallBudget; negative
+	// disables detection.
 	StallBudget time.Duration
 
-	// stallHook, when set (tests only), runs at the top of every window
-	// on the parallel driver, before the shard executes it. Injecting a
-	// sleep here simulates a stalled or slow shard.
+	// stallHook, when set (tests only), runs at the top of every window,
+	// before the shard executes it. Injecting a sleep here simulates a
+	// stalled or slow shard.
 	stallHook func(shard, window int)
 
-	// poisoned marks a cluster whose parallel run aborted on a tripped
-	// barrier: an abandoned driver goroutine may still reference the
-	// shards, so the cluster must never be reused (or pooled).
+	// poisoned marks a cluster whose run aborted on a tripped barrier:
+	// an abandoned driver goroutine may still reference the shards, so
+	// the cluster must never be reused (or pooled).
 	poisoned bool
 }
 
@@ -84,15 +76,12 @@ func (c *Cluster) Reset() {
 	for _, s := range c.shards {
 		s.Domain = nil
 		s.sched.Reset()
-		clear(s.liveInj)
-		s.liveInj = s.liveInj[:0]
 		s.wbuf = 0
 		s.handoffs = 0
 		s.progWindow.Store(0)
 		s.progClock.Store(0)
 		s.progPend.Store(0)
 		s.progLedger.Store(0)
-		s.progInject.Store(0)
 		s.progFired.Store(0)
 		s.progCascade.Store(0)
 		s.progHandoff.Store(0)
@@ -110,7 +99,6 @@ func (c *Cluster) Reset() {
 	c.cutDelay = 0
 	c.reserved = 0
 	c.declaredRev = c.declaredRev[:0]
-	c.ForceParallel = false
 	c.StallBudget = 0
 	c.stallHook = nil
 }
@@ -217,7 +205,7 @@ func (c *Cluster) Shards() int { return c.k }
 // Fired returns the total events executed across all shards. On
 // identical trajectories it equals the serial engine's count: every
 // serial event maps to exactly one event on exactly one shard (a cut
-// link's delivery event becomes the destination shard's injection
+// link's propagation event becomes the destination shard's delivery
 // event, one for one).
 func (c *Cluster) Fired() uint64 {
 	var total uint64
@@ -234,15 +222,6 @@ func (c *Cluster) Pending() int {
 	total := 0
 	for _, s := range c.shards {
 		total += s.sched.Pending()
-	}
-	return total
-}
-
-// InNetwork sums the shards' in-simulator packet counts.
-func (c *Cluster) InNetwork() int {
-	total := 0
-	for _, s := range c.shards {
-		total += s.InNetwork()
 	}
 	return total
 }
@@ -273,7 +252,7 @@ func (c *Cluster) Poisoned() bool { return c.poisoned }
 // per-shard invariant holds because a handoff returns the packet to the
 // source shard's pool at emission and the destination issues its own
 // copy at the barrier, so a packet in flight across a cut is charged to
-// exactly one ledger — the destination's, as a live injection.
+// exactly one ledger — the destination's, as a pending delivery.
 func (c *Cluster) CheckLeaks() error {
 	for _, s := range c.shards {
 		for parity := range s.out {
@@ -307,15 +286,11 @@ func (c *Cluster) seal() {
 		c.horizon = 0
 		return
 	}
+	// +Inf when the shards never exchange messages: each Run is then one
+	// window, every shard running independently to its end.
 	h := math.Min(c.cutDelay, c.RemoteReturn())
 	for _, d := range c.declaredRev {
 		h = math.Min(h, d*(1-c.ReverseJitter))
-	}
-	if math.IsInf(h, 1) {
-		// Shards never exchange messages: each runs independently to the
-		// phase boundary. Model that as an unbounded window.
-		c.horizon = math.Inf(1)
-		return
 	}
 	if h <= 0 {
 		panic(fmt.Sprintf("shard: zero lookahead across a shard cut (horizon %v); reduce the shard count or give cross-shard channels positive delay", h))

@@ -90,7 +90,7 @@ func (c *Cluster) Partition(k int) {
 		l := c.Link(topology.LinkID(id))
 		l.Deliver = cutDeliver
 		l.Handoff = func(p *netsim.Packet) {
-			src.emit(dst, kindArrive, p, src.sched.Now()+delay)
+			src.emit(dst, topology.ToNode, p, src.sched.Now()+delay)
 		}
 		c.cutDelay = math.Min(c.cutDelay, delay)
 	}

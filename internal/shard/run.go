@@ -25,79 +25,34 @@ const DefaultStallBudget = 30 * time.Second
 // calls the cluster is barrier-aligned — stats may be read and reset,
 // and CheckLeaks holds.
 //
-// The shards advance through lookahead windows of the horizon computed
-// at the first Run (see seal). With one effective shard, or on a
-// message-free partition, Run degenerates to plain RunUntil per shard.
-// With several shards it uses the sequential window loop on a
-// single-CPU host and a goroutine per shard behind a sense-reversing
-// barrier otherwise; both drivers execute the same windows in the same
-// per-shard order and drain bundles in the same (src-shard, seq) merge
-// order, so the results are bit-identical.
+// With one effective shard Run is plain RunUntil. With several, a
+// goroutine per shard advances through lookahead windows of the horizon
+// computed at the first Run (see seal) behind a sense-reversing
+// barrier; every shard executes the same windows and drains bundles in
+// the same (src-shard, seq) merge order at any GOMAXPROCS, so the
+// results are bit-identical to the serial engine's.
 func (c *Cluster) Run(until float64) {
 	c.seal()
 	if c.k == 1 {
 		c.shards[0].sched.RunUntil(until)
 		return
 	}
-	if math.IsInf(c.horizon, 1) {
-		for _, s := range c.shards {
-			s.sched.RunUntil(until)
-		}
-		return
-	}
-	if c.ForceParallel || runtime.GOMAXPROCS(0) > 1 {
-		c.runParallel(until)
-	} else {
-		c.runSequential(until)
-	}
+	c.runWindows(until)
 }
 
-// drain injects every bundle addressed to dst from the given parity, in
-// (src-shard, emission-seq) order — the deterministic merge order.
-// Injections acquire dst-local sequence numbers in drain order, so
-// same-instant arrivals keep this order when they fire.
+// drain hands every bundle addressed to dst from the given parity to
+// dst's domain, in (src-shard, emission-seq) order — the deterministic
+// merge order. The pending deliveries acquire dst-local sequence
+// numbers in drain order, so same-instant arrivals keep this order when
+// they fire.
 func (c *Cluster) drain(dst *Shard, parity int) {
 	for src := 0; src < c.k; src++ {
 		box := &c.shards[src].out[parity][dst.id]
 		for i := range *box {
-			dst.inject(&(*box)[i])
+			m := &(*box)[i]
+			dst.Accept(m.kind, &m.pkt, m.at, m.origin)
 		}
 		*box = (*box)[:0]
-	}
-}
-
-// runSequential drives all shards from one goroutine: each window is
-// executed shard by shard, then the bundles are exchanged. No
-// synchronization, no data races — the driver of choice when the
-// process has a single CPU anyway.
-func (c *Cluster) runSequential(until float64) {
-	b := c.shards[0].sched.Now()
-	parity := 0
-	window := 0
-	for {
-		next := b + c.horizon
-		last := next >= until
-		for _, s := range c.shards {
-			s.wbuf = parity
-			if last {
-				s.sched.RunUntil(until)
-			} else {
-				s.sched.RunBefore(next)
-			}
-			// Published for the live-introspection snapshots only (no
-			// stall detector here — one goroutine cannot wait on
-			// itself); a handful of atomic stores per window.
-			s.publishProgress(window)
-		}
-		for _, s := range c.shards {
-			c.drain(s, parity)
-		}
-		if last {
-			return
-		}
-		b = next
-		parity ^= 1
-		window++
 	}
 }
 
@@ -159,7 +114,7 @@ func (b *barrier) wait(budget time.Duration) bool {
 	return true
 }
 
-// runParallel drives one goroutine per shard. All goroutines compute
+// runWindows drives one goroutine per shard. All goroutines compute
 // the identical window sequence (pure float arithmetic from the same
 // inputs), so their barrier arrivals stay aligned. One barrier per
 // window suffices: while window w+1 runs against parity (w+1)%2, each
@@ -172,11 +127,11 @@ func (b *barrier) wait(budget time.Duration) bool {
 // a wait that exceeds the stall budget trips the barrier. Every
 // reachable driver then abandons the run, the cluster is poisoned
 // (never returned to an arena pool — a stuck driver may still hold it)
-// and runParallel panics with per-shard diagnostics instead of hanging;
+// and runWindows panics with per-shard diagnostics instead of hanging;
 // the panic surfaces as a diagnosable job error through the runner's
 // recover. The stuck driver itself stays wherever it is stuck — its
 // goroutine is abandoned, the alternative being a silent deadlock.
-func (c *Cluster) runParallel(until float64) {
+func (c *Cluster) runWindows(until float64) {
 	budget := c.StallBudget
 	if budget == 0 {
 		budget = DefaultStallBudget
@@ -264,9 +219,9 @@ func (c *Cluster) stallReport(budget time.Duration, until float64) string {
 		if w < max {
 			state = "STALLED"
 		}
-		fmt.Fprintf(&sb, "\n  shard %d: window %d clock=%.6f pending-events=%d freelist-ledger=%d handoff-injections=%d (%s)",
+		fmt.Fprintf(&sb, "\n  shard %d: window %d clock=%.6f pending-events=%d freelist-ledger=%d (%s)",
 			s.id, w, math.Float64frombits(s.progClock.Load()),
-			s.progPend.Load(), s.progLedger.Load(), s.progInject.Load(), state)
+			s.progPend.Load(), s.progLedger.Load(), state)
 	}
 	return sb.String()
 }

@@ -4,9 +4,9 @@
 // and the domains advance in lockstep through conservative lookahead
 // windows. The graph, the routes and the flow table are the network's
 // and shared; this package adds only what sharding needs: the
-// partitioner, the cut-link handoff and its injection at the
-// destination, the horizon, the two window drivers, stall detection,
-// progress snapshots, and the snapshot sections for cross-shard traffic.
+// partitioner, the cut-link handoff and the bundles that carry it to the
+// destination domain, the horizon, the window driver, stall detection,
+// progress snapshots, and the snapshot section of the handoff counters.
 // With K=1 a Cluster is the serial engine: one domain, driven by plain
 // RunUntil with no window loop.
 //
@@ -37,18 +37,19 @@
 // # Deterministic merge order
 //
 // At each barrier every shard drains the bundles addressed to it in
-// (src-shard, emission-seq) order and schedules each message at its
-// exact arrival time, carrying the source clock at emission as the
-// causal tie-break key (des.AtOrigin). Within a shard, simultaneous
-// events fire in (origin, scheduling-seq) order, so an injected arrival
-// that lands on the exact instant of a window-local event keeps the
-// position its emission time would have earned it on a serial engine —
-// such ties are systematic, not exotic, whenever link rates put
-// serialization times on a common float lattice. Events are therefore
-// totally ordered by (time, origin, src-shard, seq) — independent of
-// wall-clock interleaving — and the run is bit-identical to the serial
-// execution of the same graph, at any shard count, whether the shards
-// run on one goroutine (GOMAXPROCS=1) or K.
+// (src-shard, emission-seq) order and holds each message as a pending
+// delivery (topology.Domain.Accept) due at its exact arrival time,
+// carrying the source clock at emission as the causal tie-break key
+// (des.AtOrigin). Within a shard, simultaneous events fire in (origin,
+// scheduling-seq) order, so a cross-shard arrival that lands on the
+// exact instant of a window-local event keeps the position its emission
+// time would have earned it on a serial engine — such ties are
+// systematic, not exotic, whenever link rates put serialization times
+// on a common float lattice. Events are therefore totally ordered by
+// (time, origin, src-shard, seq) — independent of wall-clock
+// interleaving — and the run is bit-identical to the serial execution
+// of the same graph, at any shard count, whether the shards' goroutines
+// share one processor (GOMAXPROCS=1) or run on K.
 package shard
 
 import (
@@ -64,66 +65,24 @@ import (
 
 // message is one cross-shard event in a bundle: the packet travels by
 // value so the source shard can recycle its copy at emission. origin is
-// the source shard's clock at emission; the destination schedules the
-// arrival with it as the causal tie-break key (des.AtOrigin), so an
-// injected event that shares its exact firing instant with local events
-// fires in the position its emission time would have earned it on a
-// serial engine.
+// the source shard's clock at emission; the destination holds the
+// packet as a pending delivery of the given kind until at, with origin
+// as the causal tie-break key (des.AtOrigin), so an arrival that shares
+// its exact firing instant with local events fires in the position its
+// emission time would have earned it on a serial engine.
 type message struct {
 	at     float64
 	origin float64
 	pkt    netsim.Packet
-	kind   uint8
-}
-
-const (
-	// kindArrive re-enters the forwarding path at the destination shard:
-	// the packet just crossed a cut link and arrives at the link's
-	// destination node.
-	kindArrive uint8 = iota
-	// kindToSender is the terminal pure-delay reverse delivery to a
-	// sender living in another shard.
-	kindToSender
-)
-
-// injection is a pending cross-shard message arrival, recycled through
-// the shard's pool (the run callback is allocated once per object, not
-// per packet). It holds the destination-shard copy of the packet
-// between the barrier that scheduled it and the event that consumes it.
-// tm and idx are checkpoint bookkeeping: the live-injection registry
-// lets a snapshot enumerate the pending arrivals.
-type injection struct {
-	s    *Shard
-	p    *netsim.Packet
-	kind uint8
-	run  des.Event
-	tm   des.Timer
-	idx  int32
-}
-
-func (in *injection) fire() {
-	s, p, kind := in.s, in.p, in.kind
-	in.p = nil
-	last := len(s.liveInj) - 1
-	moved := s.liveInj[last]
-	s.liveInj[in.idx] = moved
-	moved.idx = in.idx
-	s.liveInj[last] = nil
-	s.liveInj = s.liveInj[:last]
-	s.ipool = append(s.ipool, in)
-	if kind == kindArrive {
-		s.Arrive(p)
-		return
-	}
-	s.ToSender(p)
+	kind   topology.DeliveryKind
 }
 
 // Shard is one domain of the partition: the network's topology.Domain
 // for it (scheduler, packet freelist and issue/return ledger, pending
-// deliveries, tracer) plus its cross-shard traffic. It implements
-// netsim.Network through the domain, so protocol endpoints constructed
-// against it (tfrc.NewFlowOn, tcp.NewFlowOn) draw packets from and send
-// through their own shard.
+// deliveries — cross-shard arrivals included — and tracer) plus its
+// outbound bundles. It implements netsim.Network through the domain, so
+// protocol endpoints constructed against it (tfrc.NewFlowOn,
+// tcp.NewFlowOn) draw packets from and send through their own shard.
 type Shard struct {
 	*topology.Domain
 
@@ -132,15 +91,6 @@ type Shard struct {
 
 	// handoffs counts cross-shard messages this shard has emitted.
 	handoffs int64
-
-	// ipool is the injection freelist; a pop clears the slot it vacates,
-	// so an injection still pending when a run ends is not kept
-	// reachable from the pool.
-	ipool []*injection
-	// liveInj indexes the scheduled-but-unfired injections for the
-	// checkpoint layer and the leak ledger (unordered; removal
-	// swap-fills).
-	liveInj []*injection
 
 	// out[parity][dst] is the bundle of messages emitted toward shard
 	// dst during the current window. Two parities double-buffer the
@@ -166,14 +116,13 @@ type Shard struct {
 	progClock   atomic.Uint64 // math.Float64bits of the shard clock
 	progPend    atomic.Int64  // pending events on the shard's scheduler
 	progLedger  atomic.Int64  // freelist ledger: issued - returned
-	progInject  atomic.Int64  // handoff ledger: undelivered cross-shard injections
 	progFired   atomic.Uint64 // events fired on the shard's scheduler
 	progCascade atomic.Uint64 // timing-wheel entry migrations performed
 	progHandoff atomic.Int64  // cross-shard messages emitted
 	// progWaitNs accumulates the wall-clock nanoseconds this shard's
-	// driver spent waiting at window barriers (parallel driver only).
-	// Together with the run's wall time it yields the barrier-wait
-	// fraction — the load-imbalance signal of the partition.
+	// driver spent waiting at window barriers. Together with the run's
+	// wall time it yields the barrier-wait fraction — the load-imbalance
+	// signal of the partition.
 	progWaitNs atomic.Int64
 }
 
@@ -194,9 +143,6 @@ type Snapshot struct {
 	Pending int64
 	// Ledger is the freelist's issued-minus-returned at the arrival.
 	Ledger int64
-	// Injections is the count of scheduled-but-unfired cross-shard
-	// arrivals at the latest arrival.
-	Injections int64
 	// Fired is the shard scheduler's cumulative event count.
 	Fired uint64
 	// Cascaded is the scheduler's cumulative timing-wheel event
@@ -207,7 +153,7 @@ type Snapshot struct {
 	// Handoffs is the cumulative count of cross-shard messages emitted.
 	Handoffs int64
 	// BarrierWait is the cumulative wall-clock time the shard's driver
-	// has spent waiting at window barriers (parallel driver only).
+	// has spent waiting at window barriers.
 	BarrierWait time.Duration
 }
 
@@ -219,7 +165,6 @@ func (s *Shard) Snapshot() Snapshot {
 		Clock:       math.Float64frombits(s.progClock.Load()),
 		Pending:     s.progPend.Load(),
 		Ledger:      s.progLedger.Load(),
-		Injections:  s.progInject.Load(),
 		Fired:       s.progFired.Load(),
 		Cascaded:    s.progCascade.Load(),
 		Handoffs:    s.progHandoff.Load(),
@@ -234,22 +179,15 @@ func (s *Shard) publishProgress(window int) {
 	s.progClock.Store(math.Float64bits(s.sched.Now()))
 	s.progPend.Store(int64(s.sched.Pending()))
 	s.progLedger.Store(s.Outstanding())
-	s.progInject.Store(int64(len(s.liveInj)))
 	s.progFired.Store(s.sched.Fired())
 	s.progCascade.Store(s.sched.Cascaded())
 	s.progHandoff.Store(s.handoffs)
 }
 
-// InNetwork counts packets demonstrably inside this shard: those its
-// domain holds (queued, serializing or propagating on an owned link, or
-// waiting in a pending delivery) plus those held by a scheduled
-// cross-shard injection.
-func (s *Shard) InNetwork() int { return s.Domain.InNetwork() + len(s.liveInj) }
-
 // emit appends a message to the bundle toward dst and recycles the
 // source-side packet: from here on the destination shard's copy is the
 // packet.
-func (s *Shard) emit(dst int, kind uint8, p *netsim.Packet, at float64) {
+func (s *Shard) emit(dst int, kind topology.DeliveryKind, p *netsim.Packet, at float64) {
 	box := &s.out[s.wbuf][dst]
 	*box = append(*box, message{at: at, origin: s.sched.Now(), pkt: *p, kind: kind})
 	s.handoffs++
@@ -260,34 +198,5 @@ func (s *Shard) emit(dst int, kind uint8, p *netsim.Packet, at float64) {
 // emitToSender is the domain's Remote hook: a pure-delay reverse packet
 // bound for a sender in shard dst.
 func (s *Shard) emitToSender(dst int, p *netsim.Packet, at float64) {
-	s.emit(dst, kindToSender, p, at)
-}
-
-// inject schedules one drained message at its arrival time. The
-// packet's destination-shard copy is issued here and accounted in
-// liveInj until the arrival event fires.
-func (s *Shard) inject(m *message) {
-	in := s.getInjection()
-	p := s.GetPacket()
-	*p = m.pkt
-	in.p = p
-	in.kind = m.kind
-	in.tm = s.sched.AtOrigin(m.at, m.origin, in.run)
-}
-
-// getInjection recycles an injection record (or allocates one) and
-// registers it as live.
-func (s *Shard) getInjection() *injection {
-	var in *injection
-	if n := len(s.ipool); n > 0 {
-		in = s.ipool[n-1]
-		s.ipool[n-1] = nil
-		s.ipool = s.ipool[:n-1]
-	} else {
-		in = &injection{s: s}
-		in.run = in.fire
-	}
-	in.idx = int32(len(s.liveInj))
-	s.liveInj = append(s.liveInj, in)
-	return in
+	s.emit(dst, topology.ToSender, p, at)
 }

@@ -110,10 +110,9 @@ func runSerial(t *testing.T) runResult {
 }
 
 // runSharded executes the identical chain on a cluster of k shards.
-func runSharded(t *testing.T, k int, forceParallel bool) (runResult, *shard.Cluster) {
+func runSharded(t *testing.T, k int) (runResult, *shard.Cluster) {
 	t.Helper()
 	c := shard.New()
-	c.ForceParallel = forceParallel
 	hops := buildChain(c)
 	c.Partition(k)
 	var tf []*tfrc.Sender
@@ -176,36 +175,24 @@ func requireEqual(t *testing.T, label string, serial, sharded runResult) {
 // execution reproduces the serial engine bit for bit — throughput,
 // loss-event rates, per-flow deliveries and the total event count — at
 // every shard count, with drops happening on the tight middle hop
-// (which becomes a cut link at k >= 2). Run picks the goroutine driver
-// whenever GOMAXPROCS > 1, so the pass runs with GOMAXPROCS=1 to
-// exercise the sequential window loop on any host.
+// (which becomes a cut link at k >= 2). The window driver runs a
+// goroutine per shard, so the pass repeats with every goroutine on one
+// processor (GOMAXPROCS=1) and at the host's GOMAXPROCS.
 func TestSerialEquivalence(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := runSerial(t)
-	for _, k := range []int{1, 2, 3, 4} {
-		res, c := runSharded(t, k, false)
-		requireEqual(t, "sequential", serial, res)
-		if err := c.CheckLeaks(); err != nil {
-			t.Errorf("k=%d: %v", k, err)
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, k := range []int{1, 2, 3, 4} {
+			res, c := runSharded(t, k)
+			requireEqual(t, fmt.Sprintf("GOMAXPROCS=%d k=%d", procs, k), serial, res)
+			if err := c.CheckLeaks(); err != nil {
+				t.Errorf("GOMAXPROCS=%d k=%d: %v", procs, k, err)
+			}
+			if k >= 2 && c.Shards() < 2 {
+				t.Fatalf("k=%d produced %d shards; the chain must split", k, c.Shards())
+			}
 		}
-		if k >= 2 && c.Shards() < 2 {
-			t.Fatalf("k=%d produced %d shards; the chain must split", k, c.Shards())
-		}
-	}
-}
-
-// TestParallelDriverEquivalence pins the two drivers against each
-// other: the goroutine-per-shard barrier driver (forced, so it runs
-// under -race on any host) must reproduce the sequential window loop —
-// and therefore the serial engine — exactly.
-func TestParallelDriverEquivalence(t *testing.T) {
-	serial := runSerial(t)
-	for _, k := range []int{2, 4} {
-		res, c := runSharded(t, k, true)
-		requireEqual(t, "parallel", serial, res)
-		if err := c.CheckLeaks(); err != nil {
-			t.Errorf("k=%d: %v", k, err)
-		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -215,7 +202,7 @@ func TestParallelDriverEquivalence(t *testing.T) {
 // is returned to the source pool at handoff and re-issued from the
 // destination pool at the barrier, so neither ledger double-counts).
 func TestPerShardLeakLedgers(t *testing.T) {
-	_, c := runSharded(t, 3, false)
+	_, c := runSharded(t, 3)
 	if c.Shards() < 2 {
 		t.Fatal("chain did not split")
 	}
@@ -260,7 +247,7 @@ func TestZeroDelayColocation(t *testing.T) {
 // TestClusterReset checks the arena property: a cluster Reset and
 // rebuilt in place reproduces a fresh cluster exactly.
 func TestClusterReset(t *testing.T) {
-	fresh, _ := runSharded(t, 2, false)
+	fresh, _ := runSharded(t, 2)
 
 	c := shard.New()
 	buildChain(c)

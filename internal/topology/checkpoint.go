@@ -58,38 +58,43 @@ func (n *Network) CheckpointFlows(c checkpoint.Codec) {
 	}
 }
 
-// CheckpointDeliveries walks every domain's pending pure-delay hand-offs
-// in domain order: which endpoint of its flow each targets, the packet,
-// and the hand-off timer. A restore re-creates each against the
-// re-attached flows and re-arms it under its original timer identity.
+// CheckpointDeliveries walks every domain's pending hand-offs in
+// domain order: the kind of each, the packet, and the hand-off timer. A
+// restore re-creates each — an endpoint kind against the re-attached
+// flows — and re-arms it under its original timer identity, which for a
+// packet that crossed from another domain keeps the emission clock as
+// its causal key.
 func (n *Network) CheckpointDeliveries(c checkpoint.Codec) {
 	for _, d := range n.doms {
 		count := c.Len(len(d.liveDel))
 		for i := 0; i < count && c.Err() == nil; i++ {
 			var dv *delivery
-			var toSender bool
+			var kind uint8
 			var p *netsim.Packet
 			if c.Saving() {
 				dv = d.liveDel[i]
-				toSender, p = dv.toSender, dv.p
+				kind, p = uint8(dv.kind), dv.p
 			}
-			c.Bool(&toSender)
+			c.U8(&kind)
+			if DeliveryKind(kind) > ToNode && !c.Saving() {
+				c.Fail("domain %d: unknown delivery kind %d", d.id, kind)
+				return
+			}
 			p = netsim.CheckpointPacket(c, p, d.GetPacket)
 			if !c.Saving() {
-				fs := n.flowAt(p.Flow)
-				if fs == nil {
-					c.Fail("domain %d: pending delivery for unattached flow %d", d.id, p.Flow)
-					return
+				var to netsim.Endpoint
+				if k := DeliveryKind(kind); k != ToNode {
+					fs := n.flowAt(p.Flow)
+					if fs == nil {
+						c.Fail("domain %d: pending delivery for unattached flow %d", d.id, p.Flow)
+						return
+					}
+					if to = fs.endpoint(k); to == nil {
+						c.Fail("domain %d: pending delivery for flow %d targets a nil endpoint", d.id, p.Flow)
+						return
+					}
 				}
-				to := fs.receiver
-				if toSender {
-					to = fs.sender
-				}
-				if to == nil {
-					c.Fail("domain %d: pending delivery for flow %d targets a nil endpoint", d.id, p.Flow)
-					return
-				}
-				dv = d.getDelivery(to, p, toSender)
+				dv = d.getDelivery(DeliveryKind(kind), to, p)
 			}
 			if !d.sched.CheckpointTimer(c, &dv.tm, dv.run) && !c.Saving() {
 				c.Fail("domain %d: pending delivery saved without a live timer", d.id)

@@ -37,6 +37,18 @@ func delivering(kill bool) *Network {
 	return n
 }
 
+// arriving returns a dumbbell holding one packet that another domain
+// handed over, pending until it reaches the link's head node, after
+// spoil has edited that pending delivery into a state a running network
+// never has.
+func arriving(spoil func(*delivery)) *Network {
+	_, n := dumbbell(1)
+	d := n.doms[0]
+	d.Accept(ToNode, &netsim.Packet{Flow: 1, Size: 1000}, 0.01, 0)
+	spoil(d.liveDel[0])
+	return n
+}
+
 // Each restore-side check of the network's snapshot sections refuses a
 // twin that differs where it looks, with an error naming the check.
 func TestRestoreChecks(t *testing.T) {
@@ -58,6 +70,8 @@ func TestRestoreChecks(t *testing.T) {
 		{"watched flow count", watching(2).CheckpointLedger, watching(3).CheckpointLedger, "watched flow count: snapshot has 2, rebuilt has 3"},
 		{"delivery flow attached", delivering(false).CheckpointDeliveries, net(2).CheckpointDeliveries, "pending delivery for unattached flow 1"},
 		{"dead delivery timer", delivering(true).CheckpointDeliveries, net(1).CheckpointDeliveries, "pending delivery saved without a live timer"},
+		{"delivery kind", arriving(func(dv *delivery) { dv.kind = 9 }).CheckpointDeliveries, net(1).CheckpointDeliveries, "unknown delivery kind 9"},
+		{"dead node delivery timer", arriving(func(dv *delivery) { dv.tm = des.Timer{} }).CheckpointDeliveries, net(1).CheckpointDeliveries, "pending delivery saved without a live timer"},
 	}
 	for _, tc := range cases {
 		var w checkpoint.Writer

@@ -36,7 +36,8 @@
 // own scheduler; the graph and the flow table stay shared, and the only
 // traffic between domains is what it carries itself: packets crossing a
 // cut link (netsim.Link.Handoff) and pure-delay reverse packets whose
-// sender lives elsewhere (Domain.Remote).
+// sender lives elsewhere (Domain.Remote). The receiving domain holds
+// each as a pending delivery (Domain.Accept).
 //
 // Each domain owns its freelist and tracks issue/return counts, so tests
 // can assert the leak invariant: every packet a freelist issued is
@@ -96,23 +97,39 @@ type flowState struct {
 	snd, rcv int
 }
 
-// delivery is one pending hand-off of a packet to an endpoint after a
-// pure delay (per-flow forward extra or reverse path). Deliveries are
+// DeliveryKind names what a pending delivery hands its packet to when
+// its timer fires.
+type DeliveryKind uint8
+
+const (
+	// ToReceiver hands the packet to its flow's receiver after the
+	// flow's extra forward delay.
+	ToReceiver DeliveryKind = iota
+	// ToSender hands the packet to its flow's sender after the
+	// remaining reverse delay.
+	ToSender
+	// ToNode hands the packet to the node a cut link ends at (Arrive):
+	// a packet that crossed over from another domain.
+	ToNode
+)
+
+// delivery is one pending hand-off of a packet after a delay: to an
+// endpoint after a pure delay (per-flow forward extra or reverse path),
+// or to a node after a cut link's propagation delay. Deliveries are
 // recycled through their domain's pool; the bound run callback is
 // allocated once per delivery object, not per packet. Live deliveries
 // are indexed in the domain's registry (idx is the registry position,
-// maintained by swap-remove) so a checkpoint can enumerate them;
-// toSender records which of the flow's endpoints the hand-off targets,
-// and tm is the pending hand-off timer, both needed to re-create the
-// delivery on restore.
+// maintained by swap-remove) so a checkpoint can enumerate them; kind
+// and tm, the pending hand-off timer, are what a restore needs to
+// re-create the delivery.
 type delivery struct {
-	d        *Domain
-	to       netsim.Endpoint
-	p        *netsim.Packet
-	run      des.Event
-	tm       des.Timer
-	idx      int32
-	toSender bool
+	d    *Domain
+	to   netsim.Endpoint
+	p    *netsim.Packet
+	run  des.Event
+	tm   des.Timer
+	idx  int32
+	kind DeliveryKind
 }
 
 func (dv *delivery) deliver() {
@@ -122,9 +139,13 @@ func (dv *delivery) deliver() {
 	d.liveDel[dv.idx].idx = dv.idx
 	d.liveDel[last] = nil
 	d.liveDel = d.liveDel[:last]
-	to, p := dv.to, dv.p
+	to, p, kind := dv.to, dv.p, dv.kind
 	dv.to, dv.p = nil, nil
 	d.dpool = append(d.dpool, dv)
+	if kind == ToNode {
+		d.Arrive(p)
+		return
+	}
 	to.Receive(p)
 	d.PutPacket(p)
 }
@@ -149,8 +170,9 @@ type Domain struct {
 	// Remote hands a pure-delay reverse packet to its flow's sender in
 	// domain to, where it must be delivered at simulated time at, and
 	// takes over p (the sharded executor copies it into a cross-domain
-	// message and recycles it here). The sharded executor sets it on
-	// every domain it places; a single-domain network never calls it.
+	// message and recycles it here; the sender's domain Accepts it). The
+	// sharded executor sets it on every domain it places; a
+	// single-domain network never calls it.
 	Remote func(to int, p *netsim.Packet, at float64)
 
 	// links are the links this domain owns (source node inside it), for
@@ -910,7 +932,7 @@ func (d *Domain) PutPacket(p *netsim.Packet) {
 	}
 }
 
-func (d *Domain) getDelivery(to netsim.Endpoint, p *netsim.Packet, toSender bool) *delivery {
+func (d *Domain) getDelivery(kind DeliveryKind, to netsim.Endpoint, p *netsim.Packet) *delivery {
 	var dv *delivery
 	if m := len(d.dpool); m > 0 {
 		dv = d.dpool[m-1]
@@ -922,7 +944,7 @@ func (d *Domain) getDelivery(to netsim.Endpoint, p *netsim.Packet, toSender bool
 	}
 	dv.to = to
 	dv.p = p
-	dv.toSender = toSender
+	dv.kind = kind
 	dv.idx = int32(len(d.liveDel))
 	d.liveDel = append(d.liveDel, dv)
 	return dv
@@ -988,15 +1010,15 @@ func (d *Domain) returnToSender(fs *flowState, p *netsim.Packet) {
 		d.Remote(fs.snd, p, d.sched.Now()+delay)
 		return
 	}
-	dv := d.getDelivery(fs.sender, p, true)
+	dv := d.getDelivery(ToSender, fs.sender, p)
 	dv.tm = d.sched.After(delay, dv.run)
 }
 
 // Arrive handles a packet exiting a link at the link's head node, in
 // the domain that owns that node: forward it into the next hop of its
 // route — owned by the same node, so by this domain — or deliver it
-// past the last hop. It is every owned link's Deliver sink, and the
-// sharded executor calls it for packets that crossed a cut link.
+// past the last hop. It is every owned link's Deliver sink, and a ToNode
+// delivery hands it the packets that crossed a cut link.
 func (d *Domain) Arrive(p *netsim.Packet) {
 	fs := d.n.flowAt(int(p.Flow))
 	if fs == nil {
@@ -1030,15 +1052,48 @@ func (d *Domain) Arrive(p *netsim.Packet) {
 		d.PutPacket(p)
 		return
 	}
-	dv := d.getDelivery(fs.receiver, p, false)
+	dv := d.getDelivery(ToReceiver, fs.receiver, p)
 	dv.tm = d.sched.After(fs.fwdExtra, dv.run)
 }
 
-// ToSender hands a reverse packet whose pure delay has elapsed to its
-// flow's sender and recycles it: the receiving end of Remote.
-func (d *Domain) ToSender(p *netsim.Packet) {
-	d.n.flowAt(int(p.Flow)).sender.Receive(p)
-	d.PutPacket(p)
+// Accept takes over a packet another domain let go of — across a cut
+// link (ToNode) or through Remote (ToSender) — as a pending delivery:
+// a copy of pkt, issued from this domain's freelist, is handed on at
+// time at. origin is the other domain's clock when it let the packet
+// go; it orders the hand-off among events of the same instant as on a
+// single-domain engine (des.AtOrigin).
+func (d *Domain) Accept(kind DeliveryKind, pkt *netsim.Packet, at, origin float64) {
+	p := d.GetPacket()
+	*p = *pkt
+	var to netsim.Endpoint
+	if kind != ToNode {
+		to = d.n.flowAt(p.Flow).endpoint(kind)
+	}
+	dv := d.getDelivery(kind, to, p)
+	dv.tm = d.sched.AtOrigin(at, origin, dv.run)
+}
+
+// endpoint returns the flow's endpoint a delivery of the given kind
+// hands its packet to.
+func (fs *flowState) endpoint(kind DeliveryKind) netsim.Endpoint {
+	if kind == ToSender {
+		return fs.sender
+	}
+	return fs.receiver
+}
+
+// Deliveries counts the pending deliveries of one kind over every
+// domain.
+func (n *Network) Deliveries(kind DeliveryKind) int {
+	total := 0
+	for _, d := range n.doms {
+		for _, dv := range d.liveDel {
+			if dv.kind == kind {
+				total++
+			}
+		}
+	}
+	return total
 }
 
 // GetPacket, PutPacket, SendForward and SendReverse implement
