@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/tfrc"
+	"repro/internal/topology"
 )
 
 // cutCluster returns a two-shard cluster carrying one TFRC flow across
@@ -28,36 +28,54 @@ func cutCluster(t float64) *Cluster {
 	return c
 }
 
-// firstInjection returns the first pending injection in shard order.
-func firstInjection(c *Cluster) *injection {
-	for _, s := range c.shards {
-		if len(s.liveInj) > 0 {
-			return s.liveInj[0]
-		}
+// twin returns an unrun cutCluster with every shard's clock set to
+// src's, as a resume sets the clocks before the snapshot's timers are
+// re-armed.
+func twin(src *Cluster) *Cluster {
+	c := cutCluster(0)
+	for i, s := range c.shards {
+		from := &src.shards[i].sched
+		s.sched.Reset()
+		s.sched.RestoreClock(from.Now(), from.Seq(), from.Fired(), from.Cascaded())
 	}
-	panic("no injection pending; the test exercises nothing")
+	return c
 }
 
-// Each restore-side check of the handoff section refuses a snapshot
-// whose pending injection differs where it looks — an unknown message
-// kind, a dead timer — with an error naming the check.
+// Each restore-side check a cluster snapshot makes on the messages in
+// flight across its cut — pending arrivals held by the destination
+// shard — refuses a snapshot whose arrivals differ where it looks (an
+// unknown kind, a dead timer) with an error naming the check, while the
+// unspoiled snapshot restores cleanly.
 func TestRestoreChecks(t *testing.T) {
 	cases := []struct {
 		name  string
-		spoil func(in *injection)
+		spoil func(dst *Shard)
 		want  string
 	}{
-		{"injection kind", func(in *injection) { in.kind = 9 }, "unknown injection kind 9"},
-		{"dead injection timer", func(in *injection) { in.tm = des.Timer{} }, "pending injection saved without a live timer"},
+		{"unspoiled", func(*Shard) {}, ""},
+		{"arrival kind", func(dst *Shard) {
+			dst.Accept(topology.DeliveryKind(9), &netsim.Packet{Flow: 1, Size: 1000}, dst.sched.Now()+0.01, dst.sched.Now())
+		}, "unknown delivery kind 9"},
+		{"dead arrival timer", func(dst *Shard) { dst.sched.Reset() }, "pending delivery saved without a live timer"},
 	}
 	for _, tc := range cases {
 		c := cutCluster(1.5)
-		tc.spoil(firstInjection(c))
+		if c.Deliveries(topology.ToNode) == 0 {
+			t.Fatal("no arrival pending across the cut; the test exercises nothing")
+		}
+		tc.spoil(c.shards[1])
 		var w checkpoint.Writer
+		c.CheckpointDeliveries(w.Codec())
 		c.CheckpointHandoffs(w.Codec())
 		r := checkpoint.NewReader(w.Bytes())
-		cutCluster(0).CheckpointHandoffs(r.Codec())
-		if err := r.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+		back := twin(c)
+		back.CheckpointDeliveries(r.Codec())
+		back.CheckpointHandoffs(r.Codec())
+		err := r.Err()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: restore error %v, want none", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: restore error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}

@@ -175,24 +175,38 @@ func requireEqual(t *testing.T, label string, serial, sharded runResult) {
 // execution reproduces the serial engine bit for bit — throughput,
 // loss-event rates, per-flow deliveries and the total event count — at
 // every shard count, with drops happening on the tight middle hop
-// (which becomes a cut link at k >= 2). The window driver runs a
-// goroutine per shard, so the pass repeats with every goroutine on one
-// processor (GOMAXPROCS=1) and at the host's GOMAXPROCS.
+// (which becomes a cut link at k >= 2). The pass runs with every shard
+// goroutine on one processor (GOMAXPROCS=1), so the windows interleave
+// the same way on any host.
 func TestSerialEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serial := runSerial(t)
-	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, k := range []int{1, 2, 3, 4} {
-			res, c := runSharded(t, k)
-			requireEqual(t, fmt.Sprintf("GOMAXPROCS=%d k=%d", procs, k), serial, res)
-			if err := c.CheckLeaks(); err != nil {
-				t.Errorf("GOMAXPROCS=%d k=%d: %v", procs, k, err)
-			}
-			if k >= 2 && c.Shards() < 2 {
-				t.Fatalf("k=%d produced %d shards; the chain must split", k, c.Shards())
-			}
+	for _, k := range []int{1, 2, 3, 4} {
+		res, c := runSharded(t, k)
+		requireEqual(t, fmt.Sprintf("GOMAXPROCS=1 k=%d", k), serial, res)
+		if err := c.CheckLeaks(); err != nil {
+			t.Errorf("k=%d: %v", k, err)
 		}
-		runtime.GOMAXPROCS(prev)
+		if k >= 2 && c.Shards() < 2 {
+			t.Fatalf("k=%d produced %d shards; the chain must split", k, c.Shards())
+		}
+	}
+}
+
+// TestParallelDriverEquivalence runs the goroutine-per-shard barrier
+// driver with its shards on several processors (at least two, so they
+// run in parallel under -race on any host) and requires the serial
+// engine's bytes exactly.
+func TestParallelDriverEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	serial := runSerial(t)
+	procs := runtime.GOMAXPROCS(0)
+	for _, k := range []int{2, 4} {
+		res, c := runSharded(t, k)
+		requireEqual(t, fmt.Sprintf("GOMAXPROCS=%d k=%d", procs, k), serial, res)
+		if err := c.CheckLeaks(); err != nil {
+			t.Errorf("k=%d: %v", k, err)
+		}
 	}
 }
 
