@@ -203,7 +203,7 @@ func runSuite(b *testing.B, ex runner.Executor) {
 		if !ok {
 			b.Fatalf("scenario %q not registered", name)
 		}
-		if _, err := s.Run(context.Background(), benchSizing, ex); err != nil {
+		if _, _, err := s.Run(context.Background(), benchSizing, ex); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,6 @@ type benchEntry struct {
 // benchReport is the schema of BENCH_<n>.json: one file per PR so the
 // perf trajectory of the simulator is recorded alongside the code.
 type benchReport struct {
-	ID          int    `json:"id,omitempty"`
 	GeneratedAt string `json:"generated_at"`
 	GoVersion   string `json:"go_version"`
 	GOOS        string `json:"goos"`
@@ -39,96 +39,56 @@ type benchReport struct {
 	Benchmarks []benchEntry `json:"benchmarks"`
 }
 
-// benchSuite lists the canonical benchmarks in recording order.
-var benchSuite = []struct {
-	name string
-	fn   func(*testing.B)
-}{
-	{"SchedulerFire", perfbench.SchedulerFire},
-	{"SchedulerTimerChurn", perfbench.SchedulerTimerChurn},
-	{"SchedulerDeepQueue", perfbench.SchedulerDeepQueue},
-	{"SchedulerDeepQueue8K", perfbench.SchedulerDeepQueue8K},
-	{"SchedulerFarAnchor", perfbench.SchedulerFarAnchor},
-	{"DumbbellSteadyState", perfbench.DumbbellSteadyState},
-	{"ParkingLotSteadyState", perfbench.ParkingLotSteadyState},
-	{"ReversePathSteadyState", perfbench.ReversePathSteadyState},
-	{"DeepChainSteadyState", perfbench.DeepChainSteadyState},
-	{"ShardedChainBaseline", perfbench.ShardedChainBaseline},
-	{"ShardedChainSteadyState", perfbench.ShardedChainSteadyState},
-	{"FaultyChainSteadyState", perfbench.FaultyChainSteadyState},
-	{"ChurnSteadyState", perfbench.ChurnSteadyState},
-	{"CheckpointedChainSteadyState", perfbench.CheckpointedChainSteadyState},
-}
-
-// selectBenchmarks resolves the -benchrun filter: an empty filter keeps
-// the whole suite, otherwise the comma-separated names (whitespace
-// tolerated, like -run) select a subset in suite order. Unknown names
-// are an error so a typo cannot silently record an empty report.
-func selectBenchmarks(filter string) ([]int, error) {
+// selectBenchmarks resolves the -benchrun filter over perfbench.Suite:
+// an empty filter keeps the whole suite, otherwise the comma-separated
+// names (whitespace tolerated, like -run) select a subset in suite
+// order. Unknown names are an error so a typo cannot silently record
+// an empty report.
+func selectBenchmarks(filter string) ([]perfbench.Body, error) {
 	if strings.TrimSpace(filter) == "" {
-		sel := make([]int, len(benchSuite))
-		for i := range sel {
-			sel[i] = i
-		}
-		return sel, nil
+		return perfbench.Suite, nil
 	}
-	index := make(map[string]int, len(benchSuite))
-	for i, b := range benchSuite {
-		index[b.name] = i
+	known := make([]string, len(perfbench.Suite))
+	for i, b := range perfbench.Suite {
+		known[i] = b.Name
 	}
-	picked := make(map[int]bool)
+	picked := make(map[string]bool)
 	for _, raw := range strings.Split(filter, ",") {
 		name := strings.TrimSpace(raw)
 		if name == "" {
 			continue
 		}
-		i, ok := index[name]
-		if !ok {
-			known := make([]string, len(benchSuite))
-			for j, b := range benchSuite {
-				known[j] = b.name
-			}
+		if !slices.Contains(known, name) {
 			return nil, fmt.Errorf("unknown benchmark %q (have: %s)",
 				name, strings.Join(known, ", "))
 		}
-		picked[i] = true
+		picked[name] = true
 	}
 	if len(picked) == 0 {
 		return nil, fmt.Errorf("empty -benchrun filter")
 	}
-	sel := make([]int, 0, len(picked))
-	for i := range benchSuite {
-		if picked[i] {
-			sel = append(sel, i)
+	var sel []perfbench.Body
+	for _, b := range perfbench.Suite {
+		if picked[b.Name] {
+			sel = append(sel, b)
 		}
 	}
 	return sel, nil
 }
 
-// runBenchSuite executes the canonical hot-path benchmark bodies from
-// internal/perfbench via testing.Benchmark — the same bodies `go test
-// -bench` runs — and writes the report to outPath. id == 0 (the
-// default) writes the scratch file BENCH_local.json so a bare `ebrc
-// -bench` never overwrites a committed BENCH_<n>.json baseline; pass
-// -benchid explicitly when recording a PR's numbers. filter, when
-// non-empty, is a comma-separated benchmark-name list (like -run) that
-// restricts the suite — handy for CI shards and local iteration on one
-// hot path.
-func runBenchSuite(id int, outPath, filter string, stdout, stderr io.Writer) int {
+// runBenchSuite executes the canonical hot-path benchmark bodies of
+// perfbench.Suite via testing.Benchmark — the same bodies `go test
+// -bench Suite ./internal/perfbench` runs — and writes the report to
+// outPath. filter, when non-empty, is a comma-separated benchmark-name
+// list (like -run) that restricts the suite — handy for CI shards and
+// local iteration on one hot path.
+func runBenchSuite(outPath, filter string, stdout, stderr io.Writer) int {
 	selected, err := selectBenchmarks(filter)
 	if err != nil {
 		fmt.Fprintf(stderr, "ebrc: %v\n", err)
 		return 2
 	}
-	if outPath == "" {
-		if id > 0 {
-			outPath = fmt.Sprintf("BENCH_%d.json", id)
-		} else {
-			outPath = "BENCH_local.json"
-		}
-	}
 	report := benchReport{
-		ID:          id,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
@@ -159,8 +119,8 @@ func runBenchSuite(id int, outPath, filter string, stdout, stderr io.Writer) int
 			e.Name, e.NsPerOp, e.AllocsPerOp, e.EventsPerSec)
 	}
 
-	for _, i := range selected {
-		record(benchSuite[i].name, benchSuite[i].fn)
+	for _, b := range selected {
+		record(b.Name, b.Bench)
 	}
 
 	data, err := json.MarshalIndent(report, "", "  ")

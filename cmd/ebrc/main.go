@@ -12,7 +12,7 @@
 //	ebrc -list
 //	ebrc -run fig5,fig7
 //	ebrc all
-//	ebrc -bench [-benchid N] [-benchout FILE] [-benchrun A,B,...]
+//	ebrc -bench [-benchout FILE] [-benchrun A,B,...]
 //	ebrc -benchcmp [-benchtol F] [-benchalloctol F] [-benchbytetol F] OLD.json NEW.json
 //
 // Scenarios: fig1 fig2 fig3 fig3c fig4 fig5 fig6 fig7 fig8 fig9 fig10
@@ -69,10 +69,12 @@
 // standard /debug/vars endpoint; that surface is deliberately kept out
 // of the deterministic output.
 //
-// -bench runs the DES/packet hot-path microbenchmarks and records
-// ns/op, allocs/op and events/sec in BENCH_<n>.json, so the simulator's
-// performance trajectory is tracked across PRs; -benchrun restricts it
-// to a comma-separated subset of the suite (like -run for scenarios).
+// -bench runs the DES/packet hot-path benchmark bodies of
+// internal/perfbench and records ns/op, allocs/op and events/sec in the
+// JSON report -benchout names (BENCH_local.json by default; the
+// committed BENCH_<n>.json files track the simulator's performance
+// trajectory); -benchrun restricts it to a comma-separated subset of
+// the suite (like -run for scenarios).
 // -benchcmp compares two such reports and exits non-zero when a
 // benchmark present in both regressed (events/sec down more than
 // -benchtol, default 30%; allocs/op up more than -benchalloctol,
@@ -100,9 +102,12 @@ import (
 )
 
 // seedFilterExec restricts a batch to the jobs carrying one seed: the
-// other slots come back nil, which every scenario fold now skips — the
-// output is exactly the filtered jobs' rows. This is the reproduction
-// path for watchdog and panic reports, which name the failing seed.
+// other slots come back nil, and every scenario fold drops a row that
+// misses one of its jobs. The output therefore holds the rows built
+// from the filtered jobs alone; a row that needs other jobs too (a
+// Monte Carlo grid row, a fig17 buffer triple) is absent. This is the
+// reproduction path for watchdog and panic reports, which name the
+// failing seed.
 type seedFilterExec struct {
 	inner runner.Executor
 	seed  uint64
@@ -142,7 +147,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	simFactor := fs.Float64("simfactor", 0, "override the simulation duration factor (0..1]")
 	parallel := fs.Bool("parallel", false, "run each scenario's jobs on a worker pool")
 	workers := fs.Int("workers", 0, "worker count for -parallel (0 = NumCPU)")
-	shards := fs.Int("shards", 0, "split each simulation across K shards (scenarios with sharded mode; 0/1 = serial engine)")
+	var sharded []string
+	for _, s := range experiments.Scenarios() {
+		if s.Sharded {
+			sharded = append(sharded, s.Name)
+		}
+	}
+	shards := fs.Int("shards", 0, "split each simulation across K shards (0/1 = serial engine; sharded scenarios: "+
+		strings.Join(sharded, ", ")+"; the others ignore it)")
 	list := fs.Bool("list", false, "list the registered scenarios and exit")
 	runNames := fs.String("run", "", "comma-separated scenarios to run")
 	progress := fs.Bool("progress", false, "report per-job progress on stderr")
@@ -157,9 +169,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceFile := fs.String("trace", "", "record sim events and write them as Chrome trace_event JSON to this file")
 	traceCap := fs.Int("tracecap", 4096, "per-domain event-ring capacity for -trace (older events overwritten beyond it)")
 	expvarAddr := fs.String("expvar", "", "serve live run introspection (expvar /debug/vars) on this address, e.g. 127.0.0.1:8125")
-	bench := fs.Bool("bench", false, "run the hot-path microbenchmarks and write BENCH_<n>.json")
-	benchID := fs.Int("benchid", 0, "PR id for the -bench file name (0 = scratch BENCH_local.json)")
-	benchOut := fs.String("benchout", "", "explicit output path for -bench (default BENCH_<benchid>.json)")
+	bench := fs.Bool("bench", false, "run the hot-path benchmark suite and write its report to -benchout")
+	benchOut := fs.String("benchout", "BENCH_local.json", "output path for the -bench report")
 	benchRun := fs.String("benchrun", "", "comma-separated benchmark names for -bench (default: the whole suite)")
 	benchCmp := fs.Bool("benchcmp", false, "compare two BENCH json reports (args: OLD NEW); exit 1 on regression")
 	benchTol := fs.Float64("benchtol", 0.30, "events/sec regression fraction -benchcmp tolerates")
@@ -274,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *bench {
-		return runBenchSuite(*benchID, *benchOut, *benchRun, stdout, stderr)
+		return runBenchSuite(*benchOut, *benchRun, stdout, stderr)
 	}
 	if *benchCmp {
 		if fs.NArg() != 2 {
@@ -373,7 +384,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "ebrc: unknown scenario %q (try: ebrc -list)\n", name)
 			return 2
 		}
-		tables, so, err := s.RunObserved(ctx, sz, ex)
+		tables, so, err := s.Run(ctx, sz, ex)
 		if err != nil {
 			// Hardened mode folds the survivors even when jobs failed:
 			// print what completed, report the manifest, keep going so a

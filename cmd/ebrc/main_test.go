@@ -3,10 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/perfbench"
+	"repro/internal/runner"
 )
 
 // Smoke test: -list prints every registered scenario.
@@ -91,15 +99,14 @@ func TestRunShardsFlag(t *testing.T) {
 // end-to-end smoke run of one cheap benchmark.
 func TestSelectBenchmarks(t *testing.T) {
 	all, err := selectBenchmarks("")
-	if err != nil || len(all) != len(benchSuite) {
-		t.Fatalf("empty filter: %v, %d of %d benchmarks", err, len(all), len(benchSuite))
+	if err != nil || len(all) != len(perfbench.Suite) {
+		t.Fatalf("empty filter: %v, %d of %d benchmarks", err, len(all), len(perfbench.Suite))
 	}
 	sel, err := selectBenchmarks(" SchedulerDeepQueue8K , SchedulerFire ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 2 || benchSuite[sel[0]].name != "SchedulerFire" ||
-		benchSuite[sel[1]].name != "SchedulerDeepQueue8K" {
+	if len(sel) != 2 || sel[0].Name != "SchedulerFire" || sel[1].Name != "SchedulerDeepQueue8K" {
 		t.Fatalf("filter selected wrong set: %v", sel)
 	}
 	if _, err := selectBenchmarks("NoSuchBench"); err == nil {
@@ -313,5 +320,73 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 	if strings.Contains(plain.String(), "# metrics") || strings.Contains(plain.String(), "# epochs") {
 		t.Fatalf("plain run leaked capture blocks:\n%s", plain.String())
+	}
+}
+
+// -progress reports one "[k/n] job" line on stderr per job, counting up
+// to each batch's size, and leaves stdout byte-identical to the same
+// run without the flag.
+func TestProgressFlag(t *testing.T) {
+	var plain, progressed, errb bytes.Buffer
+	if code := run([]string{"-run", "fig1,claim4"}, &plain, &errb); code != 0 {
+		t.Fatalf("plain exit %d, stderr: %s", code, errb.String())
+	}
+	errb.Reset()
+	if code := run([]string{"-progress", "-run", "fig1,claim4"}, &progressed, &errb); code != 0 {
+		t.Fatalf("-progress exit %d, stderr: %s", code, errb.String())
+	}
+	if progressed.String() != plain.String() {
+		t.Fatal("-progress changed stdout")
+	}
+	var want []string
+	for _, name := range []string{"fig1", "claim4"} {
+		s, _ := experiments.Lookup(name)
+		jobs, _ := s.Plan(experiments.Full)
+		for k, j := range jobs {
+			want = append(want, fmt.Sprintf("ebrc: [%d/%d] %s", k+1, len(jobs), j.Name))
+		}
+	}
+	if got := strings.Split(strings.TrimSuffix(errb.String(), "\n"), "\n"); !slices.Equal(got, want) {
+		t.Fatalf("progress lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// -expvar serves the live surface on the address it names on stderr:
+// after a -parallel run the "sim" var's pool entry reports the last
+// batch finished (Done == Total), and stdout matches the run without
+// the flag. The endpoint listens on loopback only.
+func TestExpvarFlag(t *testing.T) {
+	var plain, served, errb bytes.Buffer
+	args := []string{"-parallel", "-run", "fig1,claim4"}
+	if code := run(args, &plain, &errb); code != 0 {
+		t.Fatalf("plain exit %d, stderr: %s", code, errb.String())
+	}
+	errb.Reset()
+	if code := run(append([]string{"-expvar", "127.0.0.1:0"}, args...), &served, &errb); code != 0 {
+		t.Fatalf("-expvar exit %d, stderr: %s", code, errb.String())
+	}
+	if served.String() != plain.String() {
+		t.Fatal("-expvar changed stdout")
+	}
+	m := regexp.MustCompile(`live introspection at (http://127\.0\.0\.1:\d+/debug/vars)`).FindStringSubmatch(errb.String())
+	if m == nil {
+		t.Fatalf("stderr names no bound address: %s", errb.String())
+	}
+	resp, err := http.Get(m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vars struct {
+		Sim struct {
+			Pool *runner.PoolSnapshot `json:"pool"`
+		} `json:"sim"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatalf("/debug/vars does not decode: %v", err)
+	}
+	p := vars.Sim.Pool
+	if p == nil || p.Total == 0 || p.Done != p.Total {
+		t.Fatalf("sim.pool = %+v, want a finished batch", p)
 	}
 }

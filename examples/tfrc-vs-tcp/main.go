@@ -7,6 +7,9 @@
 //	r'/r        TCP's vs TFRC's mean RTT
 //	x̄'/f(p',r') TCP's obedience to its own formula
 //
+// plus TFRC's normalized covariance cov[θ,θ̂]p², the quantity condition
+// (C1) of Claim 1 asks to be near zero.
+//
 // Run: go run ./examples/tfrc-vs-tcp [-pairs N] [-seconds S]
 package main
 
@@ -50,6 +53,7 @@ func main() {
 		tc.MeanRTT/tf.MeanRTT)
 	fmt.Printf("  (4) x̄'/f(p',r') [TCP obeys its formula]   = %.3f\n",
 		tc.Throughput/ftc.Rate(math.Max(tc.LossEventRate, 1e-9)))
+	fmt.Printf("  cov[θ,θ̂]p²       [condition (C1), near 0]  = %+.4f\n", tf.CovNorm)
 	fmt.Println()
 	fmt.Println("With few connections, (2) p'/p > 1 and (4) < 1 are the paper's")
 	fmt.Println("two causes of TFRC's non-TCP-friendliness at small p.")

@@ -622,7 +622,7 @@ func (cs *classState) start(i, flow int, size int64, now float64) {
 			p := cs.tfrcPool[n-1]
 			cs.tfrcPool = cs.tfrcPool[:n-1]
 			t.tfrcSnd, t.tfrcRcv = p.snd, p.rcv
-			tfrc.RenewRaw(p.snd, p.rcv, flow, cfg)
+			tfrc.Renew(p.snd, p.rcv, flow, cfg)
 		} else {
 			cs.constructions++
 			t.tfrcSnd, t.tfrcRcv = cs.newTFRC(flow, cfg)
@@ -636,7 +636,7 @@ func (cs *classState) start(i, flow int, size int64, now float64) {
 			p := cs.tcpPool[n-1]
 			cs.tcpPool = cs.tcpPool[:n-1]
 			t.tcpSnd, t.tcpRcv = p.snd, p.rcv
-			tcp.RenewRaw(p.snd, p.rcv, flow, cfg)
+			tcp.Renew(p.snd, p.rcv, flow, cfg)
 		} else {
 			cs.constructions++
 			t.tcpSnd, t.tcpRcv = cs.newTCP(flow, cfg)

@@ -15,7 +15,7 @@ func renderAll(t *testing.T, name string, sz Sizing, ex runner.Executor) []byte 
 	if !ok {
 		t.Fatalf("scenario %q not registered", name)
 	}
-	tables, err := s.Run(context.Background(), sz, ex)
+	tables, _, err := s.Run(context.Background(), sz, ex)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,45 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/tfrc"
 )
 
 // tiny is an even smaller sizing than Quick, for unit tests.
 var tiny = Sizing{Events: 6000, SimFactor: 0.08, Pairs: []int{1, 4}, PairsCap: 2}
+
+// runPlan executes a plan serially and returns its first table. Serial
+// execution of deterministic jobs can only fail through a job panic,
+// which is re-raised.
+func runPlan(p PlanFunc, sz Sizing) *Table {
+	jobs, fold := p(sz)
+	results, err := runner.Serial{}.Execute(context.Background(), jobs)
+	if err != nil {
+		panic(err)
+	}
+	return fold(results)[0]
+}
+
+// Column returns the values of the named column. It panics if the column
+// does not exist.
+func (t *Table) Column(name string) []float64 {
+	for i, c := range t.Columns {
+		if c == name {
+			out := make([]float64, len(t.Rows))
+			for j, row := range t.Rows {
+				out[j] = row[i]
+			}
+			return out
+		}
+	}
+	panic(fmt.Sprintf("experiments: no column %q in %s", name, t.Name))
+}
 
 func TestTableBasics(t *testing.T) {
 	t.Parallel()
@@ -94,7 +124,7 @@ func TestFig2ReproducesDeviationBound(t *testing.T) {
 	if maxRatio < 1.002 || maxRatio > 1.003 {
 		t.Fatalf("peak ratio = %v, want ~1.0026", maxRatio)
 	}
-	sum := Fig2Summary()
+	sum := runPlan(planFig2Summary, Sizing{})
 	if len(sum.Rows) != 2 {
 		t.Fatal("summary should cover b=1 and b=2")
 	}
@@ -108,7 +138,7 @@ func TestFig2ReproducesDeviationBound(t *testing.T) {
 
 func TestFig3PFTKShape(t *testing.T) {
 	t.Parallel()
-	tb := Fig3(tfrc.PFTKSimplified, tiny)
+	tb := runPlan(planFig3(tfrc.PFTKSimplified), tiny)
 	ps := tb.Column("p")
 	l8 := tb.Column("L8")
 	l1 := tb.Column("L1")
@@ -132,7 +162,7 @@ func TestFig3PFTKShape(t *testing.T) {
 
 func TestFig3SQRTFlat(t *testing.T) {
 	t.Parallel()
-	tb := Fig3(tfrc.SQRT, tiny)
+	tb := runPlan(planFig3(tfrc.SQRT), tiny)
 	l4 := tb.Column("L4")
 	lo, hi := l4[0], l4[0]
 	for _, v := range l4 {
@@ -149,8 +179,8 @@ func TestFig3ComprehensiveLessPronounced(t *testing.T) {
 		t.Skip("slow comprehensive Monte Carlo sweep skipped in -short mode")
 	}
 	t.Parallel()
-	basic := Fig3(tfrc.PFTKSimplified, tiny)
-	comp := Fig3Comprehensive(tiny)
+	basic := runPlan(planFig3(tfrc.PFTKSimplified), tiny)
+	comp := runPlan(planFig3Comprehensive, tiny)
 	// Compare at the shared highest p (0.4): comprehensive is less
 	// conservative.
 	b := basic.Rows[len(basic.Rows)-1]
@@ -166,7 +196,7 @@ func TestFig3ComprehensiveLessPronounced(t *testing.T) {
 
 func TestFig4CVShape(t *testing.T) {
 	t.Parallel()
-	tb := Fig4(0.1, tiny)
+	tb := runPlan(planFig4(0.1, "fig4"), tiny)
 	l8 := tb.Column("L8")
 	if l8[len(l8)-1] >= l8[0] {
 		t.Fatalf("normalized should drop with cv: %v -> %v", l8[0], l8[len(l8)-1])
@@ -183,12 +213,12 @@ func TestFig4Panics(t *testing.T) {
 			t.Fatal("expected panic for bad p")
 		}
 	}()
-	Fig4(0, tiny)
+	runPlan(planFig4(0, "fig4"), tiny)
 }
 
 func TestFig6Claim2(t *testing.T) {
 	t.Parallel()
-	tb := Fig6(tiny)
+	tb := runPlan(planFig6, tiny)
 	ps := tb.Column("p")
 	sqrtN := tb.Column("sqrt_norm")
 	pftkN := tb.Column("pftksimp_norm")
@@ -276,7 +306,7 @@ func TestFig7Claim3Ordering(t *testing.T) {
 		t.Skip("slow probe sweep skipped in -short mode")
 	}
 	t.Parallel()
-	tb := Fig7(tiny)
+	tb := runPlan(planFig7, tiny)
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig7")
 	}
@@ -305,7 +335,7 @@ func TestFig8TFRCNotStarved(t *testing.T) {
 		t.Skip("slow sim sweep skipped in -short mode")
 	}
 	t.Parallel()
-	tb := Fig8(tiny)
+	tb := runPlan(planFig8, tiny)
 	for _, row := range tb.Rows {
 		if row[2] < 0.2 || row[2] > 5 {
 			t.Fatalf("ratio %v out of plausible band (L=%v pairs=%v)", row[2], row[0], row[1])
@@ -315,7 +345,7 @@ func TestFig8TFRCNotStarved(t *testing.T) {
 
 func TestFig9TCPBelowFormulaOnAverage(t *testing.T) {
 	t.Parallel()
-	tb := Fig9(tiny)
+	tb := runPlan(planFig9, tiny)
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig9")
 	}
@@ -336,7 +366,7 @@ func TestFig10CovNearZero(t *testing.T) {
 		t.Skip("slow profile sweep skipped in -short mode")
 	}
 	t.Parallel()
-	tb := Fig10(tiny)
+	tb := runPlan(planFig10, tiny)
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig10")
 	}
@@ -355,7 +385,7 @@ func TestFig17CompetingRatioAboveOne(t *testing.T) {
 	// Fig 17 needs enough loss events per point to stabilize the
 	// ratio; use a third of the full duration rather than the tiny
 	// sizing.
-	tb := Fig17(Sizing{Events: tiny.Events, SimFactor: 0.35, Pairs: tiny.Pairs})
+	tb := runPlan(planFig17, Sizing{Events: tiny.Events, SimFactor: 0.35, Pairs: tiny.Pairs})
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty fig17")
 	}
@@ -372,7 +402,8 @@ func TestFig17CompetingRatioAboveOne(t *testing.T) {
 
 func TestBreakdownColumnsSane(t *testing.T) {
 	t.Parallel()
-	tb := Breakdown("test", []Profile{LabDT100.Scale(0.3, 2)}, tiny)
+	profiles := func() []Profile { return []Profile{LabDT100.Scale(0.3, 2)} }
+	tb := runPlan(planBreakdown("test", profiles), tiny)
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty breakdown")
 	}
@@ -414,7 +445,7 @@ func TestClaim3Table(t *testing.T) {
 
 func TestClaim4Table(t *testing.T) {
 	t.Parallel()
-	tb := Claim4()
+	tb := runPlan(planClaim4, Sizing{})
 	for _, row := range tb.Rows {
 		beta, analyticR, fluidR := row[0], row[1], row[2]
 		if analyticR <= 1 {

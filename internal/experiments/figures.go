@@ -191,12 +191,6 @@ func planFig2Summary(Sizing) ([]runner.Job, FoldFunc) {
 	return jobs, fold
 }
 
-// Fig2Summary returns the deviation ratio and its argmax for both b = 1
-// (the paper's plot) and b = 2 (the text's stated default).
-func Fig2Summary() *Table {
-	return runPlan(planFig2Summary, Sizing{})[0]
-}
-
 // mcGridPlan is the shared shape of Figures 3, 3-comprehensive and 4: a
 // Monte Carlo sweep over an x-axis and the window L, one job per cell,
 // seeds assigned in row-major order from seed0+1.
@@ -220,13 +214,15 @@ func mcGridPlan(name, note, xcol string, xs []float64, seed0 uint64,
 		fold := func(results []any) []*Table {
 			t := &Table{Name: name, Note: note,
 				Columns: []string{xcol, "L1", "L2", "L4", "L8", "L16"}}
-			i := 0
-			for _, x := range xs {
+		rows:
+			for r, x := range xs {
 				row := []float64{x}
-				for range Ls {
-					v, _ := results[i].(float64) // 0 for a lost job
+				for _, res := range results[r*len(Ls) : (r+1)*len(Ls)] {
+					v, ok := res.(float64)
+					if !ok {
+						continue rows // a job of the row was lost: no row
+					}
 					row = append(row, v)
-					i++
 				}
 				t.AddRow(row...)
 			}
@@ -263,12 +259,6 @@ func planFig3(kind tfrc.FormulaKind) PlanFunc {
 		})
 }
 
-// Fig3 reproduces Figure 3; kind selects SQRT (left panel) or
-// PFTK-simplified (right panel).
-func Fig3(kind tfrc.FormulaKind, sz Sizing) *Table {
-	return runPlan(planFig3(kind), sz)[0]
-}
-
 // planFig3Comprehensive runs the same sweep with the comprehensive
 // control (the paper reports the same shape with less pronounced
 // effects).
@@ -288,11 +278,6 @@ var planFig3Comprehensive = func() PlanFunc {
 		})
 }()
 
-// Fig3Comprehensive reproduces the comprehensive-control panel.
-func Fig3Comprehensive(sz Sizing) *Table {
-	return runPlan(planFig3Comprehensive, sz)[0]
-}
-
 // planFig4 is Figure 4 at one p: normalized throughput of the basic
 // control versus cv[θ], PFTK-simplified, L in {1, 2, 4, 8, 16}.
 func planFig4(p float64, name string) PlanFunc {
@@ -311,12 +296,6 @@ func planFig4(p float64, name string) PlanFunc {
 				Events:  sz.Events,
 			}).Normalized
 		})
-}
-
-// Fig4 reproduces Figure 4 at one p (the paper shows p = 1/100 and
-// p = 1/10).
-func Fig4(p float64, sz Sizing) *Table {
-	return runPlan(planFig4(p, "fig4"), sz)[0]
 }
 
 // lpCells expands the ns-2-style L × pairs sweep shared by Figures 5,
@@ -408,15 +387,17 @@ func planFig6(sz Sizing) ([]runner.Job, FoldFunc) {
 			Note:    "audio sender through Bernoulli dropper: normalized throughput and cv²[θ̂] vs p (L=4)",
 			Columns: []string{"p", "sqrt_norm", "pftkstd_norm", "pftksimp_norm", "cv2"},
 		}
-		i := 0
-		for _, p := range ps {
+	rows:
+		for r, p := range ps {
 			row := []float64{p}
 			var cv2 float64
-			for range fs {
-				res, _ := results[i].(cbr.AudioResult) // zero for a lost job
-				row = append(row, res.Normalized)
-				cv2 = res.CVEstimatorSq
-				i++
+			for _, res := range results[r*len(fs) : (r+1)*len(fs)] {
+				ar, ok := res.(cbr.AudioResult)
+				if !ok {
+					continue rows // a job of the row was lost: no row
+				}
+				row = append(row, ar.Normalized)
+				cv2 = ar.CVEstimatorSq
 			}
 			row = append(row, cv2)
 			t.AddRow(row...)
@@ -425,9 +406,6 @@ func planFig6(sz Sizing) ([]runner.Job, FoldFunc) {
 	}
 	return jobs, fold
 }
-
-// Fig6 reproduces Figure 6.
-func Fig6(sz Sizing) *Table { return runPlan(planFig6, sz)[0] }
 
 // planFig7 reproduces Figure 7: loss-event rates of TFRC (p), TCP (p')
 // and a Poisson probe (p”) versus the number of connections, for each
@@ -446,9 +424,6 @@ func planFig7(sz Sizing) ([]runner.Job, FoldFunc) {
 		})
 }
 
-// Fig7 reproduces Figure 7.
-func Fig7(sz Sizing) *Table { return runPlan(planFig7, sz)[0] }
-
 // planFig8 reproduces Figure 8: the ratio of TFRC to TCP throughput
 // versus the number of connections, per L.
 func planFig8(sz Sizing) ([]runner.Job, FoldFunc) {
@@ -465,9 +440,6 @@ func planFig8(sz Sizing) ([]runner.Job, FoldFunc) {
 			return [][]float64{c.row(res.TFRC.Throughput / res.TCP.Throughput)}
 		})
 }
-
-// Fig8 reproduces Figure 8.
-func Fig8(sz Sizing) *Table { return runPlan(planFig8, sz)[0] }
 
 // planFig9 reproduces Figure 9: per-TCP-flow throughput against the
 // PFTK-standard prediction f(p', r') — the "obedience of TCP to its
@@ -502,9 +474,6 @@ func planFig9(sz Sizing) ([]runner.Job, FoldFunc) {
 	})
 }
 
-// Fig9 reproduces Figure 9.
-func Fig9(sz Sizing) *Table { return runPlan(planFig9, sz)[0] }
-
 // planFig10 reproduces Figure 10: the normalized covariance
 // cov[θ0,θ̂0]·p² per testbed/WAN profile (the paper's box plots; we
 // report the pooled value per pair count and profile). Values near zero
@@ -523,9 +492,6 @@ func planFig10(sz Sizing) ([]runner.Job, FoldFunc) {
 		return [][]float64{c.row(res.TFRC.CovNorm)}
 	})
 }
-
-// Fig10 reproduces Figure 10.
-func Fig10(sz Sizing) *Table { return runPlan(planFig10, sz)[0] }
 
 // planFriendliness is the shared plan of Figures 11 and 16: the
 // TFRC/TCP throughput ratio versus p per profile.
@@ -571,12 +537,6 @@ func planBreakdown(name string, profiles func() []Profile) PlanFunc {
 				tc.LossEventRate/tf.LossEventRate, tc.MeanRTT/tf.MeanRTT, pftkNorm(tc))}
 		})
 	}
-}
-
-// Breakdown runs the TCP-friendliness breakdown over the given
-// profiles.
-func Breakdown(name string, profiles []Profile, sz Sizing) *Table {
-	return runPlan(planBreakdown(name, func() []Profile { return profiles }), sz)[0]
 }
 
 // planFig17 reproduces Figure 17: the ratio p'/p of TCP's to TFRC's
@@ -636,9 +596,6 @@ func planFig17(sz Sizing) ([]runner.Job, FoldFunc) {
 	}
 	return jobs, fold
 }
-
-// Fig17 reproduces Figure 17.
-func Fig17(sz Sizing) *Table { return runPlan(planFig17, sz)[0] }
 
 // TableI tabulates the WAN profile stand-ins for the paper's Table I:
 // capacity (packets/second), base RTT in milliseconds, queue kind
@@ -712,6 +669,3 @@ func planClaim4(Sizing) ([]runner.Job, FoldFunc) {
 	}
 	return jobs, fold
 }
-
-// Claim4 evaluates Claim 4.
-func Claim4() *Table { return runPlan(planClaim4, Sizing{})[0] }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/tfrc"
 )
 
 // A hardened pool (JobDeadline set) must degrade, not crash: with an
@@ -22,7 +25,7 @@ func TestHardenedPoolPartialFold(t *testing.T) {
 		t.Fatal("multibneck not registered")
 	}
 	pool := &runner.Pool{Workers: 2, JobDeadline: time.Nanosecond}
-	tables, err := s.Run(context.Background(), sz, pool)
+	tables, _, err := s.Run(context.Background(), sz, pool)
 	if err == nil {
 		t.Fatal("1ns deadline should fail every job")
 	}
@@ -53,5 +56,38 @@ func TestHardenedPoolQuietOnHealthyRun(t *testing.T) {
 	hardened := renderAll(t, "multibneck", sz, &runner.Pool{Workers: 2, JobDeadline: 10 * time.Minute})
 	if !bytes.Equal(serial, hardened) {
 		t.Fatalf("hardened pool output differs from serial\nserial:\n%s\nhardened:\n%s", serial, hardened)
+	}
+}
+
+// A Monte Carlo row is built from several jobs — one per window L in
+// fig3, one per formula in fig6 — so a lost job drops its whole row, as
+// gridPlan drops a lost packet-level cell's rows, instead of printing
+// as a 0 no reader can tell from data. Every other row folds unchanged.
+func TestLostMonteCarloJobDropsItsRow(t *testing.T) {
+	t.Parallel()
+	sz := Sizing{Events: 500}
+	for _, tc := range []struct {
+		name   string
+		plan   PlanFunc
+		perRow int // jobs per table row
+		lost   int // the job whose result goes missing
+	}{
+		{"fig3", planFig3(tfrc.SQRT), 5, 7},
+		{"fig6", planFig6, 3, 4},
+	} {
+		jobs, fold := tc.plan(sz)
+		results, err := runner.Serial{}.Execute(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := fold(results)[0]
+		results[tc.lost] = nil
+		got := fold(results)[0]
+		row := tc.lost / tc.perRow
+		want := slices.Delete(slices.Clone(full.Rows), row, row+1)
+		if !reflect.DeepEqual(got.Rows, want) {
+			t.Errorf("%s: with job %d lost the rows are\n%v\nwant every row but row %d of\n%v",
+				tc.name, tc.lost, got.Rows, row, full.Rows)
+		}
 	}
 }

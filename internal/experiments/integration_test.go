@@ -131,7 +131,7 @@ func TestIntegrationClaim4Directions(t *testing.T) {
 	if !ok {
 		t.Fatal("fig17 not registered")
 	}
-	tables, err := s.Run(context.Background(),
+	tables, _, err := s.Run(context.Background(),
 		Sizing{Events: 5000, SimFactor: 0.35, Pairs: []int{1}}, runner.NewPool(0))
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/netsim"
@@ -373,20 +371,4 @@ func collectScenarioObs(jobs []runner.Job, results []any) *ScenarioObs {
 		}
 	}
 	return so
-}
-
-// RunObserved is Run plus the scenario's observability capture, merged
-// in job order. With Observe entirely off it returns a nil capture and
-// behaves exactly like Run.
-func (s *Scenario) RunObserved(ctx context.Context, sz Sizing, ex runner.Executor) ([]*Table, *ScenarioObs, error) {
-	jobs, fold := s.Plan(sz)
-	results, err := ex.Execute(ctx, jobs)
-	if err != nil {
-		var m *runner.Manifest
-		if errors.As(err, &m) && results != nil {
-			return fold(results), collectScenarioObs(jobs, results), fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	return fold(results), collectScenarioObs(jobs, results), nil
 }

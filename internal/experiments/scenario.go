@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/runner"
@@ -47,14 +49,24 @@ func (s *Scenario) Modes() string {
 }
 
 // Run expands the scenario under sz and executes its jobs on ex,
-// returning the assembled tables. Under a hardened executor (a
-// runner.Pool with a JobDeadline) a partial failure still folds: the
-// surviving results become tables — every fold skips nil slots — and
-// the *runner.Manifest comes back alongside them, so callers can render
-// what completed and report exactly which (index, seed) jobs died.
-func (s *Scenario) Run(ctx context.Context, sz Sizing, ex runner.Executor) ([]*Table, error) {
-	tables, _, err := s.RunObserved(ctx, sz, ex)
-	return tables, err
+// returning the assembled tables and the observability capture, merged
+// in job order (nil with Observe entirely off). Under a hardened
+// executor (a runner.Pool with a JobDeadline) a partial failure still
+// folds: the surviving results become tables — a fold leaves out every
+// row that needs a lost job's result — and the *runner.Manifest comes
+// back alongside them, so callers can render what completed and report
+// exactly which (index, seed) jobs died.
+func (s *Scenario) Run(ctx context.Context, sz Sizing, ex runner.Executor) ([]*Table, *ScenarioObs, error) {
+	jobs, fold := s.Plan(sz)
+	results, err := ex.Execute(ctx, jobs)
+	if err != nil {
+		var m *runner.Manifest
+		if errors.As(err, &m) && results != nil {
+			return fold(results), collectScenarioObs(jobs, results), fmt.Errorf("scenario %s: %w", s.Name, err)
+		}
+		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	return fold(results), collectScenarioObs(jobs, results), nil
 }
 
 // registry maps scenario names to their definitions. It is populated
@@ -92,18 +104,6 @@ func ScenarioNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// runPlan executes a plan serially; the compatibility wrappers
-// (Fig1 ... Claim4) are built on it. Serial execution of deterministic
-// jobs can only fail through a job panic, which is re-raised.
-func runPlan(p PlanFunc, sz Sizing) []*Table {
-	jobs, fold := p(sz)
-	results, err := runner.Serial{}.Execute(context.Background(), jobs)
-	if err != nil {
-		panic(err)
-	}
-	return fold(results)
 }
 
 // combinePlans concatenates several plans into one: the jobs run as a

@@ -1,8 +1,10 @@
-// Package experiments contains one runner per figure of the paper's
-// evaluation section (Figures 1-19, Table I, and the analytic Claims 3
-// and 4). Each runner assembles the workload, sweeps the figure's
-// parameter, and returns a Table whose rows are the series the paper
-// plots. The cmd/ebrc binary prints these tables as TSV.
+// Package experiments holds one registered scenario per figure of the
+// paper's evaluation section (Figures 1-19, Table I, and the analytic
+// Claims 3 and 4), plus the multi-hop, routed-reverse, scale-out, fault
+// and churn families. Each scenario expands into runner jobs that sweep
+// the figure's parameter and a fold that assembles Tables whose rows
+// are the series the paper plots. The cmd/ebrc binary prints these
+// tables as TSV.
 package experiments
 
 import (
@@ -59,19 +61,4 @@ func (t *Table) WriteTSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Column returns the values of the named column. It panics if the column
-// does not exist.
-func (t *Table) Column(name string) []float64 {
-	for i, c := range t.Columns {
-		if c == name {
-			out := make([]float64, len(t.Rows))
-			for j, row := range t.Rows {
-				out[j] = row[i]
-			}
-			return out
-		}
-	}
-	panic(fmt.Sprintf("experiments: no column %q in %s", name, t.Name))
 }

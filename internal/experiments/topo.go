@@ -481,13 +481,3 @@ func init() {
 		Plan:    planMultiBneck,
 		Sharded: true})
 }
-
-// ParkingLot, HetRTT and MultiBneck are the serial convenience wrappers
-// of the multi-hop scenario family.
-func ParkingLot(sz Sizing) *Table { return runPlan(planParkingLot, sz)[0] }
-
-// HetRTT reproduces the heterogeneous-RTT competition table.
-func HetRTT(sz Sizing) *Table { return runPlan(planHetRTT, sz)[0] }
-
-// MultiBneck reproduces the multi-bottleneck conservativeness sweep.
-func MultiBneck(sz Sizing) *Table { return runPlan(planMultiBneck, sz)[0] }

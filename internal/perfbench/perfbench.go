@@ -1,7 +1,7 @@
 // Package perfbench defines the canonical DES/packet hot-path benchmark
-// bodies. The `go test -bench` wrappers (internal/des and
-// internal/experiments) and the `ebrc -bench` BENCH_<n>.json reporter
-// all run these same functions, so every recorded number measures an
+// bodies in one list, Suite. The `ebrc -bench` BENCH_<n>.json reporter,
+// `go test -bench Suite ./internal/perfbench` and the whole-simulation
+// allocation ceilings all walk it, so every recorded number measures an
 // identical workload and the perf trajectory stays comparable across
 // PRs.
 package perfbench
@@ -15,10 +15,10 @@ import (
 	"repro/internal/fault"
 )
 
-// SchedulerFire measures the schedule-one/fire-one cycle — the
+// schedulerFire measures the schedule-one/fire-one cycle — the
 // event-loop cost every simulated packet pays at least twice (enqueue at
 // the sender, transmit completion at the link).
-func SchedulerFire(b *testing.B) {
+func schedulerFire(b *testing.B) {
 	var s des.Scheduler
 	fn := func() {}
 	b.ReportAllocs()
@@ -29,10 +29,10 @@ func SchedulerFire(b *testing.B) {
 	}
 }
 
-// SchedulerTimerChurn measures the cancel/re-arm pattern of the
+// schedulerTimerChurn measures the cancel/re-arm pattern of the
 // protocol timers (TFRC no-feedback, TCP retransmit): every ACK cancels
 // a pending timer and schedules a fresh one.
-func SchedulerTimerChurn(b *testing.B) {
+func schedulerTimerChurn(b *testing.B) {
 	var s des.Scheduler
 	fn := func() {}
 	tm := s.After(1, fn)
@@ -46,10 +46,10 @@ func SchedulerTimerChurn(b *testing.B) {
 	}
 }
 
-// SchedulerDeepQueue measures push/pop with many pending events (a
+// schedulerDeepQueue measures push/pop with many pending events (a
 // loaded dumbbell keeps hundreds of timers and in-flight packets
 // queued), where heap depth dominates.
-func SchedulerDeepQueue(b *testing.B) {
+func schedulerDeepQueue(b *testing.B) {
 	var s des.Scheduler
 	fn := func() {}
 	for i := 0; i < 1024; i++ {
@@ -63,12 +63,12 @@ func SchedulerDeepQueue(b *testing.B) {
 	}
 }
 
-// SchedulerDeepQueue8K is the scale-out successor of SchedulerDeepQueue:
+// schedulerDeepQueue8K is the scale-out successor of SchedulerDeepQueue:
 // the same schedule-ahead/fire pattern against 8192 pending events — the
 // pending-set size a 16-hop, 512-flow chain sustains. A comparison-tree
 // queue slows by its depth between 1K and 8K pending; the timing wheel's
 // per-event cost must stay flat.
-func SchedulerDeepQueue8K(b *testing.B) {
+func schedulerDeepQueue8K(b *testing.B) {
 	var s des.Scheduler
 	fn := func() {}
 	for i := 0; i < 8192; i++ {
@@ -82,7 +82,7 @@ func SchedulerDeepQueue8K(b *testing.B) {
 	}
 }
 
-// SchedulerFarAnchor is SchedulerDeepQueue behind a far-future anchor:
+// schedulerFarAnchor is SchedulerDeepQueue behind a far-future anchor:
 // one event armed 40 s ahead on an empty scheduler, as a fault plan
 // arms its first flap before any traffic starts, then the 1K-pending
 // schedule/fire loop with its times scaled by 1/32, so the whole
@@ -91,7 +91,7 @@ func SchedulerDeepQueue8K(b *testing.B) {
 // round) could reach the anchor. A scheduler whose cursor stayed on the
 // anchor would take every insert into its sorted working set, at a cost
 // that grows with the pending count; the wheel's must stay flat.
-func SchedulerFarAnchor(b *testing.B) {
+func schedulerFarAnchor(b *testing.B) {
 	const round = 1 << 14
 	var s des.Scheduler
 	fn := func() {}
@@ -139,46 +139,68 @@ func revRun(cfg experiments.RevSimConfig) func() uint64 {
 	return func() uint64 { return experiments.RunRevSim(cfg).EventsFired }
 }
 
-// wholeSims lists the whole-simulation bodies by their `ebrc -bench`
-// names, each as one simulation run; ckpt marks the body that runs with
-// checkpointing on (see withCheckpoints).
-var wholeSims = []struct {
-	name string
-	run  func() uint64
+// Body is one benchmark of the suite: a scheduler loop, or a
+// whole-simulation body that runs one simulation per iteration.
+type Body struct {
+	// Name is the body's name in `ebrc -bench` reports and
+	// BENCH_<n>.json, and its sub-benchmark name under BenchmarkSuite.
+	Name string
+	// loop is a scheduler body, run as is.
+	loop func(*testing.B)
+	// sim is a whole-simulation body: one run, returning its event
+	// count. ckpt runs it with checkpointing on (see withCheckpoints).
+	sim  func() uint64
 	ckpt bool
-}{
-	{"DumbbellSteadyState", dumbbell(), false},
-	{"ParkingLotSteadyState", topoRun(parkingLotConfig()), false},
-	{"ReversePathSteadyState", reversePath(), false},
-	{"DeepChainSteadyState", deepChain(), false},
-	{"ShardedChainBaseline", topoRun(shardedChainConfig(1)), false},
-	{"ShardedChainSteadyState", topoRun(shardedChainConfig(4)), false},
-	{"FaultyChainSteadyState", faultyChain(), false},
-	{"ChurnSteadyState", topoRun(churnSteadyConfig(1)), false},
-	{"CheckpointedChainSteadyState", checkpointedChain(), true},
 }
 
-// DumbbellSteadyState measures whole-simulation throughput on a
-// mid-size run of the lab testbed profile: 8 TFRC + 8 TCP flows through
-// the 10 Mb/s DropTail-100 bottleneck for 30 simulated seconds — large
-// enough that the steady-state event loop (packet transmissions,
-// deliveries, acks, protocol timers) dominates setup cost.
-func DumbbellSteadyState(b *testing.B) { wholeSim(b, dumbbell()) }
+// Bench runs the body under b, as testing.Benchmark and b.Run call it.
+func (w Body) Bench(b *testing.B) {
+	if w.sim == nil {
+		w.loop(b)
+		return
+	}
+	if w.ckpt {
+		defer withCheckpoints(b.TempDir())()
+	}
+	wholeSim(b, w.sim)
+}
 
+// Suite lists every benchmark body in recording order.
+var Suite = []Body{
+	{Name: "SchedulerFire", loop: schedulerFire},
+	{Name: "SchedulerTimerChurn", loop: schedulerTimerChurn},
+	{Name: "SchedulerDeepQueue", loop: schedulerDeepQueue},
+	{Name: "SchedulerDeepQueue8K", loop: schedulerDeepQueue8K},
+	{Name: "SchedulerFarAnchor", loop: schedulerFarAnchor},
+	{Name: "DumbbellSteadyState", sim: dumbbell()},
+	{Name: "ParkingLotSteadyState", sim: topoRun(parkingLotConfig())},
+	{Name: "ReversePathSteadyState", sim: reversePath()},
+	{Name: "DeepChainSteadyState", sim: deepChain()},
+	{Name: "ShardedChainBaseline", sim: topoRun(shardedChainConfig(1))},
+	{Name: "ShardedChainSteadyState", sim: topoRun(shardedChainConfig(4))},
+	{Name: "FaultyChainSteadyState", sim: faultyChain()},
+	{Name: "ChurnSteadyState", sim: topoRun(churnSteadyConfig(1))},
+	{Name: "CheckpointedChainSteadyState", sim: checkpointedChain(), ckpt: true},
+}
+
+// dumbbell is the DumbbellSteadyState body: whole-simulation
+// throughput on a mid-size run of the lab testbed profile, 8 TFRC + 8
+// TCP flows through the 10 Mb/s DropTail-100 bottleneck for 30
+// simulated seconds — large enough that the steady-state event loop
+// (packet transmissions, deliveries, acks, protocol timers) dominates
+// setup cost.
 func dumbbell() func() uint64 {
 	cfg := experiments.LabDT100.Scale(0.1, 0).Config(8, 8, 17)
 	return func() uint64 { return experiments.RunSim(cfg).EventsFired }
 }
 
-// ParkingLotSteadyState measures whole-simulation throughput on the
-// multi-hop topology path: 4 long TFRC + 4 long TCP flows across a
-// three-bottleneck parking-lot chain with 2 crossing TCP flows per hop,
-// 30 simulated seconds. Against DumbbellSteadyState it isolates the
-// cost of multi-hop forwarding (per-hop queueing, route lookups, three
-// links' transmission pipelines) on the same zero-allocation
-// primitives.
-func ParkingLotSteadyState(b *testing.B) { wholeSim(b, topoRun(parkingLotConfig())) }
-
+// parkingLotConfig is the ParkingLotSteadyState workload:
+// whole-simulation throughput on the multi-hop topology path, 4 long
+// TFRC + 4 long TCP flows across a three-bottleneck parking-lot chain
+// with 2 crossing TCP flows per hop, 30 simulated seconds. Against
+// DumbbellSteadyState it isolates the cost of multi-hop forwarding
+// (per-hop queueing, route lookups, three links' transmission
+// pipelines) on the same zero-allocation primitives.
 func parkingLotConfig() experiments.TopoSimConfig {
 	return experiments.TopoSimConfig{
 		Hops:          3,
@@ -200,20 +222,15 @@ func parkingLotConfig() experiments.TopoSimConfig {
 	}
 }
 
-// CheckpointedChainSteadyState runs the exact ParkingLotSteadyState
-// workload with checkpointing live: a full deterministic snapshot of
-// the simulation (timer wheel, RNG streams, queue contents, protocol
-// state, freelist ledger) is captured and written to disk at the end of
-// warmup and every 5 simulated seconds — five snapshots per run.
-// Against ParkingLotSteadyState it bounds the overhead of the
-// checkpoint subsystem when it is ON; the checkpoint-off cost is pinned
-// at zero by ParkingLotSteadyState itself, whose path has no capture
-// branches.
-func CheckpointedChainSteadyState(b *testing.B) {
-	defer withCheckpoints(b.TempDir())()
-	wholeSim(b, checkpointedChain())
-}
-
+// checkpointedChain is the CheckpointedChainSteadyState body: the exact
+// ParkingLotSteadyState workload with checkpointing live (the suite
+// runs it under withCheckpoints). A full deterministic snapshot of the
+// simulation (timer wheel, RNG streams, queue contents, protocol state,
+// freelist ledger) is captured and written to disk at the end of warmup
+// and every 5 simulated seconds — five snapshots per run. Against
+// ParkingLotSteadyState it bounds the overhead of the checkpoint
+// subsystem when it is ON; the checkpoint-off cost is pinned at zero by
+// ParkingLotSteadyState itself, whose path has no capture branches.
 func checkpointedChain() func() uint64 {
 	cfg := parkingLotConfig()
 	cfg.Label = "bench checkpointed chain"
@@ -229,16 +246,14 @@ func withCheckpoints(dir string) func() {
 	return func() { experiments.Checkpoint = old }
 }
 
-// DeepChainSteadyState measures whole-simulation throughput in the
-// scale-out regime the scalechain scenarios sweep: 64 TFRC + 64 TCP
-// long flows across a 12-hop chain with 2 crossing TCP flows per hop
-// (152 flows total), per-hop capacity scaled so each long flow keeps
-// the standard share. The pending-event set here is an order of
-// magnitude beyond DumbbellSteadyState's, so this benchmark is the
+// deepChain is the DeepChainSteadyState body: whole-simulation
+// throughput in the scale-out regime the scalechain scenarios sweep, 64
+// TFRC + 64 TCP long flows across a 12-hop chain with 2 crossing TCP
+// flows per hop (152 flows total), per-hop capacity scaled so each long
+// flow keeps the standard share. The pending-event set here is an order
+// of magnitude beyond DumbbellSteadyState's, so this body is the
 // end-to-end witness for the deep-queue scheduler path and the
 // run-arena reuse together.
-func DeepChainSteadyState(b *testing.B) { wholeSim(b, deepChain()) }
-
 func deepChain() func() uint64 {
 	return topoRun(experiments.TopoSimConfig{
 		Hops:          12,
@@ -264,10 +279,20 @@ func deepChain() func() uint64 {
 // ShardedChainSteadyState share: the largest cell of the scalechain
 // sweep family (16 hops, 256 TFRC + 256 TCP long flows, 2 crossing TCP
 // flows per hop — 544 flows total), per-hop capacity scaled so each
-// long flow keeps the standard share. Both benchmarks run the exact
-// same simulation — the determinism contract makes their event counts
+// long flow keeps the standard share. Both bodies run the exact same
+// simulation — the determinism contract makes their event counts
 // identical — differing only in the shard count, so their events/sec
 // ratio is the whole-simulation speedup of the space-parallel engine.
+//
+// ShardedChainBaseline runs it on the serial engine (one scheduler, one
+// event loop), the denominator of that speedup. ShardedChainSteadyState
+// splits it across 4 shards, each owning a contiguous slice of the
+// chain with its own timing-wheel scheduler, synchronized at the
+// cross-shard lookahead horizon. On a multi-core host the shards
+// advance concurrently and the ratio measures the speedup; on a
+// single-CPU host the shard goroutines take turns and the ratio is the
+// engine's coordination overhead instead. The TSV output (and
+// events/run) is byte-identical either way.
 func shardedChainConfig(shards int) experiments.TopoSimConfig {
 	return experiments.TopoSimConfig{
 		Hops:          16,
@@ -290,35 +315,15 @@ func shardedChainConfig(shards int) experiments.TopoSimConfig {
 	}
 }
 
-// ShardedChainBaseline runs the sharded-chain workload on the serial
-// engine (one scheduler, one event loop). It is the denominator of the
-// sharded speedup: ShardedChainSteadyState's events/sec divided by this
-// benchmark's is the end-to-end gain from splitting the same simulation
-// across shards.
-func ShardedChainBaseline(b *testing.B) { wholeSim(b, topoRun(shardedChainConfig(1))) }
-
-// ShardedChainSteadyState runs the identical workload split across 4
-// shards of the space-parallel engine — each shard owning a contiguous
-// slice of the chain with its own timing-wheel scheduler, synchronized
-// at the cross-shard lookahead horizon. On a multi-core host the shards
-// advance concurrently and this benchmark measures the whole-simulation
-// speedup; on a single-CPU host the shard goroutines take turns and
-// the ratio to ShardedChainBaseline is the engine's coordination
-// overhead instead. The TSV output (and events/run) is byte-identical
-// to the baseline's either way.
-func ShardedChainSteadyState(b *testing.B) { wholeSim(b, topoRun(shardedChainConfig(4))) }
-
-// FaultyChainSteadyState measures whole-simulation throughput with the
-// full fault-injection machinery live: the 8-hop fault-family chain
-// under a combined plan — a flush-policy outage of the mid-chain
-// bottleneck, a Gilbert–Elliott bursty loss process on the first hop,
-// and a mid-run capacity renegotiation further down — so the per-packet
-// Fault hook, the GE lottery and the Down/Up/SetRate event path are all
-// on the measured path. Against DeepChainSteadyState it bounds the
-// overhead the fault subsystem adds to a faulted run; links without a
-// plan entry keep a nil hook and pay nothing.
-func FaultyChainSteadyState(b *testing.B) { wholeSim(b, faultyChain()) }
-
+// faultyChain is the FaultyChainSteadyState body: whole-simulation
+// throughput with the full fault-injection machinery live, the 8-hop
+// fault-family chain under a combined plan — a flush-policy outage of
+// the mid-chain bottleneck, a Gilbert–Elliott bursty loss process on
+// the first hop, and a mid-run capacity renegotiation further down — so
+// the per-packet Fault hook, the GE lottery and the Down/Up/SetRate
+// event path are all on the measured path. Against DeepChainSteadyState
+// it bounds the overhead the fault subsystem adds to a faulted run;
+// links without a plan entry keep a nil hook and pay nothing.
 func faultyChain() func() uint64 {
 	cfg := experiments.TopoSimConfig{
 		Hops:          8,
@@ -350,10 +355,17 @@ func faultyChain() func() uint64 {
 // churnSteadyConfig is the ChurnSteadyState workload: the parking-lot
 // dumbbell under persistent TFRC/TCP flows plus all three churn
 // protocols — Poisson TFRC transfers, Weibull TCP mice, a reverse-path
-// TCP class over the mirrored chain and a CBR session base. durScale
-// stretches the measured window (and the arrival budget with it), so
-// two runs at different scales hold peak population fixed while the
-// arrival count doubles — the axis the alloc-flatness test compares.
+// TCP class over the mirrored chain and a CBR session base. Several
+// hundred finite transfers arrive, complete and are reclaimed while the
+// persistent flows hold the bottleneck. Against ParkingLotSteadyState
+// the body bounds the cost of the arrival engine itself — the
+// draw/attach/detach cycle plus the endpoint pools — and its allocs/op
+// is the witness that steady-state churn recycles instead of
+// allocating: allocations scale with the peak concurrent population,
+// not with the number of arrivals served. durScale stretches the
+// measured window (and the arrival budget with it), so two runs at
+// different scales hold peak population fixed while the arrival count
+// doubles — the axis the alloc-flatness test compares.
 func churnSteadyConfig(durScale float64) experiments.TopoSimConfig {
 	cfg := experiments.TopoSimConfig{
 		Hops:          3,
@@ -403,25 +415,14 @@ func churnSteadyConfig(durScale float64) experiments.TopoSimConfig {
 	return cfg
 }
 
-// ChurnSteadyState measures whole-simulation throughput under run-time
-// flow churn: several hundred finite TFRC/TCP/CBR transfers arrive,
-// complete and are reclaimed while the persistent flows hold the
-// bottleneck. Against ParkingLotSteadyState it bounds the cost of the
-// arrival engine itself — the draw/attach/detach cycle plus the
-// endpoint pools — and its allocs/op is the witness that steady-state
-// churn recycles instead of allocating: allocations scale with the
-// peak concurrent population, not with the number of arrivals served.
-func ChurnSteadyState(b *testing.B) { wholeSim(b, topoRun(churnSteadyConfig(1))) }
-
-// ReversePathSteadyState measures whole-simulation throughput with a
-// routed congested reverse path: 2 TFRC + 2 TCP primary flows whose
-// feedback and ACKs cross a real reverse queue shared with 2
-// opposing-direction TCP flows and cross traffic, 25 simulated seconds.
-// Against DumbbellSteadyState it isolates the cost of reverse-path
-// routing (the Rev branch in the forwarding path, reverse queues, and
-// the doubled per-packet link traversals of two-way traffic).
-func ReversePathSteadyState(b *testing.B) { wholeSim(b, reversePath()) }
-
+// reversePath is the ReversePathSteadyState body: whole-simulation
+// throughput with a routed congested reverse path, 2 TFRC + 2 TCP
+// primary flows whose feedback and ACKs cross a real reverse queue
+// shared with 2 opposing-direction TCP flows and cross traffic, 25
+// simulated seconds. Against DumbbellSteadyState it isolates the cost
+// of reverse-path routing (the Rev branch in the forwarding path,
+// reverse queues, and the doubled per-packet link traversals of two-way
+// traffic).
 func reversePath() func() uint64 {
 	return revRun(experiments.RevSimConfig{
 		Capacity:      1.25e6,

@@ -83,19 +83,22 @@ func TestWholeSimAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-simulation alloc ceilings skipped in -short mode")
 	}
-	for _, w := range wholeSims {
-		t.Run(w.name, func(t *testing.T) {
-			base, ok := bench16[w.name]
+	for _, w := range Suite {
+		if w.sim == nil {
+			continue // a scheduler body: TestSteadyStateZeroAlloc in internal/des pins it
+		}
+		t.Run(w.Name, func(t *testing.T) {
+			base, ok := bench16[w.Name]
 			if !ok {
-				t.Fatalf("no BENCH_16 record for %s", w.name)
+				t.Fatalf("no BENCH_16 record for %s", w.Name)
 			}
 			if w.ckpt {
 				defer withCheckpoints(t.TempDir())()
 			}
-			w.run()
+			w.sim()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			events := float64(w.run())
+			events := float64(w.sim())
 			runtime.ReadMemStats(&after)
 			if events == 0 {
 				t.Fatal("the run fired no events")
@@ -104,7 +107,7 @@ func TestWholeSimAllocCeilings(t *testing.T) {
 			if limit := 1.25 * base.allocs / base.events; allocs > limit {
 				t.Errorf("%.5f allocs/event, ceiling %.5f (1.25x BENCH_16)", allocs, limit)
 			}
-			if w.name != "ChurnSteadyState" {
+			if w.Name != "ChurnSteadyState" {
 				return
 			}
 			bytes := float64(after.TotalAlloc-before.TotalAlloc) / events
@@ -112,5 +115,14 @@ func TestWholeSimAllocCeilings(t *testing.T) {
 				t.Errorf("%.3f bytes/event, ceiling %.3f (1.25x BENCH_17)", bytes, limit)
 			}
 		})
+	}
+}
+
+// BenchmarkSuite runs every body of Suite as one sub-benchmark, under
+// the name `ebrc -bench` records it by; select one with
+// go test -run '^$' -bench 'Suite/DumbbellSteadyState' ./internal/perfbench
+func BenchmarkSuite(b *testing.B) {
+	for _, w := range Suite {
+		b.Run(w.Name, w.Bench)
 	}
 }

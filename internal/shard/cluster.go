@@ -286,8 +286,6 @@ func (c *Cluster) seal() {
 		c.horizon = 0
 		return
 	}
-	// +Inf when the shards never exchange messages: each Run is then one
-	// window, every shard running independently to its end.
 	h := math.Min(c.cutDelay, c.RemoteReturn())
 	for _, d := range c.declaredRev {
 		h = math.Min(h, d*(1-c.ReverseJitter))
@@ -295,5 +293,17 @@ func (c *Cluster) seal() {
 	if h <= 0 {
 		panic(fmt.Sprintf("shard: zero lookahead across a shard cut (horizon %v); reduce the shard count or give cross-shard channels positive delay", h))
 	}
+	if math.IsInf(h, 1) {
+		// No message ever crosses a cut, so any window length is exact.
+		// One window per Run would hold an idle shard at the barrier for
+		// the whole segment a busy shard takes, long enough to trip the
+		// stall detector; a finite window bounds each wait by one
+		// window's work.
+		h = idleWindow
+	}
 	c.horizon = h
 }
+
+// idleWindow is the window length, in simulated seconds, of a partition
+// whose shards never exchange messages.
+const idleWindow = 1.0

@@ -106,3 +106,68 @@ func TestStallDetectorDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// disconnectedCluster builds two disconnected two-node components with
+// Pareto cross traffic on the first one only. Partitioned at k = 2 each
+// component is one shard, so no message ever crosses a cut: the
+// busy shard does all the work while the idle one only waits at the
+// window barriers.
+func disconnectedCluster(k int) *Cluster {
+	c := New()
+	a0 := c.AddNode("a0")
+	a1 := c.AddNode("a1")
+	b0 := c.AddNode("b0")
+	b1 := c.AddNode("b1")
+	la := c.AddLink(a0, a1, 1.25e6, 0.005, netsim.NewDropTail(32))
+	c.AddLink(b0, b1, 1.25e6, 0.005, netsim.NewDropTail(32))
+	c.Partition(k)
+	c.AttachSink(7, la)
+	sink := c.SinkEnv(la)
+	ct := netsim.NewCrossTraffic(sink.Sched(), sink, 7, 1e6, 10, 1.5, 0.005, 1000, 11)
+	sink.Sched().At(0, ct.Start)
+	return c
+}
+
+// A partition whose shards never exchange messages has no lookahead
+// bound, yet its run must still advance in windows: as one window, the
+// idle shard would wait at a single barrier for as long as the busy
+// shard takes to run the whole segment, and trip the stall detector.
+// The busy shard's work here is several times the budget; the run must
+// finish and fire exactly the serial engine's events.
+func TestIdleShardWithoutCrossings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock watchdog test")
+	}
+	const until = 1500.0
+	const budget = 50 * time.Millisecond
+	serial := disconnectedCluster(1)
+	start := time.Now()
+	serial.Run(until)
+	work := time.Since(start)
+
+	c := disconnectedCluster(2)
+	if c.Shards() != 2 {
+		t.Fatalf("%d shards, want one per component", c.Shards())
+	}
+	c.StallBudget = budget
+	var report string
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				report = fmt.Sprint(r)
+			}
+		}()
+		c.Run(until)
+	}()
+	if report != "" {
+		t.Fatalf("run without crossings tripped the stall detector:\n%s", report)
+	}
+	if got, want := c.Fired(), serial.Fired(); got != want {
+		t.Fatalf("events fired: %d shards %d, serial %d", c.Shards(), got, want)
+	}
+	if err := c.CheckLeaks(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("busy shard's work %v on the serial engine (%.1fx the budget), %d events",
+		work, float64(work)/float64(budget), serial.Fired())
+}

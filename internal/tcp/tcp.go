@@ -446,16 +446,10 @@ func NewFlowOn(sndSched *des.Scheduler, sndNet netsim.Network, rcvSched *des.Sch
 // Renew reinitializes an existing sender/receiver pair in place for a
 // new flow, reusing the loss-counter buffers and out-of-order map so
 // churn workloads recycle endpoints without allocating. The sender must
-// be Quiesced (the receiver is passive and holds no timers); the flow
-// is re-attached via the sender's network exactly as NewFlowOn does.
-func Renew(snd *Sender, rcv *Receiver, flow int, cfg Config, fwdExtra, revDelay float64) {
-	RenewRaw(snd, rcv, flow, cfg)
-	snd.net.AttachFlow(flow, snd, rcv, fwdExtra, revDelay)
-}
-
-// RenewRaw is Renew without the attach step, for callers that attach
-// with explicit hop slices through their executor.
-func RenewRaw(snd *Sender, rcv *Receiver, flow int, cfg Config) {
+// be Quiesced (the receiver is passive and holds no timers). Renew does
+// not attach the flow: the caller attaches it with its hop slices, as
+// the churn engine does through its host.
+func Renew(snd *Sender, rcv *Receiver, flow int, cfg Config) {
 	cfg.validate()
 	if !snd.Quiesced() {
 		panic("tcp: Renew on a non-quiescent sender")

@@ -667,16 +667,10 @@ func (r *Receiver) Idle() bool { return !r.fbTimer.Active() }
 // new flow, reusing every internal buffer (estimator history, loss
 // intervals, RNG state) so churn workloads recycle endpoints without
 // allocating. The pair must be quiescent (sender Quiesced, receiver
-// Idle) and the new config must keep the estimator window; the flow is
-// re-attached via the sender's network exactly as NewFlowOn does.
-func Renew(snd *Sender, rcv *Receiver, flow int, cfg Config, fwdExtra, revDelay float64) {
-	RenewRaw(snd, rcv, flow, cfg)
-	snd.net.AttachFlow(flow, snd, rcv, fwdExtra, revDelay)
-}
-
-// RenewRaw is Renew without the attach step, for callers that attach
-// with explicit hop slices through their executor.
-func RenewRaw(snd *Sender, rcv *Receiver, flow int, cfg Config) {
+// Idle) and the new config must keep the estimator window. Renew does
+// not attach the flow: the caller attaches it with its hop slices, as
+// the churn engine does through its host.
+func Renew(snd *Sender, rcv *Receiver, flow int, cfg Config) {
 	cfg.validate()
 	if cfg.Window != rcv.cfg.Window {
 		panic("tfrc: Renew cannot change the estimator window")

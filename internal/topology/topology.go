@@ -448,9 +448,6 @@ func (n *Network) AddNode(name string) NodeID {
 // Nodes returns the number of nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }
 
-// NodeName returns the name given to AddNode.
-func (n *Network) NodeName(id NodeID) string { return n.nodes[id] }
-
 func (n *Network) checkNodes(from, to NodeID) {
 	if int(from) >= len(n.nodes) || int(to) >= len(n.nodes) || from < 0 || to < 0 {
 		panic("topology: link endpoint node out of range")
