@@ -19,10 +19,15 @@ import (
 const byteSlack = 512
 
 // runBenchCmp compares a new BENCH_*.json report against a baseline and
-// returns 1 when a tracked benchmark regressed: events/sec fell by more
-// than tol (fraction), allocs/op grew by more than atol (fraction), or
+// returns 1 when a tracked benchmark regressed: its speed fell by more
+// than tol (fraction) — ns/op rose past the baseline's over 1-tol —,
+// allocs/op grew by more than atol (fraction), or
 // bytes/op grew beyond both btol (fraction) and the absolute byteSlack
-// floor. The allocation gates are narrow bands rather than zero
+// floor. Speed is time per op, not events/sec: a whole-simulation op is
+// one run of fixed simulated work, and an engine change that simulates
+// it in fewer events must not read as a slowdown. For the scheduler
+// loops, one event per op, the two are the same test; events/sec and
+// events/run stay recorded in the report. The allocation gates are narrow bands rather than zero
 // tolerance because the run-arena pooling makes a whole-simulation
 // benchmark's allocs/op weakly machine-dependent: per-op cost is
 // per-run residual plus amortized arena build-up divided by the
@@ -75,15 +80,15 @@ func runBenchCmp(oldPath, newPath string, tol, atol, btol float64, stdout, stder
 		o, ok := oldBy[n.Name]
 		if !ok {
 			newOnly = append(newOnly, n.Name)
-			fmt.Fprintf(stdout, "%-24s new benchmark, not gated (%.0f events/sec, %d allocs/op)\n",
-				n.Name, n.EventsPerSec, n.AllocsPerOp)
+			fmt.Fprintf(stdout, "%-24s new benchmark, not gated (%.0f ns/op, %d allocs/op)\n",
+				n.Name, n.NsPerOp, n.AllocsPerOp)
 			continue
 		}
 		delete(oldBy, n.Name)
 		compared++
 		var reasons []string
-		if o.EventsPerSec > 0 && n.EventsPerSec < o.EventsPerSec*(1-tol) {
-			reasons = append(reasons, fmt.Sprintf("events/sec fell >%d%%", int(tol*100)))
+		if o.NsPerOp > 0 && n.NsPerOp*(1-tol) > o.NsPerOp {
+			reasons = append(reasons, fmt.Sprintf("speed fell >%d%%", int(tol*100)))
 		}
 		if float64(n.AllocsPerOp) > float64(o.AllocsPerOp)*(1+atol) {
 			reasons = append(reasons, fmt.Sprintf("allocs/op rose %d -> %d", o.AllocsPerOp, n.AllocsPerOp))
@@ -98,12 +103,12 @@ func runBenchCmp(oldPath, newPath string, tol, atol, btol float64, stdout, stder
 			status = "FAIL: " + strings.Join(reasons, "; ")
 			failures++
 		}
-		ratio := 0.0
-		if o.EventsPerSec > 0 {
-			ratio = n.EventsPerSec / o.EventsPerSec
+		speed := 0.0
+		if n.NsPerOp > 0 {
+			speed = o.NsPerOp / n.NsPerOp
 		}
-		fmt.Fprintf(stdout, "%-24s %12.0f -> %12.0f events/sec (%.2fx)  %6d -> %6d allocs/op  %s\n",
-			n.Name, o.EventsPerSec, n.EventsPerSec, ratio, o.AllocsPerOp, n.AllocsPerOp, status)
+		fmt.Fprintf(stdout, "%-24s %12.0f -> %12.0f ns/op (%.2fx speed)  %6d -> %6d allocs/op  %s\n",
+			n.Name, o.NsPerOp, n.NsPerOp, speed, o.AllocsPerOp, n.AllocsPerOp, status)
 	}
 	missing := make([]string, 0, len(oldBy))
 	for name := range oldBy {

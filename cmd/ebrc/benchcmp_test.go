@@ -22,15 +22,15 @@ func writeBenchFile(t *testing.T, dir, name string, entries []benchEntry) string
 	return path
 }
 
-// The benchcmp gate: pass within tolerance, fail on a >tol events/sec
-// drop or any allocs/op increase, and ignore benchmarks present in only
-// one report.
+// The benchcmp gate: pass within tolerance, fail on a speed drop past
+// tol (ns/op above the baseline's over 1-tol) or an allocs/op increase,
+// and ignore benchmarks present in only one report.
 func TestBenchCmp(t *testing.T) {
 	dir := t.TempDir()
 	base := []benchEntry{
-		{Name: "DumbbellSteadyState", EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 150000},
-		{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0},
-		{Name: "RetiredBench", EventsPerSec: 1e6, AllocsPerOp: 0},
+		{Name: "DumbbellSteadyState", NsPerOp: 1.46e+07, EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 150000},
+		{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0},
+		{Name: "RetiredBench", NsPerOp: 1000, EventsPerSec: 1e6, AllocsPerOp: 0},
 	}
 	old := writeBenchFile(t, dir, "old.json", base)
 
@@ -41,50 +41,57 @@ func TestBenchCmp(t *testing.T) {
 		output  string
 	}{
 		{"within tolerance", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 4.5e6, AllocsPerOp: 2800, BytesPerOp: 155000},
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0},
+			{Name: "DumbbellSteadyState", NsPerOp: 1.94667e+07, EventsPerSec: 4.5e6, AllocsPerOp: 2800, BytesPerOp: 155000},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0},
 		}, 0, "no regressions"},
 		{"events per sec regression", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 3e6, AllocsPerOp: 2800, BytesPerOp: 150000},
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0},
-		}, 1, "events/sec fell"},
+			// The same work at half the events/sec: ns/op doubles.
+			{Name: "DumbbellSteadyState", NsPerOp: 2.92e+07, EventsPerSec: 3e6, AllocsPerOp: 2800, BytesPerOp: 150000},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0},
+		}, 1, "speed fell >30%"},
+		{"fewer events per run is no regression", []benchEntry{
+			// The same run in fewer events: events/sec falls by half,
+			// ns/op by a fifth, and only ns/op gates.
+			{Name: "DumbbellSteadyState", NsPerOp: 1.168e+07, EventsPerSec: 3e6, AllocsPerOp: 2800, BytesPerOp: 150000},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0},
+		}, 0, "no regressions"},
 		{"allocs increase", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 6e6, AllocsPerOp: 3000, BytesPerOp: 150000},
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0},
+			{Name: "DumbbellSteadyState", NsPerOp: 1.46e+07, EventsPerSec: 6e6, AllocsPerOp: 3000, BytesPerOp: 150000},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0},
 		}, 1, "allocs/op rose"},
 		{"allocs within tolerance band", []benchEntry{
 			// Arena amortization wiggle: +1% stays inside the 5% band.
-			{Name: "DumbbellSteadyState", EventsPerSec: 6e6, AllocsPerOp: 2828, BytesPerOp: 150000},
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0},
+			{Name: "DumbbellSteadyState", NsPerOp: 1.46e+07, EventsPerSec: 6e6, AllocsPerOp: 2828, BytesPerOp: 150000},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0},
 		}, 0, "no regressions"},
 		{"allocs from zero baseline stay strict", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 150000},
+			{Name: "DumbbellSteadyState", NsPerOp: 1.46e+07, EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 150000},
 			// A zero-allocs hot path gaining a single alloc/op must fail
 			// regardless of the relative band.
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 1},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 1},
 		}, 1, "allocs/op rose"},
 		{"bytes per op regression", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 170000},
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0},
+			{Name: "DumbbellSteadyState", NsPerOp: 1.46e+07, EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 170000},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0},
 		}, 1, "bytes/op rose"},
 		{"bytes from zero baseline", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 150000},
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0, BytesPerOp: 600},
+			{Name: "DumbbellSteadyState", NsPerOp: 1.46e+07, EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 150000},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0, BytesPerOp: 600},
 		}, 1, "bytes/op rose"},
 		{"bytes within absolute slack", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 150000},
+			{Name: "DumbbellSteadyState", NsPerOp: 1.46e+07, EventsPerSec: 6e6, AllocsPerOp: 2800, BytesPerOp: 150000},
 			// Amortized one-time growth on a tiny baseline: inside the
 			// byteSlack floor even though far beyond the relative band.
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0, BytesPerOp: 64},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0, BytesPerOp: 64},
 		}, 0, "no regressions"},
 		{"new benchmark not gated", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 6e6, AllocsPerOp: 2800},
+			{Name: "DumbbellSteadyState", NsPerOp: 1.46e+07, EventsPerSec: 6e6, AllocsPerOp: 2800},
 			{Name: "BrandNewBench", EventsPerSec: 1, AllocsPerOp: 999999},
 		}, 0, "new benchmark"},
 		{"both gates on one benchmark", []benchEntry{
-			{Name: "DumbbellSteadyState", EventsPerSec: 3e6, AllocsPerOp: 3000},
-			{Name: "SchedulerFire", EventsPerSec: 7e7, AllocsPerOp: 0},
-		}, 1, "events/sec fell >30%; allocs/op rose 2800 -> 3000"},
+			{Name: "DumbbellSteadyState", NsPerOp: 2.92e+07, EventsPerSec: 3e6, AllocsPerOp: 3000},
+			{Name: "SchedulerFire", NsPerOp: 14.3, EventsPerSec: 7e7, AllocsPerOp: 0},
+		}, 1, "speed fell >30%; allocs/op rose 2800 -> 3000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

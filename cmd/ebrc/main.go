@@ -44,8 +44,10 @@
 // seconds (and at the end of warmup), atomically replacing the previous
 // one. -resume D continues each simulation from its snapshot in D —
 // byte-identical to the uninterrupted run; a missing snapshot degrades
-// to a from-scratch run, and a snapshot whose config digest does not
-// match fails loudly naming both digests. Both apply to every
+// to a from-scratch run, and a snapshot this binary cannot read (another
+// codec version or config digest, a corrupt file, a failed restore
+// check) ends the run with exit 2 and one line naming the job, the file
+// and the check, without a retry. Both apply to every
 // packet-level scenario (fig5, fig7-fig19 and the multi-hop,
 // routed-reverse, scale-out, fault and churn families); the Monte Carlo
 // and analytic scenarios have no simulation to snapshot and ignore
@@ -173,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	benchOut := fs.String("benchout", "BENCH_local.json", "output path for the -bench report")
 	benchRun := fs.String("benchrun", "", "comma-separated benchmark names for -bench (default: the whole suite)")
 	benchCmp := fs.Bool("benchcmp", false, "compare two BENCH json reports (args: OLD NEW); exit 1 on regression")
-	benchTol := fs.Float64("benchtol", 0.30, "events/sec regression fraction -benchcmp tolerates")
+	benchTol := fs.Float64("benchtol", 0.30, "speed regression fraction -benchcmp tolerates (a body fails when ns/op exceeds the baseline's over 1-F)")
 	benchAllocTol := fs.Float64("benchalloctol", 0.05, "allocs/op growth fraction -benchcmp tolerates (0 baselines stay strict)")
 	benchByteTol := fs.Float64("benchbytetol", 0.10, "bytes/op growth fraction -benchcmp tolerates")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -385,6 +387,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		tables, so, err := s.Run(ctx, sz, ex)
+		var input *runner.InputError
+		if errors.As(err, &input) {
+			// A job that cannot run on its input — a snapshot this
+			// binary cannot read — ends the run like a bad flag.
+			fmt.Fprintf(stderr, "ebrc: %v\n", input)
+			return 2
+		}
 		if err != nil {
 			// Hardened mode folds the survivors even when jobs failed:
 			// print what completed, report the manifest, keep going so a

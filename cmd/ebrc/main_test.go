@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -265,6 +266,88 @@ func TestCheckpointDirCreated(t *testing.T) {
 	snaps, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("no snapshot in the created directory %s (err %v)", dir, err)
+	}
+}
+
+// A resume this binary cannot read ends the run with exit 2 and one
+// stderr line naming the job, the file and the failed check — no stack,
+// and under -retries 2 no retry (the line is the input error itself,
+// where a retried failure would report its attempts). A real panic
+// mid-run still exits 1 with its stack.
+func TestUnreadableResume(t *testing.T) {
+	base := []string{"-quick", "-events", "2000", "-simfactor", "0.04", "-run", "parkinglot"}
+	saved := t.TempDir()
+	var out, errb bytes.Buffer
+	if code := run(append([]string{"-checkpoint-every", "2", "-checkpoint-dir", saved}, base...), &out, &errb); code != 0 {
+		t.Fatalf("checkpointed run: exit %d (stderr: %s)", code, errb.String())
+	}
+	snaps, err := filepath.Glob(filepath.Join(saved, "*.ckpt"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshots in %s (err %v)", saved, err)
+	}
+	// spoiled copies every snapshot into a new directory and rewrites
+	// the first job's through spoil.
+	spoiled := func(spoil func([]byte) []byte) (dir, file string) {
+		dir = t.TempDir()
+		for i, src := range snaps {
+			b, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				b = spoil(b)
+			}
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(src)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir, filepath.Join(dir, filepath.Base(snaps[0]))
+	}
+	version6, v6file := spoiled(func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[8:], 6) // the codec version follows the 8-byte magic
+		return b
+	})
+	truncated, truncFile := spoiled(func(b []byte) []byte { return b[:len(b)/2] })
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"codec version 6", []string{"-resume", version6}, []string{v6file, "codec version 6, this binary reads version 7"}},
+		{"digest mismatch", []string{"-resume", saved, "-simfactor", "0.05"}, []string{snaps[0], "config digest mismatch"}},
+		{"truncated file", []string{"-resume", truncated}, []string{truncFile, "checksum mismatch"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(append(append([]string{"-retries", "2"}, base...), tc.args...), &out, &errb); code != 2 {
+				t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb.String())
+			}
+			msg := errb.String()
+			if strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") || strings.Contains(msg, "attempts") {
+				t.Fatalf("want one line, no stack and no retry, got %q", msg)
+			}
+			for _, want := range append([]string{"job 0 (parkinglot"}, tc.want...) {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("stderr %q does not name %q", msg, want)
+				}
+			}
+		})
+	}
+
+	// A directory where the first job's snapshot belongs makes its
+	// warmup save fail, which panics mid-run.
+	blocked := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(blocked, filepath.Base(snaps[0]), "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	errb.Reset()
+	if code := run(append([]string{"-checkpoint-every", "2", "-checkpoint-dir", blocked}, base...), &out, &errb); code != 1 {
+		t.Fatalf("planted panic: exit %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	for _, want := range []string{"panicked", "writing checkpoint", "goroutine"} {
+		if !strings.Contains(errb.String(), want) {
+			t.Fatalf("planted panic: stderr missing %q:\n%s", want, errb.String())
+		}
 	}
 }
 

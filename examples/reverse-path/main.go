@@ -73,7 +73,7 @@ func runOnce(congested bool) (tfrc.Stats, tcp.Stats, float64, float64) {
 	sched.RunUntil(warmup + measured)
 
 	q := net.Link(rev).Queue().(*netsim.DropTail)
-	offered := float64(q.Drops + net.Link(rev).Forwarded)
+	offered := float64(q.Drops + net.Link(rev).Forwarded())
 	dropRate := 0.0
 	if offered > 0 {
 		dropRate = float64(q.Drops) / offered

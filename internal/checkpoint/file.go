@@ -25,8 +25,10 @@ import (
 // Version 6: a packet crossing shards is saved as a pending delivery of
 // its destination domain, whose kind byte widens the to-sender flag;
 // the handoff section keeps only the per-shard counters; cross traffic
-// saves one packet counter.
-const CodecVersion = 6
+// saves one packet counter. Version 7: a link saves the departure time,
+// causal key and size of the packet in service in place of its
+// serialization timer, and that packet joins the propagation pipeline.
+const CodecVersion = 7
 
 // magic identifies a checkpoint file. Eight bytes, fixed.
 const magic = "EBRCCKP1"

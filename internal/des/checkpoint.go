@@ -1,6 +1,10 @@
 package des
 
-import "repro/internal/checkpoint"
+import (
+	"math"
+
+	"repro/internal/checkpoint"
+)
 
 // Seq returns the next sequence number the scheduler would assign. It
 // is saved alongside Now/Fired/Cascaded so a restored scheduler keeps
@@ -21,7 +25,9 @@ func (t Timer) State() checkpoint.TimerState {
 
 // RestoreClock overwrites the scheduler's clock state with values saved
 // from a running scheduler: current time, next sequence number, and the
-// fired/cascaded counters. The pending set must be empty (call Reset
+// fired/cascaded counters. Snapshots are taken between runs, after
+// RunUntil, so every event at the restored clock counts as fired
+// (Passed). The pending set must be empty (call Reset
 // first); restored events are then re-armed with RestoreAt.
 func (s *Scheduler) RestoreClock(now float64, seq, fired, cascaded uint64) {
 	if s.live != 0 {
@@ -30,7 +36,7 @@ func (s *Scheduler) RestoreClock(now float64, seq, fired, cascaded uint64) {
 	if now < 0 {
 		panic("des: RestoreClock with negative time")
 	}
-	s.now = now
+	s.now, s.key = now, math.Inf(1)
 	s.seq = seq
 	s.fired = fired
 	s.cascaded = cascaded

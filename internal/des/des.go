@@ -70,9 +70,21 @@
 // table's and the working set's capacity, so a pooled scheduler can be
 // reused across simulation runs without reallocating (see the run arena
 // in internal/experiments).
+//
+// # Passed: state that settles instead of firing
+//
+// A component whose next change happens at an instant it already knows
+// (a link's end of serialization) need not schedule an event for it.
+// It keeps the instant and its causal key as state and settles it
+// whenever it is touched: Passed reports whether an event with that
+// identity would already have fired, in the scheduler's (time, key)
+// order. Inside an event, that is every identity ordered before the
+// firing event's; after RunUntil, everything at the clock; after
+// RunBefore, nothing at it.
 package des
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -217,7 +229,11 @@ func (l *level) next(from int) (int, bool) {
 // Scheduler owns the simulated clock and the pending event set.
 // The zero value is ready to use at time 0.
 type Scheduler struct {
-	now      float64
+	now float64
+	// key is the causal key of the event firing at now: +Inf once
+	// RunUntil has run every event at now, -Inf once RunBefore stopped
+	// short of them (see Passed).
+	key      float64
 	seq      uint64
 	fired    uint64
 	cascaded uint64
@@ -245,6 +261,19 @@ type Scheduler struct {
 // Now returns the current simulated time in seconds.
 func (s *Scheduler) Now() float64 { return s.now }
 
+// Passed reports whether an event at time at with causal key key would
+// already have fired: it lies before the clock, or at the clock and no
+// later in key order than the event firing now. Between runs every event
+// at the clock counts as fired after RunUntil and none after RunBefore;
+// on a new or Reset scheduler every event at time 0 counts as fired,
+// since no causal key exceeds its firing time. An identity equal to the
+// firing event's counts as fired, so a caller settling state with Passed
+// orders itself before an event that ties with it in both time and key,
+// whatever their sequence numbers.
+func (s *Scheduler) Passed(at, key float64) bool {
+	return at < s.now || at == s.now && key <= s.key
+}
+
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
@@ -268,7 +297,7 @@ func (s *Scheduler) Pending() int { return s.live }
 // capacity of the slot table, the freelist and the working set, so a
 // pooled scheduler runs its next simulation without reallocating.
 func (s *Scheduler) Reset() {
-	s.now, s.seq, s.fired, s.cascaded = 0, 0, 0, 0
+	s.now, s.key, s.seq, s.fired, s.cascaded = 0, 0, 0, 0, 0
 	s.cur = s.cur[:0]
 	s.curIdx = 0
 	s.curTick = 0
@@ -642,7 +671,7 @@ func (s *Scheduler) fire(e entry) {
 	sl.gen++
 	s.free = append(s.free, e.slot())
 	s.live--
-	s.now = e.at
+	s.now, s.key = e.at, e.key
 	s.jumped = false
 	s.fired++
 	fn()
@@ -674,7 +703,7 @@ func (s *Scheduler) RunUntil(deadline float64) {
 		s.curIdx++
 		s.fire(e)
 	}
-	s.now = deadline
+	s.now, s.key = deadline, math.Inf(1)
 }
 
 // RunBefore executes every event strictly earlier than limit and leaves
@@ -695,7 +724,7 @@ func (s *Scheduler) RunBefore(limit float64) {
 		s.curIdx++
 		s.fire(e)
 	}
-	s.now = limit
+	s.now, s.key = limit, math.Inf(-1)
 }
 
 // Run executes events until the queue drains. Use RunUntil for

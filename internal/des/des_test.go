@@ -949,3 +949,54 @@ func TestAtOriginTieOrder(t *testing.T) {
 		s.AtOrigin(3.0, 3.5, rec("bad"))
 	}()
 }
+
+// Passed answers for an identity the scheduler never holds what its
+// event would have done: inside an event, every (time, key) before the
+// firing one has fired — an identity equal to it counts as fired — and
+// nothing after it; after RunUntil every event at the clock has fired,
+// after RunBefore none has, and a restored clock counts as RunUntil's.
+func TestPassed(t *testing.T) {
+	type probe struct {
+		at, key float64
+		want    bool
+	}
+	check := func(t *testing.T, s *Scheduler, where string, probes []probe) {
+		t.Helper()
+		for _, p := range probes {
+			if got := s.Passed(p.at, p.key); got != p.want {
+				t.Errorf("%s: Passed(%v, %v) = %v, want %v", where, p.at, p.key, got, p.want)
+			}
+		}
+	}
+	var s Scheduler
+	ran := false
+	s.AtOrigin(2, 1, func() {
+		ran = true
+		check(t, &s, "inside the event at (2, 1)", []probe{
+			{1.5, 1.5, true}, // an earlier time
+			{2, 0.5, true},   // the firing time, an earlier key
+			{2, 1, true},     // the firing event's own identity
+			{2, 1.5, false},  // the firing time, a later key
+			{2.5, 0, false},  // a later time
+		})
+	})
+	s.At(3, func() {})
+	s.RunUntil(2)
+	if !ran {
+		t.Fatal("the event at 2 did not fire")
+	}
+	check(t, &s, "after RunUntil(2)", []probe{{2, 2, true}, {2, 1.5, true}, {2.5, 0, false}})
+
+	s.RunBefore(3)
+	check(t, &s, "after RunBefore(3)", []probe{{2.5, 2.5, true}, {3, 0, false}, {3, 3, false}})
+
+	s.RunUntil(3)
+	check(t, &s, "after RunUntil(3)", []probe{{3, 0, true}, {3, 3, true}, {3.25, 0, false}})
+
+	var r Scheduler
+	r.RestoreClock(5, 10, 4, 0)
+	check(t, &r, "after RestoreClock(5)", []probe{{5, 5, true}, {4, 4, true}, {5.5, 0, false}})
+
+	s.Reset()
+	check(t, &s, "after Reset", []probe{{0, 0, true}, {0.5, 0, false}})
+}

@@ -76,28 +76,30 @@ func (r *run) saveAt(t float64) {
 
 // tryResume loads the job's snapshot from the resume directory and
 // returns the restored simulation time. A missing file degrades to a
-// from-scratch run (false); a present but corrupt or mismatched file is
-// fatal — resuming it would corrupt output.
-func (r *run) tryResume() (float64, bool) {
+// from-scratch run (false); a present file that cannot be read — a
+// codec version or config digest other than this run's, a spoiled
+// envelope, a failed restore check — is an error naming the file and
+// the check: resuming it would corrupt output.
+func (r *run) tryResume() (float64, bool, error) {
 	path := checkpoint.PathFor(r.sp.resume, r.sp.label)
 	digest, payload, err := checkpoint.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return 0, false
+		return 0, false, nil
 	}
 	if err != nil {
-		panic(fmt.Sprintf("experiments: resume: %v", err))
+		return 0, false, fmt.Errorf("experiments: resume: %w", err)
 	}
 	if digest != r.digest {
-		panic(fmt.Sprintf(
+		return 0, false, fmt.Errorf(
 			"experiments: resume %s: config digest mismatch: snapshot was written under config %016x, this run is config %016x; refusing to resume a different simulation",
-			path, digest, r.digest))
+			path, digest, r.digest)
 	}
 	rd := checkpoint.NewReader(payload)
 	r.checkpoint(rd.Codec())
 	if err := rd.Err(); err != nil {
-		panic(fmt.Sprintf("experiments: resume %s: %v", path, err))
+		return 0, false, fmt.Errorf("experiments: resume %s: %w", path, err)
 	}
-	return r.env.Shard(r.env.Shards() - 1).Sched().Now(), true
+	return r.env.Shard(r.env.Shards() - 1).Sched().Now(), true, nil
 }
 
 // checkpoint walks the full simulation state through c in a fixed

@@ -107,7 +107,7 @@ func foldSums(sums map[string]uint64) uint64 {
 // watch (linkflap), pooled TCP and CBR churn (surge), the metrics and
 // epoch capture with its Unbounded queue samples (surge), and a TFRC
 // churn class — write last snapshots whose payload checksums match the
-// values recorded when the layout last changed (CodecVersion 6). A
+// values recorded when the layout last changed (CodecVersion 7). A
 // refactor of the save and restore code must leave every byte where it
 // was.
 func TestSnapshotLayoutPinned(t *testing.T) {
@@ -119,13 +119,13 @@ func TestSnapshotLayoutPinned(t *testing.T) {
 		obs      ObserveOptions
 		want     uint64
 	}{
-		{"red-probe", "fig7", 0, ObserveOptions{}, 0x0edd8d70d360805c},
-		{"dumbbell-cross", "fig11", 0, ObserveOptions{}, 0x368c296d36fffc4b},
-		{"routed-reverse-shards2", "revcross", 2, ObserveOptions{}, 0x15f581728edbf917},
-		{"faults-watch", "linkflap", 0, ObserveOptions{}, 0x7585e52b1de6fc7c},
-		{"churn", "surge", 0, ObserveOptions{}, 0x64f2119fadf7bd50},
-		{"metrics-epochs", "surge", 0, ObserveOptions{Metrics: true, Epochs: 4}, 0x43fd4cb4f89beedf},
-		{"tfrc-churn", "", 0, ObserveOptions{}, 0x2442c77124eb7a43},
+		{"red-probe", "fig7", 0, ObserveOptions{}, 0x9079aefa8dd8a26b},
+		{"dumbbell-cross", "fig11", 0, ObserveOptions{}, 0xf445369c433b29d9},
+		{"routed-reverse-shards2", "revcross", 2, ObserveOptions{}, 0xb7c0e107de601fce},
+		{"faults-watch", "linkflap", 0, ObserveOptions{}, 0x03e422e77f51e1ad},
+		{"churn", "surge", 0, ObserveOptions{}, 0xc7d89be64d6de380},
+		{"metrics-epochs", "surge", 0, ObserveOptions{Metrics: true, Epochs: 4}, 0x1e0c4773180eee2b},
+		{"tfrc-churn", "", 0, ObserveOptions{}, 0x9dce45e15d0636cc},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -125,8 +125,8 @@ func (o *obsRun) totals() obs.Epoch {
 		l := o.eng.Link(topology.LinkID(id))
 		drops, early, _ := netsim.QueueStats(l.Queue())
 		cum.Enqueued += l.Accepted()
-		cum.Forwarded += l.Forwarded
-		cum.Bytes += l.BytesForwarded
+		cum.Forwarded += l.Forwarded()
+		cum.Bytes += l.BytesForwarded()
 		cum.QueueDrops += drops
 		cum.EarlyDrops += early
 		cum.FaultDrops += l.FaultDrops
@@ -240,7 +240,7 @@ func (o *obsRun) collect(tf []tfrc.Stats, tc []tcp.Stats) *RunObs {
 			l := o.eng.Link(topology.LinkID(id))
 			drops, early, _ := netsim.QueueStats(l.Queue())
 			pre := fmt.Sprintf("link%d.", id)
-			reg.Counter(pre + "forwarded").Add(l.Forwarded)
+			reg.Counter(pre + "forwarded").Add(l.Forwarded())
 			reg.Counter(pre + "queue_drops").Add(drops + early)
 			reg.Counter(pre + "fault_drops").Add(l.FaultDrops)
 		}

@@ -105,7 +105,7 @@ type RevSimResult struct {
 // RunRevSim executes the configured routed-reverse simulation and
 // returns the per-class aggregates. It is fully deterministic in
 // cfg.Seed.
-func RunRevSim(cfg RevSimConfig) RevSimResult { return simulate(cfg.spec(), cfg.result) }
+func RunRevSim(cfg RevSimConfig) RevSimResult { return mustSimulate(cfg.spec(), cfg.result) }
 
 // spec declares the bidirectional graph: the forward bottleneck src →
 // dst, and the reverse chain dst → … → src, one link per configured
@@ -176,7 +176,7 @@ func (cfg RevSimConfig) result(r *run) RevSimResult {
 	// offered to the chain are that hop's forwards plus its own drops;
 	// drops at later hops already count among the first hop's forwards.
 	first := r.env.Link(r.sp.rev[0])
-	if offered := first.Forwarded + first.Queue().(*netsim.DropTail).Drops; offered > 0 {
+	if offered := first.Forwarded() + first.Queue().(*netsim.DropTail).Drops; offered > 0 {
 		res.RevDropRate = float64(res.RevDrops) / float64(offered)
 	}
 	for _, st := range res.TFRCPerFlow {

@@ -61,8 +61,10 @@ type runConfig[R any] interface {
 
 // simulate validates the spec, builds it on a pooled cluster, steps it
 // to the end and maps the finished run through result. The Run*
-// functions panic with the validation error's text.
-func simulate[R any](sp *runSpec, result func(*run) R) R {
+// functions panic with the validation error's text. A resume that
+// cannot read its snapshot returns the error instead: no retry of the
+// job would read it either.
+func simulate[R any](sp *runSpec, result func(*run) R) (R, error) {
 	if err := sp.validate(); err != nil {
 		panic("experiments: " + err.Error())
 	}
@@ -73,12 +75,26 @@ func simulate[R any](sp *runSpec, result func(*run) R) R {
 	env, live := getCluster(sp.shards)
 	defer putCluster(env, live)
 	r := build(sp, env)
-	r.step()
+	if err := r.step(); err != nil {
+		var zero R
+		return zero, err
+	}
 	res := result(r)
 	if LeakCheck {
 		if err := r.env.CheckLeaks(); err != nil {
 			panic(err)
 		}
+	}
+	return res, nil
+}
+
+// mustSimulate is simulate for the Run* functions: their callers run
+// outside the runner, and a resume they cannot read panics with the
+// error's text.
+func mustSimulate[R any](sp *runSpec, result func(*run) R) R {
+	res, err := simulate(sp, result)
+	if err != nil {
+		panic(err)
 	}
 	return res
 }
@@ -278,12 +294,17 @@ func (r *run) startAt(sched *des.Scheduler, t float64, s stateful, start des.Eve
 // stats reset, then the measured window's epoch boundaries and snapshot
 // times to the end. A resumed run starts from its snapshot's clock and
 // skips every instant up to it. With neither epochs nor snapshots the
-// sequence is exactly Run(warmup), Run(end).
-func (r *run) step() {
+// sequence is exactly Run(warmup), Run(end). It returns the error of a
+// snapshot the resume could not read.
+func (r *run) step() error {
 	from, to := r.sp.warmup, r.end
 	at := -1.0
 	if r.sp.label != "" && r.sp.resume != "" {
-		if t, ok := r.tryResume(); ok {
+		t, ok, err := r.tryResume()
+		if err != nil {
+			return err
+		}
+		if ok {
 			at = t
 		}
 	}
@@ -328,6 +349,7 @@ func (r *run) step() {
 			i, start = i+1, t
 		}
 	}
+	return nil
 }
 
 // resetStats restarts every sender's and the probe's measurement window
@@ -389,7 +411,11 @@ func packetJob[R any](name string, sp *runSpec, result func(*run) R) runner.Job 
 				Checkpoint.Every > 0 && Checkpoint.Dir != "" {
 				s.resume = Checkpoint.Dir
 			}
-			return simulate(&s, result)
+			res, err := simulate(&s, result)
+			if err != nil {
+				return &runner.InputError{Err: err}
+			}
+			return res
 		},
 	}
 }

@@ -112,7 +112,7 @@ type SimResult struct {
 
 // RunSim executes the configured dumbbell simulation and returns the
 // per-class aggregates. It is fully deterministic in cfg.Seed.
-func RunSim(cfg SimConfig) SimResult { return simulate(cfg.spec(), cfg.result) }
+func RunSim(cfg SimConfig) SimResult { return mustSimulate(cfg.spec(), cfg.result) }
 
 // spec declares the dumbbell: every forward packet crosses the one
 // bottleneck (the default route, which also sinks the unattached cross

@@ -215,7 +215,7 @@ type TopoSimResult struct {
 
 // RunTopoSim executes the configured multi-hop simulation and returns
 // the per-class aggregates. It is fully deterministic in cfg.Seed.
-func RunTopoSim(cfg TopoSimConfig) TopoSimResult { return simulate(cfg.spec(), cfg.result) }
+func RunTopoSim(cfg TopoSimConfig) TopoSimResult { return mustSimulate(cfg.spec(), cfg.result) }
 
 // spec declares the chain n0 → … → nHops as the default route, the
 // mirrored reverse chain (links Hops..2·Hops-1) under MirrorRev, the

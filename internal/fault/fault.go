@@ -326,7 +326,7 @@ func (c *linkCtl) apply(ev Event) {
 		c.down = false
 		c.trace.Emit(ev.At, obs.EvFaultUp, -1, int32(c.id), 0)
 	case SetRate:
-		c.link.Rate = ev.Rate
+		c.link.SetRate(ev.Rate)
 		c.trace.Emit(ev.At, obs.EvFaultRate, -1, int32(c.id), ev.Rate)
 	}
 }
@@ -404,7 +404,7 @@ func Arm(h Host, p *Plan) (*Armed, error) {
 			}
 			ev := ev
 			fn = func() {
-				l.Rate = ev.Rate
+				l.SetRate(ev.Rate)
 				tr.Emit(ev.At, obs.EvFaultRate, -1, int32(ev.Link), ev.Rate)
 			}
 		} else {

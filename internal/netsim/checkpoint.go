@@ -111,22 +111,28 @@ func checkpointRing(c checkpoint.Codec, ring *pktRing, bounded string, get func(
 
 // Checkpoint walks the link's mutated state through c: effective rate
 // (fault SetRate events change it), busy flag, forwarding counters, the
-// queue, the packet being serialized and the propagation pipeline, each
-// with its pending timer. A restore into a freshly rebuilt link draws
-// its packets through get and re-arms the serialization and delivery
+// queue, the departure of the packet in service and the propagation
+// pipeline, each packet with its delivery timer. The walk reads the link
+// unsettled: settling schedules deliveries, so a save that settled
+// would move the sequence numbers the rest of the run draws. A restore
+// into a freshly rebuilt link draws its packets through get, checks the
+// saved departure against the restored clock and re-arms the delivery
 // timers under their original identities.
 func (l *Link) Checkpoint(c checkpoint.Codec, get func() *Packet) {
 	c.F64(&l.Rate)
 	c.Bool(&l.busy)
 	c.I64(&l.FaultDrops)
-	c.I64(&l.Forwarded)
-	c.I64(&l.BytesForwarded)
+	c.I64(&l.forwarded)
+	c.I64(&l.bytesForwarded)
 	checkpointQueue(c, l.queue, get)
-	tx := l.txPkt != nil
-	if c.Bool(&tx); tx {
-		l.txPkt = CheckpointPacket(c, l.txPkt, get)
-		if !l.sched.CheckpointTimer(c, &l.txTm, l.onTxDoneFn) && !c.Saving() {
-			c.Fail("serializing packet saved without a live tx timer")
+	if l.busy {
+		c.F64(&l.txAt)
+		c.F64(&l.txKey)
+		c.Int(&l.txSize)
+		if !c.Saving() && c.Err() == nil && (l.txKey > l.sched.Now() || l.txAt < l.txKey) {
+			c.Fail("saved departure at %v of a serialization started at %v does not fit the restored clock %v",
+				l.txAt, l.txKey, l.sched.Now())
+			return
 		}
 	}
 	n := c.Len(l.propLen)
@@ -136,7 +142,7 @@ func (l *Link) Checkpoint(c checkpoint.Codec, get func() *Packet) {
 			e = l.prop[(l.propHead+i)%len(l.prop)]
 		}
 		e.p = CheckpointPacket(c, e.p, get)
-		if !l.sched.CheckpointTimer(c, &e.tm, l.deliverOldestFn) && !c.Saving() {
+		if !l.sched.CheckpointTimer(c, &e.tm, l.deliverFn) && !c.Saving() {
 			c.Fail("propagating packet saved without a live delivery timer")
 		}
 		if !c.Saving() && c.Err() == nil {

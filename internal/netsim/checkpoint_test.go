@@ -31,7 +31,7 @@ func filled(q Queue, n int) Queue {
 
 // busyLink returns a link that was sent two packets and run until the
 // first propagates and the second serializes. kill, when set, then
-// drops the timer of one of them, a state a running link never has.
+// spoils one of them, a state a running link never has.
 func busyLink(kill func(l *Link)) *Link {
 	s := &des.Scheduler{}
 	l := NewLink(s, 1e5, 0.05, NewDropTail(8))
@@ -39,7 +39,8 @@ func busyLink(kill func(l *Link)) *Link {
 	l.Send(&Packet{Flow: 1, Seq: 0, Size: 1000})
 	l.Send(&Packet{Flow: 1, Seq: 1, Size: 1000})
 	s.RunUntil(0.015)
-	if l.txPkt == nil || l.propLen != 1 {
+	l.Settle()
+	if !l.busy || l.txKey != 0.01 || l.propLen != 2 || l.queue.Len() != 0 {
 		panic("test link is not serializing and propagating")
 	}
 	if kill != nil {
@@ -73,7 +74,9 @@ func TestRestoreChecks(t *testing.T) {
 	link := func(l *Link) func(checkpoint.Codec) {
 		return func(c checkpoint.Codec) { l.Checkpoint(c, get) }
 	}
-	noTx, noProp := busyLink(func(l *Link) { l.txTm = des.Timer{} }), busyLink(func(l *Link) { l.prop[l.propHead].tm = des.Timer{} })
+	lateStart := busyLink(func(l *Link) { l.txKey, l.txAt = 0.02, 0.03 })
+	backward := busyLink(func(l *Link) { l.txAt = 0.005 })
+	noProp := busyLink(func(l *Link) { l.prop[l.propHead].tm = des.Timer{} })
 	cases := []struct {
 		name          string
 		save, restore func(checkpoint.Codec)
@@ -84,7 +87,8 @@ func TestRestoreChecks(t *testing.T) {
 		{"smaller DropTail", queue(filled(NewDropTail(8), 5)), queue(NewDropTail(4)), "DropTail holds 5 packets, rebuilt capacity 4"},
 		{"smaller RED", queue(filled(red(8), 5)), queue(red(4)), "RED holds 5 packets, rebuilt capacity 4"},
 		{"non-empty queue", queue(filled(NewDropTail(8), 2)), queue(filled(NewDropTail(8), 1)), "restoring into a non-empty queue"},
-		{"dead tx timer", link(noTx), link(twinLink(noTx)), "without a live tx timer"},
+		{"serialization started after the clock", link(lateStart), link(twinLink(lateStart)), "saved departure at 0.03 of a serialization started at 0.02 does not fit the restored clock 0.015"},
+		{"departure before its start", link(backward), link(twinLink(backward)), "saved departure at 0.005 of a serialization started at 0.01"},
 		{"dead delivery timer", link(noProp), link(twinLink(noProp)), "without a live delivery timer"},
 	}
 	for _, tc := range cases {

@@ -9,6 +9,14 @@
 // seconds. Queues are FIFO, so a same-path packet stream is never
 // reordered; protocols may treat sequence gaps as losses immediately.
 //
+// A packet costs each link it crosses one scheduler event, its
+// delivery. The end of its serialization is link state, not an event:
+// the link settles it, in the scheduler's exact (time, key) order,
+// whenever anything touches the link — a Send, a delivery, FlushQueue,
+// SetRate or a read of its counters — so every observer sees the link
+// as a pipeline with an event per serialization end would have left it.
+// Change a link's rate mid-run with SetRate.
+//
 // Packet memory is recycled: sources draw packets from the network's
 // freelist (Network.GetPacket) and the simulator returns them after the
 // destination endpoint's Receive returns, or at the drop point for
@@ -447,18 +455,40 @@ func (q *RED) Len() int { return q.ring.count }
 // Link transmits packets from its queue at a fixed rate and delivers
 // them after a propagation delay. Deliver must be set before any Send.
 //
-// The transmission and propagation pipeline is driven by two callbacks
-// preallocated at construction; the packets in flight between
-// transmission completion and delivery wait in a circular buffer, so the
+// A packet costs the link one scheduler event: its delivery, scheduled
+// when its serialization starts, at the departure time plus the delay
+// and under the departure time as its causal key (des.AtOrigin) — the
+// identity the delivery would have if the end of serialization were an
+// event of its own. The end of serialization is not one. The link keeps
+// the departure time and causal key of the packet in service as state
+// and settles it whenever anything touches the link: every departure
+// the scheduler has passed (des.Scheduler.Passed) counts the packet as
+// forwarded and starts the next one at that departure instant. Send,
+// FlushQueue, SetRate, every delivery and every reader of the link's
+// state settle first, so each observes the link exactly as the
+// two-event pipeline would have left it. The delivery of the packet in
+// service settles the link before the next packet's delivery is due,
+// so the link never falls behind. A rate change applies to the packets
+// that start after it: change Rate mid-run through SetRate, which
+// settles first.
+//
+// Packets wait for delivery in a circular buffer beside their timers,
+// and the one delivery callback is bound at construction, so the
 // steady-state forwarding path performs no per-packet allocations.
 type Link struct {
 	sched *des.Scheduler
-	// Rate is the transmission rate in bytes/second.
+	// Rate is the transmission rate in bytes/second. Change it during a
+	// run only through SetRate.
 	Rate float64
 	// Delay is the one-way propagation delay in seconds.
 	Delay float64
 	queue Queue
-	busy  bool
+	// busy is set while a packet is in service; txAt, txKey and txSize
+	// are that packet's departure time, the causal key of its departure
+	// (the instant its serialization started) and its size.
+	busy        bool
+	txAt, txKey float64
+	txSize      int
 	// Deliver receives each packet after transmission + propagation.
 	Deliver func(*Packet)
 	// Release, when set, receives packets rejected by the queue so
@@ -474,27 +504,27 @@ type Link struct {
 	// FaultDrops counts packets dropped by the Fault hook, including
 	// queued packets discarded by FlushQueue.
 	FaultDrops int64
-	// Handoff, when set, replaces the propagation stage: at
-	// serialization end the packet is handed off instead of entering the
-	// propagation pipeline, and no delivery event is scheduled on this
-	// link's scheduler. A space-parallel executor sets it on links whose
-	// destination lives in another shard — the receiving shard schedules
-	// the arrival (at handoff time + Delay) itself, so the propagation
-	// delay becomes the conservative lookahead across the cut. Handed-off
-	// packets count as Forwarded but never as InFlight.
+	// Handoff, when set, replaces the propagation stage: when its
+	// serialization starts, the packet is handed off instead of entering
+	// the propagation pipeline (Departure reports when it leaves), and no
+	// delivery event is scheduled on this link's scheduler. A
+	// space-parallel executor sets it on links whose destination lives in
+	// another shard — the receiving shard schedules the arrival (at
+	// departure + Delay) itself, so the propagation delay becomes the
+	// conservative lookahead across the cut. Such a link has no event of
+	// its own to settle it, so the executor settles it (Settle) before
+	// each window barrier. Handed-off packets count as Forwarded once
+	// they depart, but never as InFlight.
 	Handoff func(*Packet)
-	// Forwarded counts packets fully transmitted.
-	Forwarded int64
-	// BytesForwarded counts bytes fully transmitted.
-	BytesForwarded int64
 
-	txPkt *Packet   // the packet currently being serialized
-	txTm  des.Timer // its serialization-completion timer
-	// prop pairs each propagating packet with its delivery timer, so a
-	// checkpoint can translate the pipeline into (packet, timer) records.
-	prop                        []propEntry
-	propHead, propLen           int
-	onTxDoneFn, deliverOldestFn des.Event
+	forwarded, bytesForwarded int64
+
+	// prop pairs each packet awaiting delivery — the one in service
+	// included — with its delivery timer, so a checkpoint can translate
+	// the pipeline into (packet, timer) records.
+	prop              []propEntry
+	propHead, propLen int
+	deliverFn         des.Event
 }
 
 // propEntry is one packet in the propagation pipeline with the timer
@@ -514,35 +544,57 @@ func NewLink(sched *des.Scheduler, rate, delay float64, queue Queue) *Link {
 		panic("netsim: invalid link rate/delay")
 	}
 	l := &Link{sched: sched, Rate: rate, Delay: delay, queue: queue}
-	l.onTxDoneFn = l.onTxDone
-	l.deliverOldestFn = l.deliverOldest
+	l.deliverFn = l.deliverOldest
 	return l
 }
 
-// Queue exposes the link's queue (for inspection in tests/experiments).
-func (l *Link) Queue() Queue { return l.queue }
+// Queue settles the link and exposes its queue (for inspection in
+// tests/experiments).
+func (l *Link) Queue() Queue {
+	l.Settle()
+	return l.queue
+}
+
+// Forwarded settles the link and returns the number of packets fully
+// transmitted.
+func (l *Link) Forwarded() int64 {
+	l.Settle()
+	return l.forwarded
+}
+
+// BytesForwarded settles the link and returns the bytes fully
+// transmitted.
+func (l *Link) BytesForwarded() int64 {
+	l.Settle()
+	return l.bytesForwarded
+}
+
+// Departure returns the departure time of the packet in service: when
+// its serialization ends. A Handoff reads it to stamp the packet's
+// arrival across the cut.
+func (l *Link) Departure() float64 { return l.txAt }
 
 // InFlight returns the number of packets currently held by the link:
 // queued, being serialized, or propagating. Together with pending
 // deliveries this is the denominator of the freelist leak invariant.
+// It reads the link as it stands: settling moves a packet from the queue
+// into the pipeline, which leaves the count unchanged, except on a cut
+// link (Handoff), which its executor settles before every barrier.
 func (l *Link) InFlight() int {
-	n := l.queue.Len() + l.propLen
-	if l.txPkt != nil {
-		n++
-	}
-	return n
+	return l.queue.Len() + l.propLen
 }
 
-// Accepted returns the number of packets the link has taken in so far:
-// forwarded plus currently queued or serializing. Unlike InFlight it
-// excludes the propagation stage, whose accounting moves to the
-// destination shard when the link is cut (Handoff) — so the value is
-// identical on the serial and sharded engines at any barrier-aligned
-// instant, which keeps offered-load ratios byte-stable across executor
-// modes.
+// Accepted settles the link and returns the number of packets it has
+// taken in so far: forwarded plus currently queued or serializing.
+// Unlike InFlight it excludes the propagation stage, whose accounting
+// moves to the destination shard when the link is cut (Handoff) — so
+// the value is identical on the serial and sharded engines at any
+// barrier-aligned instant, which keeps offered-load ratios byte-stable
+// across executor modes.
 func (l *Link) Accepted() int64 {
-	n := l.Forwarded + int64(l.queue.Len())
-	if l.txPkt != nil {
+	l.Settle()
+	n := l.forwarded + int64(l.queue.Len())
+	if l.busy {
 		n++
 	}
 	return n
@@ -561,15 +613,28 @@ func (l *Link) Send(p *Packet) {
 		}
 		return
 	}
-	if !l.queue.Enqueue(p, l.sched.Now()) {
+	l.Settle()
+	now := l.sched.Now()
+	if !l.queue.Enqueue(p, now) {
 		if l.Release != nil {
 			l.Release(p)
 		}
 		return
 	}
 	if !l.busy {
-		l.transmitNext()
+		l.transmitNext(now)
 	}
+}
+
+// SetRate settles the link and changes its transmission rate. The
+// packet in service keeps its departure time; the packets that start
+// after the change serialize at the new rate.
+func (l *Link) SetRate(rate float64) {
+	if rate <= 0 {
+		panic("netsim: invalid link rate")
+	}
+	l.Settle()
+	l.Rate = rate
 }
 
 // FlushQueue discards every queued packet through the Release sink and
@@ -580,6 +645,7 @@ func (l *Link) Send(p *Packet) {
 // balanced because Release recycles each packet at the drop point,
 // exactly like a queue rejection.
 func (l *Link) FlushQueue() int {
+	l.Settle()
 	n := 0
 	for {
 		p := l.queue.Dequeue(l.sched.Now())
@@ -595,36 +661,43 @@ func (l *Link) FlushQueue() int {
 	return n
 }
 
-func (l *Link) transmitNext() {
-	p := l.queue.Dequeue(l.sched.Now())
+// Settle brings the link up to the scheduler's clock: it completes
+// every departure the scheduler has passed, in order, each counting its
+// packet as forwarded and starting the next one at the departure
+// instant. The link's own methods settle before they act; an executor
+// calls it on a link that has no delivery event of its own (Handoff).
+func (l *Link) Settle() {
+	for l.busy && l.sched.Passed(l.txAt, l.txKey) {
+		l.forwarded++
+		l.bytesForwarded += int64(l.txSize)
+		l.transmitNext(l.txAt)
+	}
+}
+
+// transmitNext starts serializing the head of the queue at time t (the
+// clock, or a departure instant settle has reached) and schedules its
+// delivery, or hands it off; an empty queue leaves the link idle.
+func (l *Link) transmitNext(t float64) {
+	p := l.queue.Dequeue(t)
 	if p == nil {
 		l.busy = false
-		l.txPkt = nil
 		return
 	}
 	l.busy = true
-	l.txPkt = p
-	l.txTm = l.sched.After(float64(p.Size)/l.Rate, l.onTxDoneFn)
-}
-
-// onTxDone fires when the serialization of txPkt completes: the packet
-// enters propagation (in parallel with the next transmission).
-func (l *Link) onTxDone() {
-	p := l.txPkt
-	l.Forwarded++
-	l.BytesForwarded += int64(p.Size)
+	l.txAt, l.txKey, l.txSize = t+float64(p.Size)/l.Rate, t, p.Size
 	if l.Handoff != nil {
 		l.Handoff(p)
-	} else {
-		l.propPush(p, l.sched.After(l.Delay, l.deliverOldestFn))
+		return
 	}
-	l.transmitNext()
+	l.propPush(p, l.sched.AtOrigin(l.txAt+l.Delay, l.txAt, l.deliverFn))
 }
 
-// deliverOldest hands the head of the propagation pipeline to the sink.
-// Transmission completions are strictly ordered in time and propagation
-// delay is constant, so deliveries pop in FIFO order.
+// deliverOldest hands the head of the propagation pipeline to the sink,
+// after settling the link: the packet has departed, and the next one
+// starts at its departure. Departures are strictly ordered in time and
+// propagation delay is constant, so deliveries pop in FIFO order.
 func (l *Link) deliverOldest() {
+	l.Settle()
 	l.Deliver(l.propPop())
 }
 

@@ -184,8 +184,8 @@ func TestLinkLatencyAndRate(t *testing.T) {
 	if math.Abs(arrivals[0]-0.6) > 1e-9 || math.Abs(arrivals[1]-1.1) > 1e-9 {
 		t.Fatalf("arrival times = %v, want [0.6, 1.1]", arrivals)
 	}
-	if link.Forwarded != 2 || link.BytesForwarded != 1000 {
-		t.Fatalf("counters = %d pkts %d bytes", link.Forwarded, link.BytesForwarded)
+	if link.Forwarded() != 2 || link.BytesForwarded() != 1000 {
+		t.Fatalf("counters = %d pkts %d bytes", link.Forwarded(), link.BytesForwarded())
 	}
 }
 

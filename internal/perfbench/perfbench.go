@@ -110,10 +110,10 @@ func schedulerFarAnchor(b *testing.B) {
 	}
 }
 
-// wholeSim runs a whole-simulation body b.N times and reports
-// events/sec (scheduler events per second of wall time, the end-to-end
-// number the hot-path optimization targets) and events/run (divide
-// allocs/op by it for allocations per simulated event).
+// wholeSim runs a whole-simulation body b.N times. Its ns/op is the
+// time one run of fixed simulated work takes; it also reports the
+// engine's own counters, events/sec (scheduler events per second of
+// wall time) and events/run.
 func wholeSim(b *testing.B, run func() uint64) {
 	var events uint64
 	b.ReportAllocs()

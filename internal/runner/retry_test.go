@@ -105,6 +105,45 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 }
 
+// A job that returns an *InputError fails on its first attempt under
+// any retry budget: the runner fills in the job's identity, the error
+// carries no stack, and errors.As finds it through the manifest. A
+// serial run fails with it the same way.
+func TestInputErrorIsNotRetried(t *testing.T) {
+	t.Parallel()
+	cause := errors.New("resume x.ckpt: codec version 6, this binary reads version 7")
+	calls := 0
+	jobs := []Job{
+		{Name: "fine", Seed: 1, Run: func(context.Context) any { return "ok" }},
+		{Name: "stale", Seed: 2, Run: func(context.Context) any {
+			calls++
+			return &InputError{Err: cause}
+		}},
+	}
+	p := &Pool{Workers: 1, Retries: 2, RetryBase: time.Millisecond}
+	results, err := p.Execute(context.Background(), jobs)
+	var m *Manifest
+	if !errors.As(err, &m) || len(m.Failed) != 1 {
+		t.Fatalf("err = %v, want a manifest naming the stale job", err)
+	}
+	if f := m.Failed[0]; f.Attempts != 1 || calls != 1 {
+		t.Fatalf("attempts %d, calls %d, want one of each", f.Attempts, calls)
+	}
+	var input *InputError
+	if !errors.As(err, &input) || !errors.Is(err, cause) {
+		t.Fatalf("manifest %v does not unwrap to the input error", err)
+	}
+	if want := "job 1 (stale, seed 2): " + cause.Error(); input.Error() != want {
+		t.Fatalf("input error %q, want %q", input.Error(), want)
+	}
+	if results[0] != "ok" || p.Snapshot().Retries != 0 {
+		t.Fatalf("healthy result %v, retries %d", results[0], p.Snapshot().Retries)
+	}
+	if _, err := (Serial{}).Execute(context.Background(), jobs); !errors.As(err, &input) || strings.Contains(err.Error(), "goroutine") {
+		t.Fatalf("serial error %v, want the input error without a stack", err)
+	}
+}
+
 // The watchdog and the retry budget compose: a job that hangs past the
 // deadline on its first attempt is abandoned and retried, and the
 // retry (seeing its ordinal via Attempt) can succeed.

@@ -8,6 +8,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -99,6 +100,28 @@ func (e JobError) Error() string {
 	return fmt.Sprintf("job %d (%s, seed %d): %v", e.Index, e.Name, e.Seed, e.Err)
 }
 
+// Unwrap returns the last attempt's error.
+func (e JobError) Unwrap() error { return e.Err }
+
+// InputError is the result a job's Run returns when the job cannot run
+// on its input — a snapshot this binary cannot read, say. The job fails
+// like one that panicked, but the error carries no stack and no retry
+// is attempted: the same input fails the same way every time. The
+// runner fills in the job's identity.
+type InputError struct {
+	Index int
+	Name  string
+	Seed  uint64
+	Err   error
+}
+
+func (e *InputError) Error() string {
+	return fmt.Sprintf("job %d (%s, seed %d): %v", e.Index, e.Name, e.Seed, e.Err)
+}
+
+// Unwrap returns the input error itself.
+func (e *InputError) Unwrap() error { return e.Err }
+
 // Manifest is the error a hardened Pool returns when some jobs of a
 // batch failed: the survivors' results are still delivered, the
 // failures are listed here in index order. Callers that can fold
@@ -112,6 +135,16 @@ type Manifest struct {
 
 func (m *Manifest) Error() string {
 	return fmt.Sprintf("runner: %d of %d jobs failed; first: %v", len(m.Failed), m.Total, m.Failed[0])
+}
+
+// Unwrap returns every failed job's error, so errors.As finds an
+// InputError behind any of them.
+func (m *Manifest) Unwrap() []error {
+	errs := make([]error, len(m.Failed))
+	for i, je := range m.Failed {
+		errs[i] = je
+	}
+	return errs
 }
 
 // Pool runs jobs concurrently on a fixed set of workers. Results are
@@ -338,7 +371,8 @@ func (p *Pool) runAttempts(ctx context.Context, i int, j Job) (any, int, []error
 			return v, a, chain, nil
 		}
 		chain = append(chain, err)
-		if ctx.Err() != nil || a == attempts {
+		var input *InputError
+		if ctx.Err() != nil || a == attempts || errors.As(err, &input) {
 			break
 		}
 		p.snapRetries.Add(1)
@@ -427,6 +461,7 @@ const maxPanicStack = 4096
 // a diagnosable cause. The error carries the job index, its
 // deterministic seed and a truncated stack, so the exact run is
 // reproducible in isolation (rerun the scenario filtered to that seed).
+// A job that returns an *InputError fails with it, identity filled in.
 func runOne(ctx context.Context, index int, j Job) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -440,5 +475,10 @@ func runOne(ctx context.Context, index int, j Job) (v any, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return j.Run(ctx), nil
+	v = j.Run(ctx)
+	if input, ok := v.(*InputError); ok {
+		input.Index, input.Name, input.Seed = index, j.Name, j.Seed
+		return nil, input
+	}
+	return v, nil
 }

@@ -75,6 +75,8 @@ func (c *Cluster) Reset() {
 	c.Network.Reset()
 	for _, s := range c.shards {
 		s.Domain = nil
+		clear(s.cut)
+		s.cut = s.cut[:0]
 		s.sched.Reset()
 		s.wbuf = 0
 		s.handoffs = 0

@@ -78,8 +78,9 @@ func (c *Cluster) Partition(k int) {
 	}
 
 	// A link whose destination is on another shard gets a Handoff that
-	// bundles the packet toward the destination shard with arrival time
-	// handoff-now + propagation delay.
+	// bundles the packet toward the destination shard when its
+	// serialization starts, with arrival time departure + propagation
+	// delay and the departure as its causal key.
 	c.cutDelay = math.Inf(1)
 	for id := 0; id < c.Links(); id++ {
 		from, to, delay := c.Edge(topology.LinkID(id))
@@ -90,8 +91,10 @@ func (c *Cluster) Partition(k int) {
 		l := c.Link(topology.LinkID(id))
 		l.Deliver = cutDeliver
 		l.Handoff = func(p *netsim.Packet) {
-			src.emit(dst, topology.ToNode, p, src.sched.Now()+delay)
+			depart := l.Departure()
+			src.emit(dst, topology.ToNode, p, depart+delay, depart)
 		}
+		src.cut = append(src.cut, l)
 		c.cutDelay = math.Min(c.cutDelay, delay)
 	}
 }

@@ -157,6 +157,13 @@ func (c *Cluster) runWindows(until float64) {
 				} else {
 					s.sched.RunBefore(next)
 				}
+				// A cut link has no delivery event on this shard to
+				// settle it: settling it here puts every packet that
+				// started serializing in the window into the window's
+				// bundles before the barrier.
+				for _, l := range s.cut {
+					l.Settle()
+				}
 				s.publishProgress(window)
 				waitStart := time.Now()
 				ok := bar.wait(budget)
@@ -166,6 +173,9 @@ func (c *Cluster) runWindows(until float64) {
 				}
 				c.drain(s, parity)
 				if last {
+					// A packet handed off between runs joins the bundle
+					// the next run's first window drains.
+					s.wbuf = 0
 					return
 				}
 				b = next

@@ -16,11 +16,14 @@
 // of its source node. A link whose destination node lives in another
 // shard is a cut link: its serialization still happens on the owning
 // shard, but instead of entering the propagation pipeline the packet is
-// handed off (netsim.Link.Handoff) into an outbound bundle stamped with
-// its arrival time, handoff-now + propagation delay. Because forwarding
-// always continues in the shard of the node where a packet physically
-// is, every other Send in the system stays shard-local (see
-// topology.Domain.Arrive). The partitioner (Partition) never cuts a
+// handed off (netsim.Link.Handoff) when its serialization starts, into
+// an outbound bundle stamped with its arrival time, departure +
+// propagation delay, and its departure as the causal key. Each shard
+// settles its cut links at the end of every window, so a packet that
+// starts serializing in a window crosses at that window's barrier.
+// Because forwarding always continues in the shard of the node where a
+// packet physically is, every other Send in the system stays
+// shard-local (see topology.Domain.Arrive). The partitioner (Partition) never cuts a
 // zero-delay channel: zero-delay links and zero-latency pure-delay
 // reverse paths co-locate their endpoints.
 //
@@ -39,8 +42,9 @@
 // At each barrier every shard drains the bundles addressed to it in
 // (src-shard, emission-seq) order and holds each message as a pending
 // delivery (topology.Domain.Accept) due at its exact arrival time,
-// carrying the source clock at emission as the causal tie-break key
-// (des.AtOrigin). Within a shard, simultaneous events fire in (origin,
+// carrying its causal origin — the packet's departure from a cut link,
+// the source clock for a pure-delay reverse packet — as the tie-break
+// key (des.AtOrigin). Within a shard, simultaneous events fire in (origin,
 // scheduling-seq) order, so a cross-shard arrival that lands on the
 // exact instant of a window-local event keeps the position its emission
 // time would have earned it on a serial engine — such ties are
@@ -65,11 +69,12 @@ import (
 
 // message is one cross-shard event in a bundle: the packet travels by
 // value so the source shard can recycle its copy at emission. origin is
-// the source shard's clock at emission; the destination holds the
-// packet as a pending delivery of the given kind until at, with origin
-// as the causal tie-break key (des.AtOrigin), so an arrival that shares
-// its exact firing instant with local events fires in the position its
-// emission time would have earned it on a serial engine.
+// the instant the packet left its source shard (see emit); the
+// destination holds the packet as a pending delivery of the given kind
+// until at, with origin as the causal tie-break key (des.AtOrigin), so
+// an arrival that shares its exact firing instant with local events
+// fires in the position its emission time would have earned it on a
+// serial engine.
 type message struct {
 	at     float64
 	origin float64
@@ -91,6 +96,10 @@ type Shard struct {
 
 	// handoffs counts cross-shard messages this shard has emitted.
 	handoffs int64
+
+	// cut holds the shard's cut links: links it owns whose destination
+	// node lives in another shard.
+	cut []*netsim.Link
 
 	// out[parity][dst] is the bundle of messages emitted toward shard
 	// dst during the current window. Two parities double-buffer the
@@ -186,17 +195,19 @@ func (s *Shard) publishProgress(window int) {
 
 // emit appends a message to the bundle toward dst and recycles the
 // source-side packet: from here on the destination shard's copy is the
-// packet.
-func (s *Shard) emit(dst int, kind topology.DeliveryKind, p *netsim.Packet, at float64) {
+// packet. origin is the instant the packet left: the clock for a
+// pure-delay reverse packet, the departure from a cut link, which is
+// handed off when its serialization starts.
+func (s *Shard) emit(dst int, kind topology.DeliveryKind, p *netsim.Packet, at, origin float64) {
 	box := &s.out[s.wbuf][dst]
-	*box = append(*box, message{at: at, origin: s.sched.Now(), pkt: *p, kind: kind})
+	*box = append(*box, message{at: at, origin: origin, pkt: *p, kind: kind})
 	s.handoffs++
-	s.Trace.Emit(s.sched.Now(), obs.EvHandoff, int32(p.Flow), -1, float64(dst))
+	s.Trace.Emit(origin, obs.EvHandoff, int32(p.Flow), -1, float64(dst))
 	s.PutPacket(p)
 }
 
 // emitToSender is the domain's Remote hook: a pure-delay reverse packet
 // bound for a sender in shard dst.
 func (s *Shard) emitToSender(dst int, p *netsim.Packet, at float64) {
-	s.emit(dst, topology.ToSender, p, at)
+	s.emit(dst, topology.ToSender, p, at, s.sched.Now())
 }

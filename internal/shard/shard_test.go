@@ -409,3 +409,42 @@ func TestLiveAttachValidatesRoutes(t *testing.T) {
 		})
 	}
 }
+
+// A packet sent into a cut link between Run calls is handed off at once,
+// outside any window, and must still reach its destination on time: the
+// next run's first window drains it, whatever parity the previous run
+// ended on (Run(0.01) in 5 ms windows ends on parity 1).
+func TestCutLinkSendBetweenRuns(t *testing.T) {
+	send := func(l *netsim.Link, get func() *netsim.Packet) {
+		for i := 0; i < 3; i++ {
+			p := get()
+			p.Flow, p.Seq, p.Size, p.Hop = 5, int64(i), 1000, 1
+			l.Send(p)
+		}
+	}
+	var sched des.Scheduler
+	net := topology.New(&sched)
+	hops := buildChain(net)
+	net.AttachSink(5, hops...)
+	sched.RunUntil(0.01)
+	send(net.Link(hops[1]), net.GetPacket)
+	sched.RunUntil(0.1)
+	want := net.Delivered(5)
+
+	c := shard.New()
+	buildChain(c)
+	c.Partition(2)
+	c.AttachSink(5, hops...)
+	if c.LinkSched(hops[1]) != c.Shard(0).Sched() || c.LinkSched(hops[2]) != c.Shard(1).Sched() {
+		t.Fatal("the middle hop is not the cut link from shard 0 to shard 1")
+	}
+	c.Run(0.01)
+	send(c.Link(hops[1]), c.Shard(0).GetPacket)
+	c.Run(0.1)
+	if err := c.CheckLeaks(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Delivered(5); got != want || got != 3 {
+		t.Fatalf("delivered %d on the cluster, %d serially, want 3", got, want)
+	}
+}

@@ -106,7 +106,7 @@ func TestCrossTrafficOverRoutedSink(t *testing.T) {
 	if net.Delivered(99) == 0 {
 		t.Fatal("sink flow delivered nothing")
 	}
-	if fwd := net.Link(1).Forwarded; fwd != 0 {
+	if fwd := net.Link(1).Forwarded(); fwd != 0 {
 		t.Fatalf("second hop forwarded %d packets of a first-hop sink flow", fwd)
 	}
 	if err := net.CheckLeaks(); err != nil {

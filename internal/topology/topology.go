@@ -216,7 +216,8 @@ var (
 // declares links, and Place builds them once it splits the graph into
 // domains. The sharded executor embeds one that way.
 type Network struct {
-	nodes   []string
+	// nodeDom maps each node to its domain; its length is the node
+	// count.
 	nodeDom []int
 	specs   []linkSpec
 	// links holds the built links, nil until the network is placed.
@@ -295,7 +296,7 @@ func (n *Network) Place(nodeDomain []int, scheds []*des.Scheduler) {
 	if len(scheds) == 0 {
 		panic("topology: Place needs at least one scheduler")
 	}
-	if nodeDomain != nil && len(nodeDomain) != len(n.nodes) {
+	if nodeDomain != nil && len(nodeDomain) != len(n.nodeDom) {
 		panic("topology: Place needs one domain per node")
 	}
 	for i, s := range scheds {
@@ -366,7 +367,6 @@ func (n *Network) Reset() {
 		n.flows[id] = nil
 	}
 	n.flows = n.flows[:0]
-	n.nodes = n.nodes[:0]
 	n.nodeDom = n.nodeDom[:0]
 	clear(n.specs)
 	n.specs = n.specs[:0]
@@ -436,20 +436,20 @@ func (n *Network) Tracers() []*obs.Tracer {
 // domain's stream (fault.TracedHost).
 func (n *Network) LinkTracer(id LinkID) *obs.Tracer { return n.placedOwner(id).Trace }
 
-// AddNode adds a named node and returns its id. Nodes only anchor link
-// endpoints (for route validation, placement and diagnostics); they
-// hold no state. A new node joins domain 0 until Place says otherwise.
+// AddNode adds a node and returns its id. The name documents the
+// caller's graph; the network does not keep it. Nodes only anchor link
+// endpoints (for route validation and placement); they hold no state. A
+// new node joins domain 0 until Place says otherwise.
 func (n *Network) AddNode(name string) NodeID {
-	n.nodes = append(n.nodes, name)
 	n.nodeDom = append(n.nodeDom, 0)
-	return NodeID(len(n.nodes) - 1)
+	return NodeID(len(n.nodeDom) - 1)
 }
 
 // Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return len(n.nodes) }
+func (n *Network) Nodes() int { return len(n.nodeDom) }
 
 func (n *Network) checkNodes(from, to NodeID) {
-	if int(from) >= len(n.nodes) || int(to) >= len(n.nodes) || from < 0 || to < 0 {
+	if int(from) >= len(n.nodeDom) || int(to) >= len(n.nodeDom) || from < 0 || to < 0 {
 		panic("topology: link endpoint node out of range")
 	}
 }

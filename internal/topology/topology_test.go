@@ -108,8 +108,8 @@ func TestMultiHopRouteTiming(t *testing.T) {
 		}
 	}
 	for _, h := range hops {
-		if net.Link(h).Forwarded != 3 {
-			t.Fatalf("link %d forwarded %d", h, net.Link(h).Forwarded)
+		if net.Link(h).Forwarded() != 3 {
+			t.Fatalf("link %d forwarded %d", h, net.Link(h).Forwarded())
 		}
 	}
 	if net.Delivered(1) != 3 {
