@@ -14,10 +14,10 @@
 //     executor-invariant;
 //   - per-flow seeds derive from the class seed and the arrival index
 //     (FlowSeed), never from a shared draw sequence;
-//   - endpoint recycling resets a pair to exactly its freshly-built
-//     state (protocol Renew contracts), so a pooled attach on the serial
-//     engine and a fresh attach on the sharded one produce the same
-//     trajectory;
+//   - each protocol defines an endpoint's fresh state in one place, run
+//     by both its constructor and its Renew, so a pair renewed from the
+//     pool on the serial engine and one built fresh on the sharded
+//     engine start from the same state and follow the same trajectory;
 //   - detaching happens only for provably quiet flows — sender done with
 //     no live timers, receiver idle, zero packets of the flow inside the
 //     network — and mutates no scheduler or ledger state, so reclamation
@@ -40,6 +40,7 @@ import (
 	"fmt"
 
 	"repro/internal/cbr"
+	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/rng"
@@ -310,27 +311,28 @@ type ClassResult struct {
 	PalmPop, TimePop float64
 }
 
+// ends is a transfer's one handle on its endpoint pair: a TFRC or TCP
+// sender, which holds its receiver, or a CBR probe, which is both ends.
+// The interface value holds the existing pointer, so the handle costs
+// no allocation.
+type ends interface {
+	// Endpoints returns the sender and receiver ends the host attaches.
+	Endpoints() (sender, receiver netsim.Endpoint)
+	// Start begins the transfer.
+	Start()
+	// Quiesced reports whether the transfer is done and neither end
+	// holds a live timer.
+	Quiesced() bool
+	// CheckpointPair walks both ends' state, the sender's first.
+	CheckpointPair(checkpoint.Codec)
+}
+
 // transfer is one live transfer: an arrival's endpoints and lifecycle,
 // from its attach until the engine reclaims it.
 type transfer struct {
-	tfrcSnd *tfrc.Sender
-	tfrcRcv *tfrc.Receiver
-	tcpSnd  *tcp.Sender
-	tcpRcv  *tcp.Receiver
-	probe   *cbr.Probe
-
+	ends      ends
 	startedAt float64
 	done      bool
-}
-
-// tfrcPair / tcpPair are the serial executor's recycling pools' units.
-type tfrcPair struct {
-	snd *tfrc.Sender
-	rcv *tfrc.Receiver
-}
-type tcpPair struct {
-	snd *tcp.Sender
-	rcv *tcp.Receiver
 }
 
 // classState is one armed class: resolved environment, RNG, pools and
@@ -361,9 +363,8 @@ type classState struct {
 	free  []int32
 	index []int32
 
-	tfrcPool []tfrcPair
-	tcpPool  []tcpPair
-	cbrPool  []*cbr.Probe
+	// pool holds the reclaimed endpoint pairs the next arrivals renew.
+	pool []ends
 
 	constructions int64
 	reclaimed     int64
@@ -503,36 +504,12 @@ func (e *Engine) maybeReclaim(flow int) {
 		return
 	}
 	t := cs.transfer(i)
-	if t == nil || !t.done {
-		return
-	}
-	switch cs.Proto {
-	case TFRC:
-		if !t.tfrcSnd.Quiesced() || !t.tfrcRcv.Idle() {
-			return
-		}
-	case TCP:
-		if !t.tcpSnd.Quiesced() {
-			return
-		}
-	case CBR:
-		if !t.probe.Quiesced() {
-			return
-		}
-	}
-	if e.lc.InFlight(flow) != 0 {
+	if t == nil || !t.done || !t.ends.Quiesced() || e.lc.InFlight(flow) != 0 {
 		return
 	}
 	e.lc.DetachFlow(flow)
 	cs.reclaimed++
-	switch cs.Proto {
-	case TFRC:
-		cs.tfrcPool = append(cs.tfrcPool, tfrcPair{t.tfrcSnd, t.tfrcRcv})
-	case TCP:
-		cs.tcpPool = append(cs.tcpPool, tcpPair{t.tcpSnd, t.tcpRcv})
-	case CBR:
-		cs.cbrPool = append(cs.cbrPool, t.probe)
-	}
+	cs.pool = append(cs.pool, t.ends)
 	cs.release(i)
 }
 
@@ -605,90 +582,69 @@ func (cs *classState) arrive() {
 }
 
 // start files the i-th transfer in the live table, then attaches and
-// starts it: a pooled endpoint pair renewed in place when the serial
-// executor has reclaimed one, a fresh pair otherwise. Renew resets a
-// pair to exactly its freshly-built state, so both paths produce the
-// same trajectory.
+// starts it on the pair the class pooled last, renewed in place, or on a
+// freshly built pair when the pool is empty (only the serial executor
+// reclaims). Renewing and building run each protocol's one fresh-state
+// definition, so both paths produce the same trajectory.
 func (cs *classState) start(i, flow int, size int64, now float64) {
 	t := cs.admit(i)
 	t.startedAt = now
-	seed := FlowSeed(cs.Seed, i)
+	var pooled ends
+	if n := len(cs.pool); n > 0 {
+		pooled, cs.pool = cs.pool[n-1], cs.pool[:n-1]
+	} else {
+		cs.constructions++
+	}
+	t.ends = cs.endpoints(pooled, flow, size, FlowSeed(cs.Seed, i))
+	cs.attach(flow, t.ends)
+	t.ends.Start()
+}
+
+// endpoints readies a transfer of size packets on flow with the given
+// per-flow seed: it renews pooled in place, or builds a fresh pair when
+// pooled is nil, binding the lifecycle hooks once. The hooks capture the
+// endpoints, which know their current flow, so renewing keeps them. It
+// is the engine's one protocol switch after NewEngine's validation.
+func (cs *classState) endpoints(pooled ends, flow int, size int64, seed uint64) ends {
 	switch cs.Proto {
 	case TFRC:
 		cfg := cs.TFRC
-		cfg.Seed = seed
-		cfg.TotalPackets = size
-		if n := len(cs.tfrcPool); n > 0 {
-			p := cs.tfrcPool[n-1]
-			cs.tfrcPool = cs.tfrcPool[:n-1]
-			t.tfrcSnd, t.tfrcRcv = p.snd, p.rcv
-			tfrc.Renew(p.snd, p.rcv, flow, cfg)
-		} else {
-			cs.constructions++
-			t.tfrcSnd, t.tfrcRcv = cs.newTFRC(flow, cfg)
+		cfg.Seed, cfg.TotalPackets = seed, size
+		if snd, ok := pooled.(*tfrc.Sender); ok {
+			snd.Renew(flow, cfg)
+			return snd
 		}
-		cs.eng.host.AttachLive(flow, t.tfrcSnd, t.tfrcRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-		t.tfrcSnd.Start()
+		snd, rcv := tfrc.NewFlowRaw(cs.sndSched, cs.sndNet, cs.rcvSched, cs.rcvNet, flow, cfg)
+		snd.OnDone(func() { cs.flowDone(snd.Flow()) })
+		rcv.OnIdle(func() { cs.eng.maybeReclaim(rcv.Flow()) })
+		return snd
 	case TCP:
 		cfg := cs.TCP
 		cfg.TotalSegments = size
-		if n := len(cs.tcpPool); n > 0 {
-			p := cs.tcpPool[n-1]
-			cs.tcpPool = cs.tcpPool[:n-1]
-			t.tcpSnd, t.tcpRcv = p.snd, p.rcv
-			tcp.Renew(p.snd, p.rcv, flow, cfg)
-		} else {
-			cs.constructions++
-			t.tcpSnd, t.tcpRcv = cs.newTCP(flow, cfg)
+		if snd, ok := pooled.(*tcp.Sender); ok {
+			snd.Renew(flow, cfg)
+			return snd
 		}
-		cs.eng.host.AttachLive(flow, t.tcpSnd, t.tcpRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-		t.tcpSnd.Start()
-	case CBR:
-		if n := len(cs.cbrPool); n > 0 {
-			p := cs.cbrPool[n-1]
-			cs.cbrPool = cs.cbrPool[:n-1]
-			t.probe = p
+		snd, _ := tcp.NewFlowRaw(cs.sndSched, cs.sndNet, cs.rcvSched, cs.rcvNet, flow, cfg)
+		snd.OnDone(func() { cs.flowDone(snd.Flow()) })
+		return snd
+	default: // CBR
+		p, ok := pooled.(*cbr.Probe)
+		if ok {
 			p.Renew(flow, cs.CBRSize, cs.CBRRate, false, cs.CBRRTT, seed)
 		} else {
-			cs.constructions++
-			p := cs.probe(flow, seed)
-			t.probe = p
+			p = cbr.NewProbeRaw(cs.sndSched, cs.sndNet, cs.rcvSched, flow, cs.CBRSize, cs.CBRRate, false, cs.CBRRTT, seed)
+			p.OnDone(func() { cs.flowDone(p.Flow()) })
 		}
-		t.probe.SetTotalPackets(size)
-		snd, rcv := t.probe.Endpoints()
-		cs.eng.host.AttachLive(flow, snd, rcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-		t.probe.Start()
+		p.SetTotalPackets(size)
+		return p
 	}
 }
 
-// newTFRC builds a fresh TFRC endpoint pair with its lifecycle hooks
-// bound once: the closures capture the endpoints, which know their
-// current flow, so recycling does not rebuild them.
-func (cs *classState) newTFRC(flow int, cfg tfrc.Config) (*tfrc.Sender, *tfrc.Receiver) {
-	snd, rcv := tfrc.NewFlowRaw(cs.sndSched, cs.sndNet, cs.rcvSched, cs.rcvNet, flow, cfg)
-	snd.OnDone(func() { cs.flowDone(snd.Flow()) })
-	rcv.OnIdle(func() { cs.eng.maybeReclaim(rcv.Flow()) })
-	return snd, rcv
-}
-
-// newTCP builds a fresh TCP endpoint pair with its completion hook
-// bound once.
-func (cs *classState) newTCP(flow int, cfg tcp.Config) (*tcp.Sender, *tcp.Receiver) {
-	snd := tcp.NewSender(cs.sndSched, cs.sndNet, flow, cfg)
-	rcv := tcp.NewReceiver(cs.rcvSched, cs.rcvNet, flow, cfg)
-	snd.OnDone(func() { cs.flowDone(snd.Flow()) })
-	return snd, rcv
-}
-
-// probe builds a fresh CBR probe with its completion hook bound once.
-// The receiver side is pointed at the receiver shard's scheduler: the
-// loss-detecting endpoint fires there, and on the goroutine-per-shard
-// driver it may not read the sender shard's clock.
-func (cs *classState) probe(flow int, seed uint64) *cbr.Probe {
-	p := cbr.NewProbeRaw(cs.sndSched, cs.sndNet, flow, cs.CBRSize, cs.CBRRate, false, cs.CBRRTT, seed)
-	p.SetReceiverScheduler(cs.rcvSched)
-	p.OnDone(func() { cs.flowDone(p.Flow()) })
-	return p
+// attach registers flow's endpoints with the host on the class routes.
+func (cs *classState) attach(flow int, e ends) {
+	snd, rcv := e.Endpoints()
+	cs.eng.host.AttachLive(flow, snd, rcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
 }
 
 // flowDone fires from inside the sender-shard event that completes a

@@ -225,23 +225,25 @@ func TestProtoString(t *testing.T) {
 	}
 }
 
+// protos turns a class spec into one of each transport.
+var protos = []struct {
+	name string
+	mut  func(*Spec)
+}{
+	{"tfrc", func(sp *Spec) { sp.Proto = TFRC }},
+	{"tcp", func(sp *Spec) { sp.Proto = TCP }},
+	{"cbr", func(sp *Spec) {
+		sp.Proto = CBR
+		sp.CBRRate = 200
+		sp.Size = Size{Kind: Fixed, Packets: 5}
+	}},
+}
+
 // The serial engine must complete transfers, detach quiet flows and
 // recycle their endpoints: constructions bounded by the concurrency
 // peak, far below the arrival count, with the freelist invariant intact
 // and every recycled pair provably dead (no live timers).
 func TestServeReclaimRecycle(t *testing.T) {
-	protos := []struct {
-		name string
-		mut  func(*Spec)
-	}{
-		{"tfrc", func(sp *Spec) { sp.Proto = TFRC }},
-		{"tcp", func(sp *Spec) { sp.Proto = TCP }},
-		{"cbr", func(sp *Spec) {
-			sp.Proto = CBR
-			sp.CBRRate = 200
-			sp.Size = Size{Kind: Fixed, Packets: 5}
-		}},
-	}
 	for _, pc := range protos {
 		t.Run(pc.name, func(t *testing.T) {
 			var sched des.Scheduler
@@ -294,19 +296,9 @@ func TestServeReclaimRecycle(t *testing.T) {
 			if int64(len(cs.live)) != r.Constructions {
 				t.Fatalf("live table has %d entries for %d pairs built", len(cs.live), r.Constructions)
 			}
-			for _, p := range cs.tfrcPool {
-				if !p.snd.Quiesced() || !p.rcv.Idle() {
-					t.Fatal("pooled TFRC pair holds a live timer")
-				}
-			}
-			for _, p := range cs.tcpPool {
-				if !p.snd.Quiesced() {
-					t.Fatal("pooled TCP sender holds a live timer")
-				}
-			}
-			for _, p := range cs.cbrPool {
+			for _, p := range cs.pool {
 				if !p.Quiesced() {
-					t.Fatal("pooled CBR probe holds a live timer")
+					t.Fatal("pooled pair holds a live timer")
 				}
 			}
 		})
@@ -315,32 +307,39 @@ func TestServeReclaimRecycle(t *testing.T) {
 
 // Recycling must be invisible: a host that never reclaims (the sharded
 // executor's shape) must produce the identical arrival/completion
-// trajectory and Palm statistics, with constructions == arrivals.
+// trajectory and Palm statistics, with constructions == arrivals, for
+// every transport.
 func TestReclaimInvisible(t *testing.T) {
-	run := func(reclaim bool) []ClassResult {
-		var sched des.Scheduler
-		net, route := testNet(&sched)
-		base := serialHost{sched: &sched, net: net}
-		var host Host = &base
-		if !reclaim {
-			host = &noReclaimHost{base}
-		}
-		_, res := runEngine(t, host, net, route, []Spec{tfrcSpec(23)}, 40)
-		return res
-	}
-	with := run(true)[0]
-	without := run(false)[0]
-	if without.Reclaimed != 0 || without.Constructions != without.Arrivals {
-		t.Fatalf("no-lifecycle host reclaimed anyway: %+v", without)
-	}
-	if with.Reclaimed == 0 {
-		t.Fatal("lifecycle host never reclaimed")
-	}
-	if with.Arrivals != without.Arrivals || with.Completions != without.Completions ||
-		with.Peak != without.Peak || with.ActiveAtEnd != without.ActiveAtEnd ||
-		with.MeanDuration != without.MeanDuration ||
-		with.PalmPop != without.PalmPop || with.TimePop != without.TimePop {
-		t.Fatalf("recycling changed the trajectory:\nwith    %+v\nwithout %+v", with, without)
+	for _, pc := range protos {
+		t.Run(pc.name, func(t *testing.T) {
+			sp := tfrcSpec(23)
+			pc.mut(&sp)
+			run := func(reclaim bool) []ClassResult {
+				var sched des.Scheduler
+				net, route := testNet(&sched)
+				base := serialHost{sched: &sched, net: net}
+				var host Host = &base
+				if !reclaim {
+					host = &noReclaimHost{base}
+				}
+				_, res := runEngine(t, host, net, route, []Spec{sp}, 40)
+				return res
+			}
+			with := run(true)[0]
+			without := run(false)[0]
+			if without.Reclaimed != 0 || without.Constructions != without.Arrivals {
+				t.Fatalf("no-lifecycle host reclaimed anyway: %+v", without)
+			}
+			if with.Reclaimed == 0 {
+				t.Fatal("lifecycle host never reclaimed")
+			}
+			if with.Arrivals != without.Arrivals || with.Completions != without.Completions ||
+				with.Peak != without.Peak || with.ActiveAtEnd != without.ActiveAtEnd ||
+				with.MeanDuration != without.MeanDuration ||
+				with.PalmPop != without.PalmPop || with.TimePop != without.TimePop {
+				t.Fatalf("recycling changed the trajectory:\nwith    %+v\nwithout %+v", with, without)
+			}
+		})
 	}
 }
 
@@ -555,6 +554,63 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 			}
 			if a, b := eng.Results(12)[0], eng2.Results(12)[0]; a != b {
 				t.Fatalf("restored results differ:\n%+v\n%+v", a, b)
+			}
+		})
+	}
+}
+
+// A restore refills each class's pool with freshly built pairs that
+// hold no live timer: refilling schedules nothing, and every refilled
+// pair renews (Renew refuses a pair with a live timer) into the state of
+// a pair freshly built for the same arrival.
+func TestRefilledPoolHoldsNoTimer(t *testing.T) {
+	for _, pc := range protos {
+		t.Run(pc.name, func(t *testing.T) {
+			sp := tfrcSpec(87)
+			pc.mut(&sp)
+			build := func() (*des.Scheduler, *Engine) {
+				var sched des.Scheduler
+				net, route := testNet(&sched)
+				return &sched, armEngine(&serialHost{sched: &sched, net: net}, net, route, []Spec{sp})
+			}
+			sched, eng := build()
+			sched.RunUntil(12)
+			var w checkpoint.Writer
+			eng.Checkpoint(w.Codec())
+			depth := len(eng.classes[0].pool)
+			if depth == 0 {
+				t.Fatal("snapshot with an empty pool; the test exercises nothing")
+			}
+
+			sched2, eng2 := build()
+			sched2.Reset()
+			sched2.RestoreClock(sched.Now(), sched.Seq(), sched.Fired(), sched.Cascaded())
+			cs := eng2.classes[0]
+			cs.refill(depth)
+			if n := sched2.Pending(); n != 0 {
+				t.Fatalf("refilling %d pairs scheduled %d events", depth, n)
+			}
+			cs.pool = cs.pool[:0]
+			r := checkpoint.NewReader(w.Bytes())
+			eng2.Checkpoint(r.Codec())
+			if err := r.Err(); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if len(cs.pool) != depth {
+				t.Fatalf("restore refilled %d pairs, the snapshot saved %d", len(cs.pool), depth)
+			}
+			save := func(e ends) []byte {
+				var w checkpoint.Writer
+				e.CheckpointPair(w.Codec())
+				return w.Bytes()
+			}
+			i := cs.next
+			flow, seed := cs.firstFlow+i, FlowSeed(cs.Seed, i)
+			fresh := save(cs.endpoints(nil, flow, 9, seed))
+			for _, p := range cs.pool {
+				if got := save(cs.endpoints(p, flow, 9, seed)); string(got) != string(fresh) {
+					t.Fatalf("a refilled pair renews into %d bytes that differ from a fresh pair's %d", len(got), len(fresh))
+				}
 			}
 		})
 	}

@@ -41,7 +41,7 @@ func (cs *classState) checkpoint(c checkpoint.Codec) {
 		return
 	}
 	cs.sndSched.CheckpointTimer(c, &cs.arriveTm, cs.arriveFn)
-	pool := len(cs.tfrcPool) + len(cs.tcpPool) + len(cs.cbrPool)
+	pool := len(cs.pool)
 	if c.Int(&pool); pool < 0 || pool > cs.MaxArrivals {
 		c.Fail("arrivals class %s snapshot has implausible pool depth %d", cs.Name, pool)
 		return
@@ -92,16 +92,7 @@ func (cs *classState) checkpointTransfer(c checkpoint.Codec, prev int) int {
 	}
 	c.F64(&t.startedAt)
 	c.Bool(&t.done)
-	switch cs.Proto {
-	case TFRC:
-		t.tfrcSnd.Checkpoint(c)
-		t.tfrcRcv.Checkpoint(c)
-	case TCP:
-		t.tcpSnd.Checkpoint(c)
-		t.tcpRcv.Checkpoint(c)
-	case CBR:
-		t.probe.Checkpoint(c)
-	}
+	t.ends.CheckpointPair(c)
 	return i
 }
 
@@ -110,45 +101,18 @@ func (cs *classState) checkpointTransfer(c checkpoint.Codec, prev int) int {
 func (cs *classState) reattach(i int) *transfer {
 	t := cs.admit(i)
 	flow := cs.firstFlow + i
-	seed := FlowSeed(cs.Seed, i)
-	switch cs.Proto {
-	case TFRC:
-		cfg := cs.TFRC
-		cfg.Seed = seed
-		t.tfrcSnd, t.tfrcRcv = cs.newTFRC(flow, cfg)
-		cs.eng.host.AttachLive(flow, t.tfrcSnd, t.tfrcRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-	case TCP:
-		t.tcpSnd, t.tcpRcv = cs.newTCP(flow, cs.TCP)
-		cs.eng.host.AttachLive(flow, t.tcpSnd, t.tcpRcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-	case CBR:
-		t.probe = cs.probe(flow, seed)
-		snd, rcv := t.probe.Endpoints()
-		cs.eng.host.AttachLive(flow, snd, rcv, cs.FwdHops, cs.RevHops, cs.FwdExtra, cs.RevDelay)
-	}
+	t.ends = cs.endpoints(nil, flow, 0, FlowSeed(cs.Seed, i))
+	cs.attach(flow, t.ends)
 	return t
 }
 
-// refill refills the recycling pool to its saved depth with fresh pairs:
-// pool entries carry no live state (Renew reseeds them on reuse), so
-// depth is the only thing that matters — it keeps the construction
-// ledger on the uninterrupted run's trajectory. The fresh senders are
-// Retired because Renew demands a quiescent (completed) pair — the only
-// kind the running engine ever pools.
+// refill refills the recycling pool to its saved depth with freshly
+// built pairs: pool entries carry no live state (Renew gives them their
+// fresh state on reuse, and accepts a pair that never started), so depth
+// is the only thing that matters — it keeps the construction ledger on
+// the uninterrupted run's trajectory.
 func (cs *classState) refill(depth int) {
 	for j := 0; j < depth; j++ {
-		switch cs.Proto {
-		case TFRC:
-			cfg := cs.TFRC
-			cfg.Seed = FlowSeed(cs.Seed, 0)
-			snd, rcv := cs.newTFRC(cs.firstFlow, cfg)
-			snd.Retire()
-			cs.tfrcPool = append(cs.tfrcPool, tfrcPair{snd, rcv})
-		case TCP:
-			snd, rcv := cs.newTCP(cs.firstFlow, cs.TCP)
-			snd.Retire()
-			cs.tcpPool = append(cs.tcpPool, tcpPair{snd, rcv})
-		case CBR:
-			cs.cbrPool = append(cs.cbrPool, cs.probe(cs.firstFlow, FlowSeed(cs.Seed, 0)))
-		}
+		cs.pool = append(cs.pool, cs.endpoints(nil, cs.firstFlow, 0, FlowSeed(cs.Seed, 0)))
 	}
 }

@@ -23,9 +23,9 @@ type Probe struct {
 	sched *des.Scheduler
 	// rcvSched is the clock the receiver-side endpoint reads. It equals
 	// sched unless the flow's endpoints are split across shard
-	// schedulers (SetReceiverScheduler), where reading the sender's
-	// clock from the receiver's goroutine would race — and would read a
-	// mid-window instant instead of the delivery time.
+	// schedulers, where reading the sender's clock from the receiver's
+	// goroutine would race — and would read a mid-window instant instead
+	// of the delivery time.
 	rcvSched *des.Scheduler
 	net      netsim.Network
 	flow     int
@@ -42,7 +42,7 @@ type Probe struct {
 	sendNextFn des.Event // bound once: the pacing loop re-arms per packet
 	onDone     func()
 
-	// Endpoints built once at construction and reused by Renew, so
+	// Endpoints built once at construction and kept by Renew, so
 	// recycling a probe re-attaches without allocating fresh closures.
 	sendEP, recvEP netsim.Endpoint
 
@@ -68,57 +68,56 @@ type ProbeStats struct {
 	LossEventRate float64
 }
 
-// NewProbe attaches a probe flow to the network. rate is in packets per
-// second; if poisson is true the inter-packet gaps are exponential
-// (Poisson arrivals), otherwise constant (CBR). rttGuess sets the
-// loss-event grouping window.
-func NewProbe(sched *des.Scheduler, net netsim.Network, flow int, size int, rate float64, poisson bool, rttGuess float64, seed uint64, fwdExtra, revDelay float64) *Probe {
-	p := NewProbeRaw(sched, net, flow, size, rate, poisson, rttGuess, seed)
+// NewProbe attaches a probe flow to the network. The sender side runs
+// on sched and sends through net; the receiver side reads rcvSched, the
+// scheduler its endpoint fires on, which differs from sched when the
+// flow's ends sit on different shards. rate is in packets per second;
+// if poisson is true the inter-packet gaps are exponential (Poisson
+// arrivals), otherwise constant (CBR). rttGuess sets the loss-event
+// grouping window.
+func NewProbe(sched *des.Scheduler, net netsim.Network, rcvSched *des.Scheduler, flow int, size int, rate float64, poisson bool, rttGuess float64, seed uint64, fwdExtra, revDelay float64) *Probe {
+	p := NewProbeRaw(sched, net, rcvSched, flow, size, rate, poisson, rttGuess, seed)
 	net.AttachFlow(flow, p.sendEP, p.recvEP, fwdExtra, revDelay)
 	return p
 }
 
-// NewProbeRaw builds the probe without attaching the flow, for callers
-// that attach with explicit hop slices through their executor (see
-// Endpoints).
-func NewProbeRaw(sched *des.Scheduler, net netsim.Network, flow int, size int, rate float64, poisson bool, rttGuess float64, seed uint64) *Probe {
-	if sched == nil || net == nil {
+// NewProbeRaw is NewProbe without attaching the flow, for callers that
+// attach with explicit hop slices through their executor (see
+// Endpoints). It allocates the probe's buffers and bound callbacks, then
+// gives the probe its fresh state through the same code Renew runs.
+func NewProbeRaw(sched *des.Scheduler, net netsim.Network, rcvSched *des.Scheduler, flow int, size int, rate float64, poisson bool, rttGuess float64, seed uint64) *Probe {
+	if sched == nil || net == nil || rcvSched == nil {
 		panic("cbr: nil scheduler or network")
 	}
-	if size <= 0 || rate <= 0 || rttGuess <= 0 {
-		panic("cbr: invalid probe parameters")
-	}
-	p := &Probe{
-		sched:    sched,
-		rcvSched: sched,
-		net:      net,
-		flow:     flow,
-		size:     size,
-		rate:     rate,
-		poisson:  poisson,
-		random:   rng.New(seed),
-		rttGuess: rttGuess,
-	}
+	p := &Probe{sched: sched, rcvSched: rcvSched, net: net, random: rng.New(0)}
 	p.events = netsim.NewLossEventCounter(func() float64 { return p.rttGuess })
 	p.sendNextFn = p.sendNext
 	p.sendEP = netsim.EndpointFunc(func(*netsim.Packet) {})
 	p.recvEP = netsim.EndpointFunc(p.receive)
+	p.reset(flow, size, rate, poisson, rttGuess, seed)
 	return p
+}
+
+// reset gives the probe its fresh state for the given flow and
+// parameters. It keeps the environment, the buffers, the endpoints and
+// the bound callbacks; every other field restarts at its zero value or
+// at the value named here. The packet total restarts unbounded.
+func (p *Probe) reset(flow, size int, rate float64, poisson bool, rttGuess float64, seed uint64) {
+	if size <= 0 || rate <= 0 || rttGuess <= 0 {
+		panic("cbr: invalid probe parameters")
+	}
+	p.random.Reseed(seed)
+	p.events.Reset()
+	*p = Probe{
+		sched: p.sched, rcvSched: p.rcvSched, net: p.net, flow: flow, size: size, rate: rate,
+		poisson: poisson, random: p.random, sendNextFn: p.sendNextFn, onDone: p.onDone,
+		sendEP: p.sendEP, recvEP: p.recvEP, events: p.events, rttGuess: rttGuess,
+	}
 }
 
 // Endpoints returns the probe's sender-side and receiver-side endpoint
 // closures, for callers that attach the flow themselves.
 func (p *Probe) Endpoints() (sender, receiver netsim.Endpoint) { return p.sendEP, p.recvEP }
-
-// SetReceiverScheduler points the receiver side at the scheduler that
-// fires its endpoint. Required when a probe's sender and receiver live
-// on different shard schedulers; the default is the sender's scheduler.
-func (p *Probe) SetReceiverScheduler(s *des.Scheduler) {
-	if s == nil {
-		panic("cbr: nil receiver scheduler")
-	}
-	p.rcvSched = s
-}
 
 // Flow returns the probe's current flow id.
 func (p *Probe) Flow() int { return p.flow }
@@ -205,37 +204,18 @@ func (p *Probe) sendNext() {
 	p.sendTimer = p.sched.After(gap, p.sendNextFn)
 }
 
-// Renew reinitializes the probe in place for a new flow, reusing the
-// loss-counter buffers, RNG and endpoint closures so churn workloads
-// recycle probes without allocating. The probe must be Quiesced. The
-// flow is NOT re-attached — callers attach p.Endpoints() through their
-// executor. The packet total resets to unbounded — call SetTotalPackets
-// again for a finite transfer.
+// Renew gives the probe, in place, the state NewProbeRaw builds for
+// the given flow and parameters, reusing the loss-counter buffer, RNG
+// and endpoint closures so churn workloads recycle probes without
+// allocating. The probe must hold no live timer: it never started, or
+// it has quiesced. The flow is NOT re-attached — callers attach
+// p.Endpoints() through their executor. The packet total resets to
+// unbounded — call SetTotalPackets again for a finite transfer.
 func (p *Probe) Renew(flow, size int, rate float64, poisson bool, rttGuess float64, seed uint64) {
-	if size <= 0 || rate <= 0 || rttGuess <= 0 {
-		panic("cbr: invalid probe parameters")
+	if p.sendTimer.Active() {
+		panic("cbr: Renew on a probe with a live timer")
 	}
-	if p.started && !p.Quiesced() {
-		panic("cbr: Renew on a non-quiescent probe")
-	}
-	p.flow = flow
-	p.size = size
-	p.rate = rate
-	p.poisson = poisson
-	p.rttGuess = rttGuess
-	p.random.Reseed(seed)
-	p.nextSeq = 0
-	p.total = 0
-	p.started = false
-	p.done = false
-	p.sendTimer = des.Timer{}
-	// onDone is kept: it is bound once per probe (capturing the probe,
-	// not the flow), so recycling does not rebuild the closure.
-	p.expected = 0
-	p.events.Reset()
-	p.measStart = 0
-	p.pktsSent = 0
-	p.eventsBase = 0
+	p.reset(flow, size, rate, poisson, rttGuess, seed)
 }
 
 func (p *Probe) receive(pkt *netsim.Packet) {

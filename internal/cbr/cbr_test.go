@@ -19,7 +19,7 @@ func TestProbeCountsLossEvents(t *testing.T) {
 	// Saturating TCP flow creates periodic loss episodes; the probe
 	// samples them.
 	csnd, _ := tcp.NewFlow(&s, net, 1, tcp.DefaultConfig(), 0, 0.015)
-	probe := NewProbe(&s, net, 2, 1000, 20, true, 0.05, 3, 0, 0.015)
+	probe := NewProbe(&s, net, &s, 2, 1000, 20, true, 0.05, 3, 0, 0.015)
 	csnd.Start()
 	probe.Start()
 	s.RunUntil(30)
@@ -62,7 +62,7 @@ func TestPoissonProbeExponentialGaps(t *testing.T) {
 	var s des.Scheduler
 	link := netsim.NewLink(&s, 1e9, 0, netsim.NewDropTail(100000))
 	net := topology.NewDumbbell(&s, link)
-	probe := NewProbe(&s, net, 7, 100, 50, true, 0.1, 5, 0, 0)
+	probe := NewProbe(&s, net, &s, 7, 100, 50, true, 0.1, 5, 0, 0)
 	var arrivals []float64
 	inner := link.Deliver
 	link.Deliver = func(p *netsim.Packet) {
@@ -167,12 +167,12 @@ func TestPanics(t *testing.T) {
 	net := topology.NewDumbbell(&s, link)
 	f := formula.NewSQRT(formula.DefaultParams())
 	cases := []func(){
-		func() { NewProbe(nil, net, 1, 100, 1, false, 0.1, 1, 0, 0) },
-		func() { NewProbe(&s, net, 1, 0, 1, false, 0.1, 1, 0, 0) },
-		func() { NewProbe(&s, net, 1, 100, 0, false, 0.1, 1, 0, 0) },
-		func() { NewProbe(&s, net, 1, 100, 1, false, 0, 1, 0, 0) },
+		func() { NewProbe(nil, net, &s, 1, 100, 1, false, 0.1, 1, 0, 0) },
+		func() { NewProbe(&s, net, &s, 1, 0, 1, false, 0.1, 1, 0, 0) },
+		func() { NewProbe(&s, net, &s, 1, 100, 0, false, 0.1, 1, 0, 0) },
+		func() { NewProbe(&s, net, &s, 1, 100, 1, false, 0, 1, 0, 0) },
 		func() {
-			p := NewProbe(&s, net, 2, 100, 1, false, 0.1, 1, 0, 0)
+			p := NewProbe(&s, net, &s, 2, 100, 1, false, 0.1, 1, 0, 0)
 			p.Start()
 			p.Start()
 		},

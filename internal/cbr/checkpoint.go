@@ -23,3 +23,7 @@ func (p *Probe) Checkpoint(c checkpoint.Codec) {
 	c.I64(&p.pktsSent)
 	c.I64(&p.eventsBase)
 }
+
+// CheckpointPair is Checkpoint: the probe is both ends of its flow. The
+// churn engine records every transfer's endpoints through it.
+func (p *Probe) CheckpointPair(c checkpoint.Codec) { p.Checkpoint(c) }

@@ -55,8 +55,33 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // chunkLen is the size of the one chunk a streamed save writes through.
 const chunkLen = 32 << 10
 
-// chunks recycles save chunks across snapshots and concurrent jobs.
-var chunks = sync.Pool{New: func() any { return new([chunkLen]byte) }}
+// chunks recycles save chunks across snapshots and concurrent jobs. It
+// is a mutex-guarded stack, the run arena's free-list idiom, so a chunk
+// put back is reused in every build mode; a sync.Pool may drop it, and
+// under the race detector does so at random.
+var chunks struct {
+	mu   sync.Mutex
+	idle []*[chunkLen]byte
+}
+
+// getChunk returns the chunk put back last, or a new one.
+func getChunk() *[chunkLen]byte {
+	chunks.mu.Lock()
+	defer chunks.mu.Unlock()
+	if n := len(chunks.idle); n > 0 {
+		c := chunks.idle[n-1]
+		chunks.idle = chunks.idle[:n-1]
+		return c
+	}
+	return new([chunkLen]byte)
+}
+
+// putChunk hands a chunk back for the next save.
+func putChunk(c *[chunkLen]byte) {
+	chunks.mu.Lock()
+	chunks.idle = append(chunks.idle, c)
+	chunks.mu.Unlock()
+}
 
 // header writes the envelope's magic, codec version and config digest.
 func (w *Writer) header(digest uint64) {
@@ -110,8 +135,8 @@ func stream(dst io.Writer, chunk []byte, digest uint64, fill func(*Writer)) erro
 // half-written file where a resume would find it. The directory must
 // exist.
 func StreamFile(path string, digest uint64, fill func(*Writer)) error {
-	chunk := chunks.Get().(*[chunkLen]byte)
-	defer chunks.Put(chunk)
+	chunk := getChunk()
+	defer putChunk(chunk)
 	return replace(path, func(f io.Writer) error {
 		return stream(f, chunk[:], digest, fill)
 	})

@@ -103,7 +103,11 @@ func revCrossNodeDeliveries(t *testing.T, sz Sizing, dir string) int {
 	sp := cfg.spec()
 	sp.label, sp.resume = "revcross load=0.0", dir
 	env := shard.New()
-	if _, ok, err := build(sp, env).tryResume(); err != nil || !ok {
+	r, err := build(sp, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := r.tryResume(); err != nil || !ok {
 		t.Fatalf("no snapshot for %q in %s (%v)", sp.label, dir, err)
 	}
 	return env.Deliveries(topology.ToNode)

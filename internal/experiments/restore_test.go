@@ -21,7 +21,11 @@ func TestRunRestoreChecks(t *testing.T) {
 		if mut != nil {
 			mut(&cfg)
 		}
-		return build(cfg.spec(), shard.New())
+		r, err := build(cfg.spec(), shard.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 	src := built(nil)
 	src.env.Run(base.Warmup + 1)

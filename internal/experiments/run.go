@@ -60,13 +60,14 @@ type runConfig[R any] interface {
 }
 
 // simulate validates the spec, builds it on a pooled cluster, steps it
-// to the end and maps the finished run through result. The Run*
-// functions panic with the validation error's text. A resume that
-// cannot read its snapshot returns the error instead: no retry of the
-// job would read it either.
+// to the end and maps the finished run through result. A spec that
+// fails validation, a fault plan the cluster refuses and a resume that
+// cannot read its snapshot return the error: no retry of the job would
+// get past it either.
 func simulate[R any](sp *runSpec, result func(*run) R) (R, error) {
+	var zero R
 	if err := sp.validate(); err != nil {
-		panic("experiments: " + err.Error())
+		return zero, fmt.Errorf("experiments: %w", err)
 	}
 	// The run rebuilds its simulation state inside a pooled cluster (see
 	// arena.go): one shard — the serial engine — for shards <= 1,
@@ -74,9 +75,11 @@ func simulate[R any](sp *runSpec, result func(*run) R) (R, error) {
 	// flow-state records are reused across replications.
 	env, live := getCluster(sp.shards)
 	defer putCluster(env, live)
-	r := build(sp, env)
-	if err := r.step(); err != nil {
-		var zero R
+	r, err := build(sp, env)
+	if err == nil {
+		err = r.step()
+	}
+	if err != nil {
 		return zero, err
 	}
 	res := result(r)
@@ -89,8 +92,7 @@ func simulate[R any](sp *runSpec, result func(*run) R) (R, error) {
 }
 
 // mustSimulate is simulate for the Run* functions: their callers run
-// outside the runner, and a resume they cannot read panics with the
-// error's text.
+// outside the runner, and an error panics with its text.
 func mustSimulate[R any](sp *runSpec, result func(*run) R) R {
 	res, err := simulate(sp, result)
 	if err != nil {
@@ -104,8 +106,9 @@ func mustSimulate[R any](sp *runSpec, result func(*run) R) R {
 // the seed stream when its link is built, the reverse-jitter seed is
 // drawn after every link, each TFRC flow draws its seed before it
 // attaches, and every sender's staggered start and every source's start
-// draw follow its construction.
-func build(sp *runSpec, env *shard.Cluster) *run {
+// draw follow its construction. It returns the error of a fault plan the
+// cluster refuses.
+func build(sp *runSpec, env *shard.Cluster) (*run, error) {
 	r := &run{sp: sp, env: env, end: sp.warmup + sp.duration}
 	seedRNG := rng.New(sp.seed)
 	for _, name := range sp.nodes {
@@ -155,7 +158,7 @@ func build(sp *runSpec, env *shard.Cluster) *run {
 	// no randomness.
 	armed, err := fault.Arm(env, sp.faults)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: invalid fault plan: %v", err))
+		return nil, fmt.Errorf("experiments: invalid fault plan: %w", err)
 	}
 	if armed != nil {
 		r.parts = append(r.parts, armed)
@@ -217,11 +220,8 @@ func build(sp *runSpec, env *shard.Cluster) *run {
 
 	if p := sp.probe; p.rate > 0 {
 		ss, rs := env.FlowEnv(flow)
-		r.probe = cbr.NewProbe(ss.Sched(), ss, flow, 1000, p.rate, true, p.rtt,
+		r.probe = cbr.NewProbe(ss.Sched(), ss, rs.Sched(), flow, 1000, p.rate, true, p.rtt,
 			seedRNG.Uint64(), 0, p.revDelay)
-		if rs != ss {
-			r.probe.SetReceiverScheduler(rs.Sched())
-		}
 		r.startAt(ss.Sched(), seedRNG.Float64(), r.probe, r.probe.Start)
 		flow++
 	}
@@ -272,7 +272,7 @@ func build(sp *runSpec, env *shard.Cluster) *run {
 		}
 		r.digest = sp.digest(epochs)
 	}
-	return r
+	return r, nil
 }
 
 // staggeredStart schedules a sender's Start at a seed-drawn offset

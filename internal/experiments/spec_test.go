@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/arrivals"
 	"repro/internal/fault"
+	"repro/internal/runner"
 	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/tfrc"
@@ -210,10 +214,41 @@ func TestValidateBeforeBuild(t *testing.T) {
 			}()
 			c.run()
 		}()
+		// Through the runner the same failure is the job's input error,
+		// naming the field, with no stack.
+		var input *runner.InputError
+		res := packetJob(c.name, c.sp, func(*run) int { return 0 }).Run(context.Background())
+		if e, ok := res.(error); !ok || !errors.As(e, &input) || !strings.Contains(e.Error(), err.Error()) {
+			t.Errorf("%s: job returned %v, want an input error naming %q", c.name, res, err)
+		}
 		if drawn != 0 || len(clusterPool.idle) != 0 {
 			t.Fatalf("%s: a cluster was drawn before validation failed (%d built, %d idle)",
 				c.name, drawn, len(clusterPool.idle))
 		}
+	}
+	// A retry budget does not rerun them: each job runs once and fails
+	// with its input error.
+	jobs := make([]runner.Job, len(cases))
+	calls := make([]int, len(cases))
+	for i, c := range cases {
+		j := packetJob(c.name, c.sp, func(*run) int { return 0 })
+		run := j.Run
+		j.Run = func(ctx context.Context) any { calls[i]++; return run(ctx) }
+		jobs[i] = j
+	}
+	_, err := (&runner.Pool{Workers: 1, Retries: 2, RetryBase: time.Millisecond}).Execute(context.Background(), jobs)
+	var m *runner.Manifest
+	if !errors.As(err, &m) || len(m.Failed) != len(cases) {
+		t.Fatalf("pool error %v, want a manifest of all %d jobs", err, len(cases))
+	}
+	for i, f := range m.Failed {
+		var input *runner.InputError
+		if f.Attempts != 1 || calls[f.Index] != 1 || !errors.As(f, &input) {
+			t.Errorf("job %d (%s): %d attempts, %d calls, error %v; want one input error", i, f.Name, f.Attempts, calls[f.Index], f.Err)
+		}
+	}
+	if drawn != 0 {
+		t.Fatalf("the pool drew %d clusters for jobs that fail validation", drawn)
 	}
 
 	// Snapshots cannot carry the bounded trace rings, so a checkpointing

@@ -72,13 +72,9 @@ func (rc *Receiver) Checkpoint(c checkpoint.Codec) {
 	c.I64(&rc.PacketsReceived)
 }
 
-// Retire marks a never-started sender as completed so it can sit in a
-// recycling pool: Renew demands a Quiesced (done) sender, a state a
-// running flow only reaches by finishing its transfer. A snapshot
-// restore uses it to refill churn pools with freshly built pairs.
-func (s *Sender) Retire() {
-	if s.started || s.done {
-		panic("tcp: Retire on a started sender")
-	}
-	s.done = true
+// CheckpointPair walks the sender's state and then its receiver's: the
+// whole pair, as the churn engine records a transfer.
+func (s *Sender) CheckpointPair(c checkpoint.Codec) {
+	s.Checkpoint(c)
+	s.receiver.Checkpoint(c)
 }

@@ -33,3 +33,53 @@ func TestRestoreChecks(t *testing.T) {
 		}
 	}
 }
+
+// Renew accepts a pair that never started or has quiesced, and the
+// renewed pair saves the same snapshot bytes as a pair freshly built for
+// the same flow and config: a recycled pair is a fresh one.
+func TestRenewEqualsFresh(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TotalSegments = 400
+	next := cfg
+	next.TotalSegments = 25
+	save := func(s *Sender) []byte {
+		var w checkpoint.Writer
+		s.CheckpointPair(w.Codec())
+		return w.Bytes()
+	}
+	var fs des.Scheduler
+	fnet := buildDumbbell(&fs, 1.25e6, 0.01, 4)
+	fresh, _ := NewFlowRaw(&fs, fnet, &fs, fnet, 7, next)
+	for _, started := range []bool{false, true} {
+		var s des.Scheduler
+		net := buildDumbbell(&s, 1.25e6, 0.01, 4)
+		snd, rcv := NewFlow(&s, net, 1, cfg, 0, 0.015)
+		if started {
+			snd.Start()
+			s.Run()
+			if !snd.Quiesced() || snd.lossEvents.Events == 0 || rcv.PacketsReceived == 0 {
+				t.Fatalf("transfer ended quiesced=%v after %d loss events; want a quiesced pair that saw loss",
+					snd.Quiesced(), snd.lossEvents.Events)
+			}
+		}
+		snd.Renew(7, next)
+		if got, want := save(snd), save(fresh); string(got) != string(want) {
+			t.Errorf("started=%v: the renewed pair saves %d bytes that differ from a fresh pair's %d", started, len(got), len(want))
+		}
+	}
+}
+
+// Renew refuses a pair whose retransmission timer is live.
+func TestRenewRefusesLiveTimer(t *testing.T) {
+	var s des.Scheduler
+	net := buildDumbbell(&s, 1.25e6, 0.01, 64)
+	snd, _ := NewFlow(&s, net, 1, DefaultConfig(), 0, 0.015)
+	snd.Start()
+	s.RunUntil(0.5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Renew of a running pair did not panic")
+		}
+	}()
+	snd.Renew(2, DefaultConfig())
+}

@@ -91,13 +91,14 @@ type Stats struct {
 	AcksReceived int64
 }
 
-// Sender is a long-lived bulk-transfer TCP source. Create with
-// NewSender, attach to a dumbbell flow, then Start.
+// Sender is a long-lived bulk-transfer TCP source. Create it with its
+// receiver (NewFlow, NewFlowOn or NewFlowRaw), then Start.
 type Sender struct {
-	cfg   Config
-	sched *des.Scheduler
-	net   netsim.Network
-	flow  int
+	cfg      Config
+	sched    *des.Scheduler
+	net      netsim.Network
+	flow     int
+	receiver *Receiver
 
 	cwnd     float64
 	ssthresh float64
@@ -105,7 +106,6 @@ type Sender struct {
 	highAck  int64 // next expected byte^H^Hsegment (cumulative ack)
 	dupacks  int
 	recover  int64
-	inRec    bool
 	inflate  float64
 
 	srtt, rttvar, rto float64
@@ -116,6 +116,9 @@ type Sender struct {
 	lossEvents *netsim.LossEventCounter
 	trace      *obs.Tracer
 
+	// inRec (in fast recovery) sits with the lifecycle flags: packed
+	// together, the three keep the sender in the 320-byte size class.
+	inRec   bool
 	started bool
 	done    bool
 
@@ -133,22 +136,15 @@ type Sender struct {
 	intervals0 int
 }
 
-// NewSender builds a TCP sender for the given dumbbell flow id.
-func NewSender(sched *des.Scheduler, net netsim.Network, flow int, cfg Config) *Sender {
+// newSender builds a TCP sender for the given flow id: it allocates the
+// loss counter and the bound timeout callback, then gives the sender its
+// fresh state through the same code Renew runs.
+func newSender(sched *des.Scheduler, net netsim.Network, flow int, cfg Config) *Sender {
 	cfg.validate()
 	if sched == nil || net == nil {
 		panic("tcp: nil scheduler or network")
 	}
-	s := &Sender{
-		cfg:      cfg,
-		sched:    sched,
-		net:      net,
-		flow:     flow,
-		cwnd:     cfg.InitialCwnd,
-		ssthresh: cfg.InitialSsthresh,
-		rto:      1.0,
-		trace:    netsim.TracerOf(net),
-	}
+	s := &Sender{sched: sched, net: net, trace: netsim.TracerOf(net)}
 	s.lossEvents = netsim.NewLossEventCounter(func() float64 {
 		if s.srtt > 0 {
 			return s.srtt
@@ -156,7 +152,21 @@ func NewSender(sched *des.Scheduler, net netsim.Network, flow int, cfg Config) *
 		return 0.1
 	})
 	s.onTimeoutFn = s.onTimeout
+	s.reset(flow, cfg)
 	return s
+}
+
+// reset gives the sender its fresh state for flow under cfg. It keeps
+// the environment, the receiver, the loss counter's buffer and the bound
+// callbacks; every other field restarts at its zero value or at the
+// value named here.
+func (s *Sender) reset(flow int, cfg Config) {
+	s.lossEvents.Reset()
+	*s = Sender{
+		cfg: cfg, sched: s.sched, net: s.net, flow: flow, receiver: s.receiver,
+		cwnd: cfg.InitialCwnd, ssthresh: cfg.InitialSsthresh, rto: 1.0,
+		onTimeoutFn: s.onTimeoutFn, lossEvents: s.lossEvents, trace: s.trace, onDone: s.onDone,
+	}
 }
 
 // Start begins transmission (call after the flow is attached).
@@ -232,9 +242,10 @@ func (s *Sender) OnDone(fn func()) { s.onDone = fn }
 // Done reports whether a finite transfer is fully acknowledged.
 func (s *Sender) Done() bool { return s.done }
 
-// Quiesced reports whether the sender is done and holds no live timer,
-// i.e. it will never schedule another event. The churn engine requires
-// this before recycling the endpoint pair.
+// Quiesced reports whether the transfer is over for the whole pair: the
+// sender is done and holds no live timer (the receiver never holds one),
+// so the pair will never schedule another event. The churn engine
+// requires this before recycling the pair.
 func (s *Sender) Quiesced() bool { return s.done && !s.rtoTimer.Active() }
 
 func (s *Sender) sendSeq(seq int64) {
@@ -381,13 +392,23 @@ type Receiver struct {
 	PacketsReceived int64
 }
 
-// NewReceiver builds the receiving endpoint for a flow.
-func NewReceiver(sched *des.Scheduler, net netsim.Network, flow int, cfg Config) *Receiver {
+// newReceiver builds the receiving endpoint for a flow: it allocates the
+// out-of-order set, then gives the receiver its fresh state.
+func newReceiver(sched *des.Scheduler, net netsim.Network, flow int, cfg Config) *Receiver {
 	cfg.validate()
 	if sched == nil || net == nil {
 		panic("tcp: nil scheduler or network")
 	}
-	return &Receiver{cfg: cfg, sched: sched, net: net, flow: flow, ooo: map[int64]bool{}}
+	r := &Receiver{sched: sched, net: net, ooo: map[int64]bool{}}
+	r.reset(flow, cfg)
+	return r
+}
+
+// reset gives the receiver its fresh state for flow under cfg, keeping
+// what construction allocated, as Sender.reset does.
+func (r *Receiver) reset(flow int, cfg Config) {
+	clear(r.ooo)
+	*r = Receiver{cfg: cfg, sched: r.sched, net: r.net, flow: flow, ooo: r.ooo}
 }
 
 // Receive implements netsim.Endpoint for the forward data stream.
@@ -437,54 +458,36 @@ func NewFlow(sched *des.Scheduler, net netsim.Network, flow int, cfg Config, fwd
 // through rcvNet. The flow is attached via the sender's network. With
 // both pairs identical it is exactly NewFlow.
 func NewFlowOn(sndSched *des.Scheduler, sndNet netsim.Network, rcvSched *des.Scheduler, rcvNet netsim.Network, flow int, cfg Config, fwdExtra, revDelay float64) (*Sender, *Receiver) {
-	snd := NewSender(sndSched, sndNet, flow, cfg)
-	rcv := NewReceiver(rcvSched, rcvNet, flow, cfg)
+	snd, rcv := NewFlowRaw(sndSched, sndNet, rcvSched, rcvNet, flow, cfg)
 	sndNet.AttachFlow(flow, snd, rcv, fwdExtra, revDelay)
 	return snd, rcv
 }
 
-// Renew reinitializes an existing sender/receiver pair in place for a
-// new flow, reusing the loss-counter buffers and out-of-order map so
-// churn workloads recycle endpoints without allocating. The sender must
-// be Quiesced (the receiver is passive and holds no timers). Renew does
-// not attach the flow: the caller attaches it with its hop slices, as
-// the churn engine does through its host.
-func Renew(snd *Sender, rcv *Receiver, flow int, cfg Config) {
-	cfg.validate()
-	if !snd.Quiesced() {
-		panic("tcp: Renew on a non-quiescent sender")
-	}
-
-	rcv.cfg = cfg
-	rcv.flow = flow
-	rcv.expected = 0
-	clear(rcv.ooo)
-	rcv.unacked = 0
-	rcv.PacketsReceived = 0
-
-	snd.cfg = cfg
-	snd.flow = flow
-	snd.cwnd = cfg.InitialCwnd
-	snd.ssthresh = cfg.InitialSsthresh
-	snd.nextSeq = 0
-	snd.highAck = 0
-	snd.dupacks = 0
-	snd.recover = 0
-	snd.inRec = false
-	snd.inflate = 0
-	snd.srtt = 0
-	snd.rttvar = 0
-	snd.rto = 1.0
-	snd.backoff = 0
-	snd.rtoTimer = des.Timer{}
-	snd.lossEvents.Reset()
-	snd.started = false
-	snd.done = false
-	snd.measStart = 0
-	snd.pktsSent = 0
-	snd.acksSeen = 0
-	snd.acksBase = 0
-	snd.eventsBase = 0
-	snd.rttAcc = stats.Welford{}
-	snd.intervals0 = 0
+// NewFlowRaw builds the endpoint pair without attaching the flow to the
+// network, for callers that attach with explicit hop slices through
+// their executor (the churn engine); everything else wants NewFlowOn.
+// The sender holds its receiver, so it can speak for the pair.
+func NewFlowRaw(sndSched *des.Scheduler, sndNet netsim.Network, rcvSched *des.Scheduler, rcvNet netsim.Network, flow int, cfg Config) (*Sender, *Receiver) {
+	snd := newSender(sndSched, sndNet, flow, cfg)
+	snd.receiver = newReceiver(rcvSched, rcvNet, flow, cfg)
+	return snd, snd.receiver
 }
+
+// Renew gives the sender and its receiver, in place, the state
+// NewFlowRaw builds for flow under cfg, reusing the loss-counter buffer
+// and the out-of-order set so churn workloads recycle endpoints without
+// allocating. The pair must hold no live timer: it never started, or it
+// has quiesced. Renew does not attach the flow: the caller attaches it
+// with its hop slices, as the churn engine does through its host.
+func (s *Sender) Renew(flow int, cfg Config) {
+	cfg.validate()
+	if s.rtoTimer.Active() {
+		panic("tcp: Renew on a pair with a live timer")
+	}
+	s.reset(flow, cfg)
+	s.receiver.reset(flow, cfg)
+}
+
+// Endpoints returns the pair's two ends, the sender and its receiver,
+// for callers that attach the flow themselves.
+func (s *Sender) Endpoints() (sender, receiver netsim.Endpoint) { return s, s.receiver }

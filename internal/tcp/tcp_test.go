@@ -194,7 +194,7 @@ func TestReceiverDelayedAcks(t *testing.T) {
 	net := topology.NewDumbbell(&s, link)
 	acks := 0
 	snd := netsim.EndpointFunc(func(p *netsim.Packet) { acks++ })
-	rcv := NewReceiver(&s, net, 1, DefaultConfig())
+	rcv := newReceiver(&s, net, 1, DefaultConfig())
 	net.AttachFlow(1, snd, rcv, 0, 0)
 	// Four in-order segments with b=2: exactly 2 ACKs.
 	for i := 0; i < 4; i++ {
@@ -215,7 +215,7 @@ func TestReceiverDelayedAcks(t *testing.T) {
 func TestReceiverIgnoresNonData(t *testing.T) {
 	var s des.Scheduler
 	net := buildDumbbell(&s, 1e6, 0, 10)
-	rcv := NewReceiver(&s, net, 1, DefaultConfig())
+	rcv := newReceiver(&s, net, 1, DefaultConfig())
 	rcv.Receive(&netsim.Packet{Kind: netsim.Ack})
 	if rcv.PacketsReceived != 0 {
 		t.Fatal("non-data counted")
@@ -225,7 +225,7 @@ func TestReceiverIgnoresNonData(t *testing.T) {
 func TestSenderIgnoresNonAck(t *testing.T) {
 	var s des.Scheduler
 	net := buildDumbbell(&s, 1e6, 0, 10)
-	snd := NewSender(&s, net, 1, DefaultConfig())
+	snd := newSender(&s, net, 1, DefaultConfig())
 	snd.Receive(&netsim.Packet{Kind: netsim.Data})
 	if snd.Stats().PacketsSent != 0 {
 		t.Fatal("non-ack processed")
@@ -254,13 +254,13 @@ func TestPanics(t *testing.T) {
 	var s des.Scheduler
 	net := buildDumbbell(&s, 1e6, 0, 10)
 	cases := []func(){
-		func() { NewSender(nil, net, 1, DefaultConfig()) },
-		func() { NewSender(&s, nil, 1, DefaultConfig()) },
-		func() { NewSender(&s, net, 1, Config{}) },
-		func() { NewReceiver(&s, net, 1, Config{SegSize: -1}) },
+		func() { newSender(nil, net, 1, DefaultConfig()) },
+		func() { newSender(&s, nil, 1, DefaultConfig()) },
+		func() { newSender(&s, net, 1, Config{}) },
+		func() { newReceiver(&s, net, 1, Config{SegSize: -1}) },
 		func() {
-			snd := NewSender(&s, net, 5, DefaultConfig())
-			rcv := NewReceiver(&s, net, 5, DefaultConfig())
+			snd := newSender(&s, net, 5, DefaultConfig())
+			rcv := newReceiver(&s, net, 5, DefaultConfig())
 			net.AttachFlow(5, snd, rcv, 0, 0)
 			snd.Start()
 			snd.Start()

@@ -280,17 +280,17 @@ func NewFlowOn(sndSched *des.Scheduler, sndNet netsim.Network, rcvSched *des.Sch
 // NewFlowRaw builds the endpoint pair without attaching the flow to the
 // network. Callers that resolve routes themselves — the churn engine
 // attaches with explicit hop slices through its executor — attach
-// separately; everything else wants NewFlowOn.
+// separately; everything else wants NewFlowOn. It allocates the pair's
+// buffers and bound callbacks, then gives both endpoints their fresh
+// state through the same code Renew runs.
 func NewFlowRaw(sndSched *des.Scheduler, sndNet netsim.Network, rcvSched *des.Scheduler, rcvNet netsim.Network, flow int, cfg Config) (*Sender, *Receiver) {
 	cfg.validate()
 	if sndSched == nil || sndNet == nil || rcvSched == nil || rcvNet == nil {
 		panic("tfrc: nil scheduler or network")
 	}
 	rcv := &Receiver{
-		cfg:   cfg,
 		sched: rcvSched,
 		net:   rcvNet,
-		flow:  flow,
 		est:   estimator.NewLossIntervalEstimator(estimator.TFRCWeights(cfg.Window)),
 		trace: netsim.TracerOf(rcvNet),
 	}
@@ -302,21 +302,69 @@ func NewFlowRaw(sndSched *des.Scheduler, sndNet netsim.Network, rcvSched *des.Sc
 	})
 	rcv.sendFBFn = rcv.sendFeedback
 	snd := &Sender{
-		cfg:       cfg,
-		sched:     sndSched,
-		net:       sndNet,
-		flow:      flow,
-		rate:      cfg.InitialRate,
-		rtt:       estimator.NewRTT(cfg.RTTq),
-		slowStart: true,
-		receiver:  rcv,
-		random:    rng.New(cfg.Seed ^ uint64(flow)*0x9e3779b97f4a7c15),
-		trace:     netsim.TracerOf(sndNet),
+		sched:    sndSched,
+		net:      sndNet,
+		rtt:      estimator.NewRTT(cfg.RTTq),
+		random:   rng.New(0),
+		receiver: rcv,
+		trace:    netsim.TracerOf(sndNet),
 	}
 	snd.sendNextFn = snd.sendNext
 	snd.onNoFeedbackFn = snd.onNoFeedback
+	snd.reset(flow, cfg)
+	rcv.reset(flow, cfg)
 	return snd, rcv
 }
+
+// reset gives the sender its fresh state for flow under cfg. It keeps
+// the environment, the buffers and the bound callbacks construction
+// allocated; every other field restarts at its zero value or at the
+// value named here.
+func (s *Sender) reset(flow int, cfg Config) {
+	s.rtt.Reset()
+	s.random.Reseed(cfg.Seed ^ uint64(flow)*0x9e3779b97f4a7c15)
+	*s = Sender{
+		cfg: cfg, sched: s.sched, net: s.net, flow: flow,
+		rate: cfg.InitialRate, rtt: s.rtt, slowStart: true, random: s.random,
+		receiver: s.receiver, trace: s.trace, onDone: s.onDone,
+		sendNextFn: s.sendNextFn, onNoFeedbackFn: s.onNoFeedbackFn,
+	}
+}
+
+// reset gives the receiver its fresh state for flow under cfg, keeping
+// what construction allocated, as Sender.reset does.
+func (r *Receiver) reset(flow int, cfg Config) {
+	r.events.Reset()
+	r.est.Reset()
+	*r = Receiver{
+		cfg: cfg, sched: r.sched, net: r.net, flow: flow,
+		events: r.events, est: r.est, sendFBFn: r.sendFBFn, onIdle: r.onIdle, trace: r.trace,
+	}
+}
+
+// Renew gives the sender and its receiver, in place, the state
+// NewFlowRaw builds for flow under cfg, reusing every buffer (loss
+// history, estimator, RNG) so churn workloads recycle endpoints without
+// allocating. The pair must hold no live timer: it never started, or it
+// has quiesced. cfg must keep the estimator window and the RTT gain the
+// pair was built with. Renew does not attach the flow: the caller
+// attaches it with its hop slices, as the churn engine does through its
+// host.
+func (s *Sender) Renew(flow int, cfg Config) {
+	cfg.validate()
+	if cfg.Window != s.cfg.Window || cfg.RTTq != s.cfg.RTTq {
+		panic("tfrc: Renew cannot change the estimator window or the RTT gain")
+	}
+	if !s.idle() {
+		panic("tfrc: Renew on a pair with a live timer")
+	}
+	s.reset(flow, cfg)
+	s.receiver.reset(flow, cfg)
+}
+
+// Endpoints returns the pair's two ends, the sender and its receiver,
+// for callers that attach the flow themselves.
+func (s *Sender) Endpoints() (sender, receiver netsim.Endpoint) { return s, s.receiver }
 
 // Start begins transmission.
 func (s *Sender) Start() {
@@ -412,11 +460,15 @@ func (s *Sender) OnDone(fn func()) { s.onDone = fn }
 // Done reports whether a finite transfer has sent its full volume.
 func (s *Sender) Done() bool { return s.done }
 
-// Quiesced reports whether the sender is done and holds no live timers,
-// i.e. it will never schedule another event. The churn engine requires
-// this before recycling the endpoint pair.
-func (s *Sender) Quiesced() bool {
-	return s.done && !s.sendTimer.Active() && !s.nfTimer.Active()
+// Quiesced reports whether the transfer is over for the whole pair:
+// the sender is done and neither it nor its receiver holds a live
+// timer, so the pair schedules nothing until new data reaches the
+// receiver. The churn engine requires this before recycling the pair.
+func (s *Sender) Quiesced() bool { return s.done && s.idle() }
+
+// idle reports whether neither end of the pair holds a live timer.
+func (s *Sender) idle() bool {
+	return !s.sendTimer.Active() && !s.nfTimer.Active() && s.receiver.Idle()
 }
 
 // Receive implements netsim.Endpoint for the feedback stream.
@@ -662,60 +714,3 @@ func (r *Receiver) OnIdle(fn func()) { r.onIdle = fn }
 // Idle reports whether the receiver holds no live feedback timer, i.e.
 // it will never schedule another event until new data arrives.
 func (r *Receiver) Idle() bool { return !r.fbTimer.Active() }
-
-// Renew reinitializes an existing sender/receiver pair in place for a
-// new flow, reusing every internal buffer (estimator history, loss
-// intervals, RNG state) so churn workloads recycle endpoints without
-// allocating. The pair must be quiescent (sender Quiesced, receiver
-// Idle) and the new config must keep the estimator window. Renew does
-// not attach the flow: the caller attaches it with its hop slices, as
-// the churn engine does through its host.
-func Renew(snd *Sender, rcv *Receiver, flow int, cfg Config) {
-	cfg.validate()
-	if cfg.Window != rcv.cfg.Window {
-		panic("tfrc: Renew cannot change the estimator window")
-	}
-	if !snd.Quiesced() || !rcv.Idle() {
-		panic("tfrc: Renew on a non-quiescent flow")
-	}
-
-	rcv.cfg = cfg
-	rcv.flow = flow
-	rcv.expected = 0
-	rcv.highest = 0
-	rcv.events.Reset()
-	rcv.est.Reset()
-	rcv.sawLoss = false
-	rcv.senderRTT = 0
-	rcv.lastSentAt = 0
-	rcv.lastRecvAt = 0
-	rcv.bytesSinceFB = 0
-	rcv.lastFBAt = 0
-	rcv.fbTimer = des.Timer{}
-	rcv.silentFB = 0
-	rcv.PacketsReceived = 0
-	rcv.eventsBase = 0
-	rcv.intervals0 = 0
-
-	snd.cfg = cfg
-	snd.flow = flow
-	snd.rate = cfg.InitialRate
-	snd.rtt.Reset()
-	snd.nextSeq = 0
-	snd.slowStart = true
-	snd.random.Reseed(cfg.Seed ^ uint64(flow)*0x9e3779b97f4a7c15)
-	snd.sendTimer = des.Timer{}
-	snd.nfTimer = des.Timer{}
-	snd.started = false
-	snd.done = false
-	snd.lastRecvRt = 0
-	snd.lastP = 0
-	snd.measStart = 0
-	snd.pktsSent = 0
-	snd.minRate = 0
-	snd.rttAcc = stats.Welford{}
-	snd.fbSeen = 0
-	snd.nfHalvings = 0
-	snd.fbBase = 0
-	snd.nfBase = 0
-}
